@@ -13,14 +13,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, gmres
 
 from .fields import ContrastField, Grid, WaveField
 from .geom import GeometryError, PolyCone, _angle_between, _cross2
+from .solver import PaddedFFTMultiplier, SolverError, solve_volume_equation
 
 FIXED_R = {2: 6.0 / 5.0, 3: 4.0 / 3.0}   # r = 2(n+1)/(n+3)
 DEFAULT_S = 0.49
 CONTRACTION_LIMIT = 0.9
+REMAINDER_MAXITER = 400   # GMRES restart cycles of the remainder solve
 
 
 class CgoError(RuntimeError):
@@ -209,7 +210,7 @@ def lower_bound_curve(p_cone: PolyCone, q_cone: PolyCone, k: float,
 # The Fourier-multiplier Green operator and the remainder solve
 # ---------------------------------------------------------------------------
 
-class FaddeevGreen:
+class FaddeevGreen(PaddedFFTMultiplier):
     """G_rho: Fourier multiplier 1/(-|xi|^2 + 2i rho.xi) on a periodized
     grid with zero padding.
 
@@ -219,12 +220,9 @@ class FaddeevGreen:
     circle are detected and reported with a perturbed tau to retry with.
     """
 
-    def __init__(self, grid: Grid, rho: np.ndarray, pad_factor: int = 2):
-        if pad_factor < 2:
-            raise CgoError("zero padding must be at least 2x the support")
-        self.grid = grid
+    def __init__(self, grid: Grid, rho: np.ndarray):
+        super().__init__(grid)
         self.rho = np.asarray(rho, dtype=complex)
-        self._pad = tuple(pad_factor * s for s in grid.shape)
         shifts = [np.pi / (m * grid.spacing) for m in self._pad]
         freqs = [2 * np.pi * np.fft.fftfreq(m, d=grid.spacing) + s
                  for m, s in zip(self._pad, shifts)]
@@ -237,19 +235,11 @@ class FaddeevGreen:
             tau = float(np.linalg.norm(np.real(self.rho)))
             dq = 2 * np.pi / (self._pad[0] * grid.spacing)
             raise MultiplierSingularity(min_abs, tau + dq)
-        self._inv_symbol = 1.0 / symbol
+        self._symbol = 1.0 / symbol
         idx = [np.arange(m) * grid.spacing for m in self._pad]
         phases = np.meshgrid(*[s * x for s, x in zip(shifts, idx)],
                              indexing="ij")
         self._mod = np.exp(-1j * sum(phases))
-
-    def apply(self, f: np.ndarray) -> np.ndarray:
-        buf = np.zeros(self._pad, dtype=complex)
-        buf[tuple(slice(0, s) for s in self.grid.shape)] = f
-        buf *= self._mod
-        out = np.fft.ifftn(np.fft.fftn(buf) * self._inv_symbol)
-        out *= np.conj(self._mod)
-        return out[tuple(slice(0, s) for s in self.grid.shape)]
 
 
 def contraction_estimate(green: FaddeevGreen, q: np.ndarray,
@@ -271,8 +261,7 @@ def contraction_estimate(green: FaddeevGreen, q: np.ndarray,
 
 
 def solve_faddeev(q: np.ndarray, f: np.ndarray, rho: np.ndarray, grid: Grid,
-                  tol: float = 1e-10, pad_factor: int = 2,
-                  maxiter: int = 400) -> WaveField:
+                  tol: float = 1e-10) -> WaveField:
     """Solve (Lap + 2 rho.grad + q) psi = f as psi = G_rho(f - q psi).
 
     Rejects directions whose fixed-point map is not an observable
@@ -281,30 +270,19 @@ def solve_faddeev(q: np.ndarray, f: np.ndarray, rho: np.ndarray, grid: Grid,
     """
     q = np.asarray(q, dtype=complex)
     f = np.asarray(f, dtype=complex)
-    green = FaddeevGreen(grid, rho, pad_factor=pad_factor)
+    green = FaddeevGreen(grid, rho)
+    psi = green.apply(f)
     if np.any(q != 0):
         rate = contraction_estimate(green, q)
         if rate >= CONTRACTION_LIMIT:
             raise CgoError(f"fixed-point contraction factor {rate:.3f} >= "
                            f"{CONTRACTION_LIMIT}; |Im rho| too small for this "
                            "contrast")
-    gf = green.apply(f)
-    if not np.any(q != 0):
-        psi = gf
-    else:
-        shape = grid.shape
-        n = grid.n_points
-
-        def matvec(x):
-            u = x.reshape(shape)
-            return (u + green.apply(q * u)).ravel()
-
-        op = LinearOperator((n, n), matvec=matvec, dtype=complex)
-        sol, info = gmres(op, gf.ravel(), rtol=tol, atol=0.0,
-                          restart=50, maxiter=maxiter)
-        if info != 0:
-            raise CgoError(f"remainder solve did not converge (info={info})")
-        psi = sol.reshape(shape)
+        try:
+            psi, _, _ = solve_volume_equation(green, q, psi, tol,
+                                              REMAINDER_MAXITER)
+        except SolverError as exc:
+            raise CgoError(f"remainder solve: {exc}") from exc
     # A rho of 0 never reaches here (multiplier singularity), so k is moot.
     return WaveField(grid, psi, k=0.0, role="remainder")
 

@@ -224,12 +224,14 @@ def cmd_verify(args) -> int:
     checks.append({"name": "cone-transform", "passed": err < 1e-6,
                    "max_error": err})
 
-    # three-spheres inequality with the calibration
-    cal = load_calibration(manifest, 2.0, 2)
+    # three-spheres inequality with the calibration at the scene's k and dim
+    scene = manifest["scenes"][0]
+    dim = len(scene["omega"])
+    cal = load_calibration(manifest, float(scene["k"]), dim)
     viol = 0
     for _ in range(50):
-        f = rellich.random_helmholtz_field(cal.k, 2, rng)
-        x = rng.uniform(-0.4, 0.4, 2)
+        f = rellich.random_helmholtz_field(cal.k, dim, rng)
+        x = rng.uniform(-0.4, 0.4, dim)
         r = rng.uniform(cal.R_m / 8, cal.R_m / 4 * 0.99)
         res = rellich.three_spheres_check(f, x, r, rng)
         if res.degenerate:
@@ -414,8 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="master seed (mandatory for reproducibility)")
         p.add_argument("--calibration", help="calibration JSON path")
         p.add_argument("--tol", type=float, help="solver tolerance override")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker pool size (scene-level)")
         p.add_argument("--force", action="store_true",
                        help="overwrite existing outputs")
         p.set_defaults(func=fn)

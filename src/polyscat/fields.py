@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geom import Polytope, _cuboid_frame
+from .geom import Polytope, polytope_mask
 
 POINT_BUDGET = 2 ** 24
 
@@ -94,22 +94,6 @@ class Annulus:
         c = np.asarray(self.center, dtype=float)
         r = np.linalg.norm(pts - c, axis=-1)
         return (r >= self.r_inner) & (r <= self.r_outer)
-
-
-def polytope_mask(P: Polytope, pts: np.ndarray, tol: float = 0.0) -> np.ndarray:
-    """Vectorized closed-set membership for grid point arrays (..., dim)."""
-    if P.dim == 2:
-        v = P.vertices
-        nxt = np.roll(v, -1, axis=0)
-        ok = np.ones(pts.shape[:-1], dtype=bool)
-        for a, b in zip(v, nxt):
-            edge = b - a
-            cross = edge[0] * (pts[..., 1] - a[1]) - edge[1] * (pts[..., 0] - a[0])
-            ok &= cross >= -tol
-        return ok
-    center, axes, half = _cuboid_frame(P.vertices)
-    y = np.tensordot(pts - center, axes.T, axes=1)
-    return np.all(np.abs(y) <= half + tol, axis=-1)
 
 
 def region_mask(region, pts: np.ndarray) -> np.ndarray:
@@ -245,7 +229,7 @@ class ContrastField:
 
     def evaluate(self, grid: Grid) -> np.ndarray:
         """V sampled at cell centers: phi where the center lies in P, else 0."""
-        key = (id(grid), grid.shape, grid.spacing, tuple(grid.origin))
+        key = (grid.shape, grid.spacing, tuple(grid.origin))
         if key in self._cache:
             return self._cache[key]
         pts = grid.points()
@@ -299,8 +283,8 @@ def hoelder_bump_contrast(P: Polytope, center, alpha: float,
     return ContrastField(P, phi, alpha=alpha, M=M, mu=float(np.min(vert_abs)))
 
 
-def measured_hoelder_quotient(V: ContrastField, rng: np.ndarray | None = None,
-                              n_pairs: int = 200, seed: int = 0) -> float:
+def measured_hoelder_quotient(V: ContrastField, n_pairs: int = 200,
+                              seed: int = 0) -> float:
     """Sampled sup |phi(x)-phi(y)| / |x-y|^alpha over random point pairs in P."""
     gen = np.random.default_rng(seed)
     lo = V.polytope.vertices.min(axis=0)

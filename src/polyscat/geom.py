@@ -69,15 +69,7 @@ class Polytope:
 
     def contains(self, x, tol: float = 1e-12) -> bool:
         """Closed-set membership test."""
-        x = np.asarray(x, dtype=float)
-        if self.dim == 2:
-            v = self.vertices
-            nxt = np.roll(v, -1, axis=0)
-            cross = _cross2(nxt - v, x - v)
-            return bool(np.all(cross >= -tol))
-        center, axes, half = _cuboid_frame(self.vertices)
-        y = (x - center) @ axes.T
-        return bool(np.all(np.abs(y) <= half + tol))
+        return bool(polytope_mask(self, x, tol))
 
     def to_json(self) -> str:
         return json.dumps({"dim": self.dim, "kind": self.kind,
@@ -87,6 +79,23 @@ class Polytope:
     def from_json(text: str) -> "Polytope":
         d = json.loads(text)
         return Polytope(d["dim"], np.asarray(d["vertices"], dtype=float), d["kind"])
+
+
+def polytope_mask(P: Polytope, pts, tol: float = 0.0) -> np.ndarray:
+    """Vectorized closed-set membership for point arrays (..., dim)."""
+    pts = np.asarray(pts, dtype=float)
+    if P.dim == 2:
+        v = P.vertices
+        nxt = np.roll(v, -1, axis=0)
+        ok = np.ones(pts.shape[:-1], dtype=bool)
+        for a, b in zip(v, nxt):
+            edge = b - a
+            cross = edge[0] * (pts[..., 1] - a[1]) - edge[1] * (pts[..., 0] - a[0])
+            ok &= cross >= -tol
+        return ok
+    center, axes, half = _cuboid_frame(P.vertices)
+    y = np.tensordot(pts - center, axes.T, axes=1)
+    return np.all(np.abs(y) <= half + tol, axis=-1)
 
 
 def convex_polygon(vertices) -> Polytope:

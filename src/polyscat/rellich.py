@@ -404,7 +404,8 @@ def propagate_outside_hull(field, Q: Polytope, query, r: float,
         if point_polytope_distance(query, Q) < 4 * r - 1e-12:
             raise RellichError("query point is inside the 4r collar of Q")
     nq = np.linalg.norm(query)
-    direction = query / nq if nq > 1e-12 else _any_unit(Q, query)
+    direction = (query / nq if nq > 1e-12
+                 else np.ones_like(query) / np.sqrt(query.size))
     # choose the radial ray (away from or through the origin) clear of B(Q,4r)
     target_radius = (1 + lam) * R + r
     for d in (direction, -direction):
@@ -434,11 +435,6 @@ def uniform_outside_hull_bound(delta: float, r: float, lam: float,
     """The query-independent form C T delta^(c2^((2+lam)R/r + 2))."""
     exponent = cal.c2 ** ((2 + lam) * R / r + 2)
     return float(cal.chain_constant * T * delta ** exponent)
-
-
-def _any_unit(Q, query):
-    v = np.ones_like(query)
-    return v / np.linalg.norm(v)
 
 
 def _ray_exit(start, direction, target_radius):

@@ -16,8 +16,8 @@ import numpy as np
 from scipy.sparse.linalg import LinearOperator, gmres
 from scipy.special import hankel1
 
-from .fields import (Annulus, ContrastField, FieldError, Grid, WaveField,
-                     plane_wave, polytope_mask, region_mask)
+from .fields import (ContrastField, FieldError, Grid, WaveField, plane_wave,
+                     polytope_mask)
 
 GMRES_RESTART = 50
 GMRES_MAXITER = 2000
@@ -57,36 +57,81 @@ def far_field_constant(k: float, dim: int) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# FFT convolution with the outgoing kernel
+# Volume equations x + G(m x) = rhs with a zero-padded Fourier multiplier G
 # ---------------------------------------------------------------------------
 
-class GreenConvolution:
+class PaddedFFTMultiplier:
+    """x -> crop(F^-1[symbol F[mod pad(x)]] conj(mod)) on the grid
+    zero-padded to twice its shape per axis.  Subclasses build `_symbol`
+    and, to shift the frequency lattice, the modulation `_mod`."""
+
+    _mod = None
+
+    def __init__(self, grid: Grid):
+        self.grid = grid
+        self._pad = tuple(2 * s for s in grid.shape)
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        crop = tuple(slice(0, s) for s in self.grid.shape)
+        buf = np.zeros(self._pad, dtype=complex)
+        buf[crop] = x
+        if self._mod is not None:
+            buf *= self._mod
+        out = np.fft.ifftn(np.fft.fftn(buf) * self._symbol)
+        if self._mod is not None:
+            out *= np.conj(self._mod)
+        return out[crop]
+
+
+class GreenConvolution(PaddedFFTMultiplier):
     """Circulant embedding of x -> (Phi_k * x) h^n on a uniform grid."""
 
     def __init__(self, grid: Grid, k: float):
-        self.grid = grid
+        super().__init__(grid)
         self.k = k
-        shape = grid.shape
         h = grid.spacing
-        pad = tuple(2 * s for s in shape)
         offsets = np.meshgrid(
-            *[np.where(np.arange(2 * s) < s, np.arange(2 * s),
-                       np.arange(2 * s) - 2 * s) * h for s in shape],
+            *[np.where(np.arange(m) < s, np.arange(m), np.arange(m) - m) * h
+              for s, m in zip(grid.shape, self._pad)],
             indexing="ij")
         r = np.sqrt(sum(o ** 2 for o in offsets))
-        kernel = np.zeros(pad, dtype=complex)
+        kernel = np.zeros(self._pad, dtype=complex)
         nz = r > 0
         kernel[nz] = fundamental_solution(k, r[nz], grid.dim) * grid.cell_volume
         kernel[(0,) * grid.dim] = singular_cell_integral(k, h, grid.dim)
-        self._kernel_hat = np.fft.fftn(kernel)
-        self._pad = pad
+        self._symbol = np.fft.fftn(kernel)
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        g = self.grid
-        buf = np.zeros(self._pad, dtype=complex)
-        buf[tuple(slice(0, s) for s in g.shape)] = x
-        out = np.fft.ifftn(np.fft.fftn(buf) * self._kernel_hat)
-        return out[tuple(slice(0, s) for s in g.shape)]
+
+def solve_volume_equation(op: PaddedFFTMultiplier, m: np.ndarray,
+                          rhs: np.ndarray, tol: float,
+                          maxiter: int) -> tuple[np.ndarray, int, float]:
+    """Solve x + op.apply(m x) = rhs on op's grid by restarted GMRES.
+
+    Returns (x, GMRES iterations, relative residual); raises SolverError
+    with the residual when GMRES stops at maxiter restart cycles.
+    """
+    shape = rhs.shape
+    n = rhs.size
+
+    def matvec(x):
+        u = x.reshape(shape)
+        return (u + op.apply(m * u)).ravel()
+
+    counter = {"n": 0}
+
+    def cb(_):
+        counter["n"] += 1
+
+    sol, info = gmres(LinearOperator((n, n), matvec=matvec, dtype=complex),
+                      rhs.ravel(), rtol=tol, atol=0.0, restart=GMRES_RESTART,
+                      maxiter=maxiter, callback=cb, callback_type="pr_norm")
+    # a zero rhs has the exact solution 0, and its residual is absolute
+    res = float(np.linalg.norm(matvec(sol) - rhs.ravel())
+                / (np.linalg.norm(rhs) or 1.0))
+    if info != 0:
+        raise SolverError(f"GMRES did not converge (info={info}, "
+                          f"residual={res:.3e})")
+    return sol.reshape(shape), counter["n"], res
 
 
 # ---------------------------------------------------------------------------
@@ -175,43 +220,23 @@ class ScatteringSolution:
 
 
 def solve_forward(V: ContrastField, k: float, omega, grid: Grid,
-                  tol: float = 1e-8, n_directions: int = 256,
-                  maxiter: int = GMRES_MAXITER) -> ScatteringSolution:
+                  tol: float = 1e-8,
+                  n_directions: int = 256) -> ScatteringSolution:
     """Solve u = u^i + k^2 Phi_k * (V u) by GMRES and compute the far field."""
     omega = np.asarray(omega, dtype=float)
     Vvals = V.evaluate(grid)
     if _support_touches_boundary(Vvals):
         raise SolverError("potential support escapes the grid interior")
     ui = plane_wave(k, omega, grid)
-    conv = GreenConvolution(grid, k)
-    shape = grid.shape
-    n = grid.n_points
-
-    def matvec(x):
-        u = x.reshape(shape)
-        return (u - k ** 2 * conv.apply(Vvals * u)).ravel()
-
-    op = LinearOperator((n, n), matvec=matvec, dtype=complex)
-    counter = {"n": 0}
-
-    def cb(_):
-        counter["n"] += 1
-
-    sol, info = gmres(op, ui.values.ravel(), rtol=tol, atol=0.0,
-                      restart=GMRES_RESTART, maxiter=maxiter, callback=cb,
-                      callback_type="pr_norm")
-    u = sol.reshape(shape)
-    res = float(np.linalg.norm(matvec(sol) - ui.values.ravel())
-                / np.linalg.norm(ui.values))
-    if info != 0:
-        raise SolverError(f"GMRES did not converge (info={info}, "
-                          f"residual={res:.3e})")
+    u, iterations, res = solve_volume_equation(
+        GreenConvolution(grid, k), -k ** 2 * Vvals, ui.values, tol,
+        GMRES_MAXITER)
     total = WaveField(grid, u, k, role="total")
     scattered = WaveField(grid, u - ui.values, k, role="scattered")
     dirs = default_directions(grid.dim, n_directions)
     ff = far_field_from_volume(Vvals, total, k, dirs)
     return ScatteringSolution(V, ui, total, scattered, ff,
-                              counter["n"], res, omega)
+                              iterations, res, omega)
 
 
 def _support_touches_boundary(Vvals: np.ndarray) -> bool:

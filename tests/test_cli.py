@@ -157,6 +157,25 @@ def test_verify_passes(tmp_path):
             "orthogonality-trivial"} <= names
 
 
+def test_verify_calibrates_at_the_scene_wavenumber(tmp_path, monkeypatch):
+    calls = []
+
+    def fake_calibrate(k, dim, **kw):
+        calls.append((k, dim))
+        return Calibration(k=k, R_m=1.0, C=2.0, c1=0.8, c2=0.2, seed=0,
+                           trials=10)
+
+    monkeypatch.setattr(cli.rellich, "calibrate", fake_calibrate)
+    d = scene_dict()
+    d["k"] = 3.0
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps(d))
+    rc = cli.main(["verify", "--scene", str(scene), "--seed", "2",
+                   "--out", str(tmp_path / "out")])
+    assert rc == 0
+    assert calls == [(3.0, 2)]
+
+
 def test_stability_outputs_and_determinism(tmp_path):
     scene = write_scene(tmp_path, n=64)
     cal = small_cal_file(tmp_path)

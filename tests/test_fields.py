@@ -126,6 +126,8 @@ def test_contrast_cache_reuse():
     a = V.evaluate(g)
     b = V.evaluate(g)
     assert a is b
+    # an equal grid built separately shares the entry
+    assert V.evaluate(fields.centered_grid(1.0, 32, dim=2)) is a
 
 
 def test_affine_contrast_mu_and_values():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from polyscat import fields, geom, solver
+from polyscat import cgo, fields, geom, solver
 
 
 def small_square_contrast(value=0.5, side=0.8):
@@ -80,6 +80,21 @@ def test_support_must_stay_interior():
     g = fields.centered_grid(1.0, 32, dim=2)
     with pytest.raises(solver.SolverError):
         solver.solve_forward(V, 2.0, [1.0, 0.0], g)
+
+
+def test_gmres_non_convergence_is_a_typed_error(monkeypatch):
+    # two GMRES iterations cannot reach either tolerance on these scenes
+    monkeypatch.setattr(solver, "GMRES_RESTART", 2)
+    monkeypatch.setattr(solver, "GMRES_MAXITER", 1)
+    monkeypatch.setattr(cgo, "REMAINDER_MAXITER", 1)
+    g = fields.centered_grid(1.0, 64, dim=2)
+    V = small_square_contrast(1.0)
+    with pytest.raises(solver.SolverError, match=r"residual=\d"):
+        solver.solve_forward(V, 6.0, [1.0, 0.0], g)
+    q = 4.0 * V.evaluate(g)
+    rho = np.array([0.0, -4.0]) + 1j * np.sqrt(20.0) * np.array([1.0, 0.0])
+    with pytest.raises(cgo.CgoError, match="residual="):
+        cgo.solve_faddeev(q, -q, rho, g)
 
 
 def test_born_regime_agreement():

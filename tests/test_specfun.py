@@ -27,10 +27,16 @@ def test_hankel_against_mpmath():
 def test_hankel_log_abs_against_mpmath():
     from oracles import mp_log_abs_hankel1
     # includes the overflow regime nu >> z where hankel1 itself is inf
-    for nu, z in [(0.5, 1.0), (10.0, 3.0), (60.5, 0.5), (150.0, 2.0)]:
+    pairs = [(0.5, 1.0), (10.0, 3.0), (60.5, 0.5), (150.0, 2.0)]
+    for nu, z in pairs:
         ours = specfun.hankel_h1_log_abs(nu, z)
         ref = mp_log_abs_hankel1(nu, z)
         assert abs(ours - ref) <= 2e-2 * max(1.0, abs(ref))
+    # the array form is elementwise the scalar form
+    nus, zs = np.array(pairs).T
+    np.testing.assert_array_equal(specfun.hankel_h1_log_abs(nus, zs),
+                                  [specfun.hankel_h1_log_abs(nu, z)
+                                   for nu, z in pairs])
 
 
 def test_hankel_domain_errors():
