@@ -29,6 +29,7 @@ from .specfun import HankelBoundCertificate, certify_hankel_bounds, \
 TS_FACTOR = (2 + np.sqrt(2)) ** 1.5   # geometric factor of the three-balls bound
 LAMBDA_DEFAULT = 0.25                 # annulus thickness parameter
 A_DEFAULT = 2 + LAMBDA_DEFAULT        # escape-segment length parameter (>= 2+lambda)
+UNRESOLVED_SHARE = 1e-12              # share of a sphere norm left to rounding noise
 
 
 class RellichError(RuntimeError):
@@ -99,16 +100,32 @@ def decompose_far_field(ff: FarFieldPattern, J: int | None = None
 def sphere_norm_from_decomposition(dec: HarmonicDecomposition,
                                    r: float) -> float:
     """L2 norm of the radiating field on the sphere S(0,r) from the
-    decomposition and Hankel magnitudes."""
+    decomposition and Hankel magnitudes.
+
+    A degree with b_j <= (J+1) eps ||b|| sits at the rounding level of the
+    projection, which cannot tell its true size below that floor.  The sum
+    weights degree j by kr |H_(j+(n-2)/2)(kr)|^2, which grows like a
+    factorial in j once j exceeds kr, so rounding noise can swamp it.
+    Raises RellichError when the rounding-level degrees, taken at the
+    floor, could carry more than UNRESOLVED_SHARE of the sum; a smaller J
+    avoids that.  The sum is taken on logarithms, so nothing overflows.
+    """
     k = dec.k
-    total = 0.0
-    for j in range(dec.J + 1):
-        if dec.b[j] == 0:
-            continue
-        nu = j + (dec.dim - 2) / 2
-        log_h = hankel_h1_log_abs(nu, k * r)
-        total += dec.b[j] ** 2 * k * r * np.exp(2 * log_h)
-    return float(np.sqrt(np.pi / 2 * total))
+    floor = (dec.J + 1) * np.finfo(float).eps * np.sqrt(dec.parseval_total())
+    if floor == 0:
+        return 0.0
+    nu = np.arange(dec.J + 1) + (dec.dim - 2) / 2
+    log_w = np.log(k * r) + 2 * hankel_h1_log_abs(nu, k * r)
+    resolved = dec.b > floor
+    log_sum = special.logsumexp(2 * np.log(dec.b[resolved])
+                                + log_w[resolved])
+    log_noise = special.logsumexp(2 * np.log(floor) + log_w[~resolved])
+    if log_noise - log_sum > np.log(UNRESOLVED_SHARE):
+        raise RellichError(
+            f"at J={dec.J}, degrees at rounding level could reach "
+            f"10^{(log_noise - log_sum) / np.log(10):.0f} times the "
+            f"resolved sum on S(0,{r}); decompose with a smaller J")
+    return float(np.sqrt(np.pi / 2) * np.exp(log_sum / 2))
 
 
 # ---------------------------------------------------------------------------

@@ -10,17 +10,23 @@ GMRES.  The radiation condition is exact by construction of the kernel.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, gmres
-from scipy.special import hankel1
+from scipy.special import hankel1, jv
 
 from .fields import (ContrastField, FieldError, Grid, WaveField, plane_wave,
                      polytope_mask)
 
 GMRES_RESTART = 50
 GMRES_MAXITER = 2000
+# the largest (points or orders) x source cells temporary the off-grid
+# field evaluation allocates at once
+BLOCK_ELEMENTS = 2 ** 20
+# truncation tolerance of the Graf expansion, on J_N(k R_src) |H_N(k b)|
+GRAF_TOL = 2.0 ** -52
 
 
 class SolverError(RuntimeError):
@@ -254,25 +260,131 @@ def _support_touches_boundary(Vvals: np.ndarray) -> bool:
 # Scattered-field evaluation away from the grid (volume potential)
 # ---------------------------------------------------------------------------
 
-def scattered_at_points(sol: ScatteringSolution, points: np.ndarray,
-                        chunk: int = 4096) -> np.ndarray:
+def scattered_at_points(sol: ScatteringSolution,
+                        points: np.ndarray) -> np.ndarray:
     """u^s(x) = k^2 sum_y Phi_k(x-y) V(y) u(y) h^n at arbitrary exterior
-    points (valid wherever V vanishes)."""
-    g = sol.total.grid
+    points (valid wherever V vanishes).
+
+    2D points strictly outside the circle |x| = R_src through the farthest
+    source cell (where V u != 0) are summed by Graf's addition theorem,
+        u^s(x) = sum_{|n|<=N} a_n H_n(k|x|) e^(in theta_x),
+        a_n = (i/4) k^2 h^2 sum_y J_n(k|y|) e^(-in theta_y) (V u)(y),
+    at O(N) Bessel evaluations per distinct source-cell radius and O(N)
+    Hankel evaluations per distinct evaluation radius.  Let b be the
+    nearest radius so evaluated.  For n >= k R_src, J_n(k|y|) <=
+    J_n(k R_src), and |H_n| falls with its argument, so at every |x| >= b
+    the dropped orders add at most
+        (1/2) k^2 h^2 ||V u||_1 sum_{n>N} J_n(k R_src) |H_n(k b)|.
+    N is the first order >= ceil(k R_src) whose term falls below
+    GRAF_TOL = 2^-52.  Beyond N the terms fall off like (R_src/b)^n / n,
+    so the bound is about GRAF_TOL R_src / (b - R_src) times that
+    prefactor.
+
+    The dense sum, one Hankel evaluation per (point, cell) pair, serves
+    every 3D point, every point with |x| <= R_src, and the points so close
+    to R_src that J_n(k R_src) underflows or H_n(k b) overflows before the
+    term falls below GRAF_TOL.
+    """
     k = sol.total.k
-    Vvals = sol.contrast.evaluate(g)
-    src = (Vvals * sol.total.values)
-    nz = src != 0
-    ys = g.points()[nz]
-    amps = src[nz] * g.cell_volume * k ** 2
+    ys, amps = _volume_sources(sol)
     points = np.atleast_2d(np.asarray(points, dtype=float))
     out = np.empty(len(points), dtype=complex)
-    for start in range(0, len(points), chunk):
-        p = points[start:start + chunk]
+    graf = np.zeros(len(points), dtype=bool)
+    if sol.total.grid.dim == 2:
+        kr = k * np.linalg.norm(points, axis=1)
+        kR = k * np.linalg.norm(ys, axis=1).max(initial=0.0)
+        kb, order = _graf_reach(kR, np.unique(kr[kr > kR]))
+        if order is not None:
+            graf = kr >= kb
+            out[graf] = _graf_potential(k, ys, amps, points[graf], order)
+    out[~graf] = _dense_potential(k, ys, amps, points[~graf])
+    return out
+
+
+def _volume_sources(sol: ScatteringSolution) -> tuple[np.ndarray, np.ndarray]:
+    """Source cells y where V u != 0, and their weights k^2 (V u)(y) h^n."""
+    g = sol.total.grid
+    src = sol.contrast.evaluate(g) * sol.total.values
+    nz = src != 0
+    return g.points()[nz], src[nz] * g.cell_volume * sol.total.k ** 2
+
+
+def _dense_potential(k: float, ys: np.ndarray, amps: np.ndarray,
+                     points: np.ndarray) -> np.ndarray:
+    """sum_y Phi_k(x - y) amps(y), one block of points at a time."""
+    out = np.empty(len(points), dtype=complex)
+    step = max(1, BLOCK_ELEMENTS // max(len(ys), 1))
+    for start in range(0, len(points), step):
+        p = points[start:start + step]
         r = np.linalg.norm(p[:, None, :] - ys[None, :, :], axis=-1)
         if np.any(r == 0):
             raise SolverError("evaluation point inside the support")
-        out[start:start + chunk] = fundamental_solution(k, r, g.dim) @ amps
+        out[start:start + step] = (fundamental_solution(k, r, ys.shape[1])
+                                   @ amps)
+    return out
+
+
+def _graf_order(kR: float, kb: float) -> int | None:
+    """First N >= ceil(kR) with J_N(kR) |H_N(kb)| <= GRAF_TOL, or None
+    when J_n(kR) underflows or H_n(kb) overflows before that order."""
+    for lo in itertools.count(int(np.ceil(kR)), 32):
+        n = np.arange(lo, lo + 32)
+        j = np.abs(jv(n, kR))
+        h = np.abs(hankel1(n, kb))
+        term = np.multiply(j, h, out=np.full(len(n), np.nan),
+                           where=(j >= np.finfo(float).tiny) & np.isfinite(h))
+        stop = ~(term > GRAF_TOL)   # below the tolerance, or not certified
+        if np.any(stop):
+            first = int(np.argmax(stop))
+            return lo + first if np.isfinite(term[first]) else None
+
+
+def _graf_reach(kR: float, kb: np.ndarray) -> tuple[float, int | None]:
+    """The smallest of the ascending arguments kb at which _graf_order
+    certifies, with its order, or (inf, None).  An order certified at kb
+    is certified at every larger argument, so the search tries the
+    smallest first and then bisects."""
+    lo, hi, order, probe = 0, len(kb), None, 0
+    while lo < hi:
+        found = _graf_order(kR, kb[probe])
+        if found is None:
+            lo = probe + 1
+        else:
+            hi, order = probe, found
+        probe = (lo + hi) // 2
+    return (np.inf, None) if order is None else (kb[hi], order)
+
+
+def _graf_potential(k: float, ys: np.ndarray, amps: np.ndarray,
+                    points: np.ndarray, order: int) -> np.ndarray:
+    """sum_{|n|<=order} a_n H_n(k|x|) e^(in theta_x) for 2D points outside
+    every source cell, one block of cells or points at a time.
+
+    With J_{-n} = (-1)^n J_n and H_{-n} = (-1)^n H_n, the orders n and -n
+    share H_n(k|x|): u^s = sum_{n>=0} H_n (a_n e^(in theta) +
+    c_n e^(-in theta)) with c_n = (-1)^n a_{-n}, and c_0 = 0."""
+    n = np.arange(order + 1)[:, None]
+    step = max(1, BLOCK_ELEMENTS // (order + 1))
+    a = np.zeros(order + 1, dtype=complex)
+    c = np.zeros(order + 1, dtype=complex)
+    for start in range(0, len(ys), step):
+        y, w = ys[start:start + step], amps[start:start + step]
+        kr, at = np.unique(k * np.linalg.norm(y, axis=1), return_inverse=True)
+        j = jv(n, kr)[:, at]
+        e = np.exp(-1j * n * np.arctan2(y[:, 1], y[:, 0]))
+        a += (j * e) @ w
+        c += (j * e.conj()) @ w
+    a *= 0.25j
+    c *= 0.25j
+    c[0] = 0
+    out = np.empty(len(points), dtype=complex)
+    for start in range(0, len(points), step):
+        p = points[start:start + step]
+        kr, at = np.unique(k * np.linalg.norm(p, axis=1), return_inverse=True)
+        h = hankel1(n, kr)[:, at]
+        e = np.exp(1j * n * np.arctan2(p[:, 1], p[:, 0]))
+        out[start:start + step] = np.sum(
+            h * (a[:, None] * e + c[:, None] * e.conj()), axis=0)
     return out
 
 

@@ -78,6 +78,44 @@ def test_sphere_norm_matches_outgoing_series():
         assert abs(got - exact) < 1e-8 * exact
 
 
+@pytest.fixture(scope="module")
+def triangle_solutions():
+    from polyscat import fields, geom, solver
+    P = geom.convex_polygon([[-0.4, -0.3], [0.45, -0.35], [0.3, 0.4]])
+    V = fields.constant_contrast(P, 0.6)
+    g = fields.centered_grid(1.0, 192, dim=2)
+    return {k: solver.solve_forward(V, k, [1.0, 0.0], g) for k in (2.0, 5.0)}
+
+
+@pytest.mark.parametrize("k", [2.0, 5.0])
+@pytest.mark.parametrize("r", [1.2, 3.0])
+def test_sphere_norm_matches_near_field_quadrature(triangle_solutions, k, r):
+    # the Rellich oracle: the norm on S_r from the far field's harmonic
+    # decomposition against the trapezoid rule on the solved near field
+    from polyscat import solver
+    sol = triangle_solutions[k]
+    dec = rellich.decompose_far_field(sol.far_field, J=10)
+    th = 2 * np.pi * np.arange(512) / 512
+    vals = solver.scattered_at_points(
+        sol, r * np.stack([np.cos(th), np.sin(th)], axis=1))
+    quad = np.sqrt(2 * np.pi * r / 512 * np.sum(np.abs(vals) ** 2))
+    got = rellich.sphere_norm_from_decomposition(dec, r)
+    assert abs(got - quad) < 1e-9 * quad
+
+
+@pytest.mark.parametrize("r", [0.8, 1.2, 3.0])
+def test_sphere_norm_refuses_rounding_level_degrees(triangle_solutions, r):
+    # at the default J = 127, b_j sits at rounding level from j ~ 15 on,
+    # and |H_j(kr)|^2 would blow that noise up to inf
+    ff = triangle_solutions[2.0].far_field
+    with pytest.raises(rellich.RellichError):
+        rellich.sphere_norm_from_decomposition(
+            rellich.decompose_far_field(ff), r)
+    norm = rellich.sphere_norm_from_decomposition(
+        rellich.decompose_far_field(ff, J=10), r)
+    assert 0 < norm < 1
+
+
 # ---------------------------------------------------------------------------
 # Far field to near field
 # ---------------------------------------------------------------------------

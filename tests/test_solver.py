@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -225,6 +227,102 @@ def test_annulus_near_field_guard():
                                               n_angular=64)
     assert sampled.l2_norm(1.0) > 0
     assert len(w) == len(sampled.points)
+
+
+# ---------------------------------------------------------------------------
+# Graf expansion of the exterior 2D near field against the dense sum
+# ---------------------------------------------------------------------------
+
+def regular_polygon_solution(k, vertex_radius=0.65, m=3, n=192):
+    th = 2 * np.pi * np.arange(m) / m + 0.3
+    P = geom.convex_polygon(vertex_radius * np.stack([np.cos(th), np.sin(th)],
+                                                     axis=1))
+    g = fields.centered_grid(1.0, n, dim=2)
+    return solver.solve_forward(fields.constant_contrast(P, 0.5), k,
+                                [1.0, 0.0], g)
+
+
+def dense_reference(sol, pts):
+    ys, amps = solver._volume_sources(sol)
+    return solver._dense_potential(sol.total.k, ys, amps, pts)
+
+
+def source_radius(sol):
+    ys, _ = solver._volume_sources(sol)
+    return float(np.max(np.linalg.norm(ys, axis=1)))
+
+
+def circle(r, n, phase=0.0):
+    th = 2 * np.pi * np.arange(n) / n + phase
+    return r * np.stack([np.cos(th), np.sin(th)], axis=1)
+
+
+def assert_matches_dense(sol, pts, tol=1e-10):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = solver.scattered_at_points(sol, pts)
+    ref = dense_reference(sol, pts)
+    assert np.all(np.isfinite(got.view(float)))
+    assert np.linalg.norm(got - ref) <= tol * np.linalg.norm(ref)
+    return got
+
+
+def spy_graf_orders(monkeypatch):
+    orders = []
+    graf = solver._graf_potential
+
+    def spy(k, ys, amps, points, order):
+        orders.append((len(points), order))
+        return graf(k, ys, amps, points, order)
+
+    monkeypatch.setattr(solver, "_graf_potential", spy)
+    return orders
+
+
+@pytest.mark.parametrize("k", [2.0, 6.0])
+def test_graf_matches_dense_on_corner_chain_annulus(k, monkeypatch):
+    orders = spy_graf_orders(monkeypatch)
+    sol = regular_polygon_solution(k)
+    pts, _ = solver.annulus_sampling(0.7, 1.4, 2, n_radial=8, n_angular=96)
+    assert_matches_dense(sol, pts)
+    # the expansion serves at least the outer seven circles
+    assert len(orders) == 1 and orders[0][0] >= 7 * 96
+
+
+def test_graf_near_the_source_circle_is_finite():
+    sol = regular_polygon_solution(2.0)
+    R = source_radius(sol)
+    for f in (1.001, 1.01, 1.05, 1.1, 1.2):
+        assert_matches_dense(sol, circle(f * R, 64, phase=0.1))
+
+
+def test_graf_route_split_keeps_the_order(monkeypatch):
+    orders = spy_graf_orders(monkeypatch)
+    sol = regular_polygon_solution(2.0)
+    R = source_radius(sol)
+    ring = circle(0.5, 64, phase=0.05)
+    inside = ring[~geom.polytope_mask(sol.contrast.polytope, ring)][:24]
+    assert len(inside) == 24 and 0.5 < R
+    outside = circle(1.5 * R, 24)
+    pts = np.empty((48, 2))
+    pts[0::2], pts[1::2] = inside, outside
+    assert_matches_dense(sol, pts)
+    assert [n for n, _ in orders] == [24]
+
+
+def test_graf_order_follows_the_source_not_the_far_points(monkeypatch):
+    orders = spy_graf_orders(monkeypatch)
+    k = 2.0
+    V = small_square_contrast(0.5)
+    sol = solver.solve_forward(V, k, [1.0, 0.0], fields.centered_grid(
+        1.0, 128, dim=2))
+    kR = k * source_radius(sol)
+    assert_matches_dense(sol, circle(400.0, 32))
+    assert_matches_dense(sol, np.vstack([circle(1.2, 16), circle(400.0, 16)]))
+    (_, far), (_, mixed) = orders
+    # k|x| = 800 at the far points: the order stays near k R_src ~ 1.1
+    assert far < kR + 20
+    assert mixed == solver._graf_order(kR, k * 1.2) < 100
 
 
 def test_solver_3d_born_regime():
