@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import ContrastField, Grid, WaveField
-from .geom import GeometryError, PolyCone, _angle_between, _cross2
+from .geom import GeometryError, PolyCone, _angle_between
 from .solver import PaddedFFTMultiplier, SolverError, solve_volume_equation
 
 FIXED_R = {2: 6.0 / 5.0, 3: 4.0 / 3.0}   # r = 2(n+1)/(n+3)
@@ -112,22 +112,10 @@ def _cone_rotation_2d(cone: PolyCone):
     """Rotation sending the wedge onto {y2 > 0, y1 > a y2} and its slope a."""
     g_lo, g_hi = cone.generators
     alpha = _angle_between(g_lo, g_hi)
-    if _cross2(g_lo, g_hi) < 0:
-        g_lo, g_hi = g_hi, g_lo
     th = np.arctan2(g_lo[1], g_lo[0])
     rot = np.array([[np.cos(th), np.sin(th)], [-np.sin(th), np.cos(th)]])
     a = 1.0 / np.tan(alpha)
     return rot, a, alpha
-
-
-def _cone_rotation_3d(cone: PolyCone):
-    g = cone.generators
-    if g.shape != (3, 3):
-        raise CgoError("3D cone transform needs exactly 3 generators")
-    if np.max(np.abs(g @ g.T - np.eye(3))) > 1e-9:
-        raise CgoError("3D cone must be a rotated orthant "
-                       "(orthonormal generators)")
-    return g  # rows map the cone onto the positive octant
 
 
 def cone_laplace(cone: PolyCone, vec: np.ndarray) -> ConeTransform:
@@ -145,8 +133,10 @@ def cone_laplace(cone: PolyCone, vec: np.ndarray) -> ConeTransform:
                            "(cone, direction) pairing")
         return ConeTransform(complex(1.0 / (xi[0] * (xi[1] + a * xi[0]))),
                              xi, "wedge", a=float(a))
-    rot = _cone_rotation_3d(cone)
-    xi = rot @ vec
+    if not cone.is_orthant:
+        raise CgoError("3D cone must be a rotated orthant "
+                       "(three orthonormal generators)")
+    xi = cone.generators @ vec  # the rows map the orthant onto the octant
     if not np.all(np.real(xi) < 0):
         raise CgoError("convergence condition violated for this "
                        "(cone, direction) pairing")

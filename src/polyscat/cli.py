@@ -286,35 +286,18 @@ def _cone_transform_error() -> float:
 
 
 def _cone_quadrature(cone, zeta, n: int = 400) -> complex:
-    """Numerical cone Laplace transform, independent of the closed form.
-
-    2D: the radial integral is exact, leaving a smooth angular integrand
-    1/(omega(theta).zeta)^2 handled by Gauss-Legendre.  3D (three
-    generators): the integral factorizes into per-generator line
-    integrals, each on a truncated interval long enough for the
-    exponential tail to vanish."""
+    """Numerical Laplace transform of a 2D wedge, independent of the
+    closed form: the radial integral is exact, leaving a smooth angular
+    integrand 1/(omega(theta).zeta)^2 handled by Gauss-Legendre."""
     zeta = np.asarray(zeta, dtype=complex)
     nodes, weights = np.polynomial.legendre.leggauss(n)
-    if cone.dim == 2:
-        g1, g2 = cone.generators
-        t1, t2 = np.arctan2(g1[1], g1[0]), np.arctan2(g2[1], g2[0])
-        if (t2 - t1) % (2 * np.pi) > np.pi:
-            t1, t2 = t2, t1
-        t2 = t1 + (t2 - t1) % (2 * np.pi)
-        th = 0.5 * (t2 - t1) * nodes + 0.5 * (t1 + t2)
-        omega = np.stack([np.cos(th), np.sin(th)], axis=1)
-        vals = 1.0 / (omega @ zeta) ** 2
-        return complex(np.sum(weights * vals) * 0.5 * (t2 - t1))
-    det = abs(np.linalg.det(cone.generators))
-    out = det
-    for g in cone.generators:
-        c = complex(g @ zeta)
-        if c.real >= 0:
-            raise CliError("cone transform quadrature diverges")
-        L = 60.0 / abs(c.real)
-        s = 0.5 * L * (nodes + 1.0)
-        out *= complex(np.sum(weights * np.exp(c * s)) * 0.5 * L)
-    return out
+    g1, g2 = cone.generators
+    t1, t2 = np.arctan2(g1[1], g1[0]), np.arctan2(g2[1], g2[0])
+    t2 = t1 + (t2 - t1) % (2 * np.pi)
+    th = 0.5 * (t2 - t1) * nodes + 0.5 * (t1 + t2)
+    omega = np.stack([np.cos(th), np.sin(th)], axis=1)
+    vals = 1.0 / (omega @ zeta) ** 2
+    return complex(np.sum(weights * vals) * 0.5 * (t2 - t1))
 
 
 def _orthogonality_trivial():
@@ -353,7 +336,7 @@ def cmd_stability(args) -> int:
     ladder = manifest.get("contrasts", [0.02, 0.05, 0.1, 0.2])
     scenes = [constant_contrast(V0.polytope, c) for c in ladder]
     corner = stability.run_corner_lower_bound_experiment(
-        scenes, k, omega, grid, cal, tol=float(manifest.get("tol", 1e-8)))
+        scenes, k, omega, grid, tol=float(manifest.get("tol", 1e-8)))
     write_text(os.path.join(args.out, "corner_lower_bound.json"),
                _records_json(corner, mhash, seed), args.force)
     write_text(os.path.join(args.out, "corner_lower_bound.csv"),

@@ -14,7 +14,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
 from scipy.spatial import ConvexHull
 
 
@@ -228,12 +227,15 @@ def farthest_vertex(P: Polytope, Q: Polytope) -> FarthestVertexResult:
 @dataclass(frozen=True)
 class PolyCone:
     """Cone with a vertex: either polyhedral (conic hull of generators) or
-    spherical (axis = generators[0], given opening half-angle)."""
+    spherical (axis = generators[0], given opening half-angle).  A 2D wedge
+    is stored counterclockwise; a 3D polyhedral cone must be pointed and
+    full-dimensional.  facet_normals: inward unit normals of the facets."""
 
     vertex: np.ndarray
     generators: np.ndarray     # (g, dim) unit vectors
     kind: str                  # "polyhedral" | "spherical"
     half_angle: float = 0.0    # spherical cones only
+    facet_normals: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         v = np.asarray(self.vertex, dtype=float)
@@ -242,16 +244,23 @@ class PolyCone:
         if np.any(norms < 1e-14):
             raise GeometryError("zero-length cone generator")
         g = g / norms[:, None]
-        object.__setattr__(self, "vertex", v)
-        object.__setattr__(self, "generators", g)
         if self.kind not in ("polyhedral", "spherical"):
             raise GeometryError(f"unknown cone kind {self.kind!r}")
         if self.kind == "spherical" and not (0 < self.half_angle < np.pi):
             raise GeometryError("spherical cone needs half-angle in (0, pi)")
-        if self.kind == "polyhedral" and len(g) == 2 and v.size == 2:
-            span = _angle_between(g[0], g[1])
-            if not (0 < span < np.pi):
-                raise GeometryError("2D polyhedral cone must span an angle in (0, pi)")
+        normals = np.zeros((0, v.size))
+        if self.kind == "polyhedral" and v.size == 2:
+            if len(g) != 2 or not (0 < _angle_between(g[0], g[1]) < np.pi):
+                raise GeometryError("2D polyhedral cone must be two generators "
+                                    "spanning an angle in (0, pi)")
+            if _cross2(g[0], g[1]) < 0:
+                g = g[::-1].copy()
+            normals = np.array([[-g[0, 1], g[0, 0]], [g[1, 1], -g[1, 0]]])
+        elif self.kind == "polyhedral":
+            normals = _facet_normals_3d(g)
+        object.__setattr__(self, "vertex", v)
+        object.__setattr__(self, "generators", g)
+        object.__setattr__(self, "facet_normals", normals)
 
     @property
     def dim(self) -> int:
@@ -264,6 +273,13 @@ class PolyCone:
         m = self.generators.sum(axis=0)
         return m / np.linalg.norm(m)
 
+    @property
+    def is_orthant(self) -> bool:
+        """True for a rotated 3D orthant: three orthonormal generators."""
+        g = self.generators
+        return (self.kind == "polyhedral" and g.shape == (3, 3)
+                and np.max(np.abs(g @ g.T - np.eye(3))) <= 1e-9)
+
     def opening_angle(self) -> float:
         """Full opening angle (2D polyhedral) or 2x half-angle (spherical)."""
         if self.kind == "spherical":
@@ -273,34 +289,50 @@ class PolyCone:
         raise GeometryError("opening angle of a 3D polyhedral cone is not scalar")
 
 
+def _facet_normals_3d(g: np.ndarray) -> np.ndarray:
+    """Inward unit normals of the planes through two generators that leave
+    every generator on one side: the facets of a pointed 3D cone."""
+    if np.linalg.matrix_rank(g, tol=1e-9) < 3:
+        raise GeometryError("3D polyhedral cone generators are not "
+                            "full-dimensional")
+    i, j = np.triu_indices(len(g), 1)
+    n = np.cross(g[i], g[j])
+    size = np.linalg.norm(n, axis=1)
+    n = n[size > 1e-9] / size[size > 1e-9, None]
+    side = n @ g.T
+    sign = np.where(np.all(side >= -1e-10, axis=1), 1.0,
+                    np.where(np.all(side <= 1e-10, axis=1), -1.0, 0.0))
+    normals = sign[sign != 0, None] * n[sign != 0]
+    if len(normals) == 0 or np.linalg.matrix_rank(normals, tol=1e-9) < 3:
+        raise GeometryError("3D polyhedral cone is not pointed")
+    return normals
+
+
 def _angle_between(a, b) -> float:
     c = float(np.clip(np.dot(a, b), -1.0, 1.0))
     return float(np.arccos(c))
 
 
-def cone_membership(K: PolyCone, x, tol: float = 1e-10) -> bool:
-    """Closed-cone membership.  The vertex itself belongs to the cone."""
-    d = np.asarray(x, dtype=float) - K.vertex
-    r = np.linalg.norm(d)
-    if r <= tol:
-        return True
-    d = d / r
+def cone_mask(K: PolyCone, pts, tol: float = 0.0) -> np.ndarray:
+    """Vectorized closed-cone membership for point arrays (..., dim).
+
+    The vertex belongs to the cone.  With d the unit direction from the
+    vertex, a spherical cone holds d when d . axis >= cos(half_angle) - tol,
+    a polyhedral one when d . n >= -tol for every inward facet normal n."""
+    d = np.asarray(pts, dtype=float) - K.vertex
+    r = np.linalg.norm(d, axis=-1)
     if K.kind == "spherical":
-        return bool(np.dot(d, K.generators[0]) >= np.cos(K.half_angle) - tol)
-    if K.dim == 2:
-        g0, g1 = K.generators
-        return bool(_cross2(g0, d) >= -tol and _cross2(d, g1) >= -tol)
-    # 3D conic hull: d = sum lambda_i g_i with lambda >= 0, via a small LP.
-    g = K.generators
-    res = linprog(c=np.zeros(len(g)), A_eq=g.T, b_eq=d,
-                  bounds=[(0, None)] * len(g), method="highs")
-    if res.status == 0:
-        return True
-    # Retry with slack for boundary points.
-    res = linprog(c=np.zeros(len(g)), A_eq=g.T, b_eq=d,
-                  bounds=[(0, None)] * len(g), method="highs",
-                  options={"primal_feasibility_tolerance": max(tol, 1e-9)})
-    return res.status == 0
+        cosang = np.tensordot(d, K.axis, axes=1) / np.where(r > 0, r, 1.0)
+        return (r <= tol) | (cosang >= np.cos(K.half_angle) - tol)
+    ok = np.ones(r.shape, dtype=bool)
+    for n in K.facet_normals:
+        ok &= np.sum(d * n, axis=-1) >= -tol * r
+    return ok | (r <= tol)
+
+
+def cone_membership(K: PolyCone, x, tol: float = 1e-10) -> bool:
+    """Closed-cone membership of one point.  The vertex belongs to the cone."""
+    return bool(cone_mask(K, x, tol))
 
 
 def polygon_vertex_angle(P: Polytope, index: int) -> float:

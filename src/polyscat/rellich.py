@@ -48,7 +48,6 @@ class HarmonicDecomposition:
     k: float
     dim: int
     b: np.ndarray            # (J+1,) nonnegative degree magnitudes
-    coefficients: np.ndarray  # raw complex mode coefficients (phase data)
     J: int
 
     def parseval_total(self) -> float:
@@ -58,43 +57,41 @@ class HarmonicDecomposition:
 def decompose_far_field(ff: FarFieldPattern, J: int | None = None
                         ) -> HarmonicDecomposition:
     """2D: FFT over equispaced angles; 3D: discrete spherical-harmonic
-    projection on the sampling directions."""
+    projection on the sampling directions.
+
+    Degrees run up to j_max, the highest the samples resolve without
+    aliasing (n/2 - 1 on n angles, sqrt(n)/2 on n sphere points).  The
+    default J is the highest degree whose b_j exceeds the rounding floor
+    (j_max + 1) eps ||b|| of that full projection; degrees above it are
+    rounding noise.  An explicit J is used as given."""
     n = len(ff.values)
+    j_max = n // 2 - 1 if ff.dim == 2 else max(1, int(np.sqrt(n)) // 2)
+    if J is not None and J > j_max:
+        raise RellichError(f"J={J} aliases on {n} "
+                           f"{'angular' if ff.dim == 2 else 'sphere'} samples")
     if ff.dim == 2:
-        j_max = n // 2 - 1
-        if J is None:
-            J = j_max
-        if J > j_max:
-            raise RellichError(f"J={J} aliases on {n} angular samples")
         theta = np.arctan2(ff.directions[:, 1], ff.directions[:, 0])
         order = np.argsort(theta)
         c = np.fft.fft(ff.values[order]) / n
-        b = np.zeros(J + 1)
+        b = np.zeros(j_max + 1)
         b[0] = np.sqrt(2 * np.pi) * np.abs(c[0])
-        for j in range(1, J + 1):
+        for j in range(1, j_max + 1):
             b[j] = np.sqrt(2 * np.pi * (np.abs(c[j]) ** 2 + np.abs(c[-j]) ** 2))
-        return HarmonicDecomposition(ff.k, 2, b, c[:J + 1].copy(), J)
-    # 3D: least-squares-free projection with equal quadrature weights
-    j_max = max(1, int(np.sqrt(n)) // 2)
+    else:
+        # equal-weight projection onto every (degree, order) pair at once
+        x, y, z = ff.directions.T
+        phi = np.arctan2(y, x)
+        theta = np.arccos(np.clip(z, -1, 1))
+        deg, m = np.array([(j, mj) for j in range(j_max + 1)
+                           for mj in range(-j, j + 1)]).T
+        ylm = special.sph_harm_y(deg[:, None], m[:, None], theta, phi)
+        c = 4 * np.pi / n * np.sum(np.conj(ylm) * ff.values, axis=-1)
+        b = np.sqrt(np.bincount(deg, np.abs(c) ** 2))
     if J is None:
-        J = j_max
-    if J > j_max:
-        raise RellichError(f"J={J} aliases on {n} sphere samples")
-    x, y, z = ff.directions.T
-    phi = np.arctan2(y, x)
-    theta = np.arccos(np.clip(z, -1, 1))
-    w = 4 * np.pi / n
-    b = np.zeros(J + 1)
-    coeffs = []
-    for deg in range(J + 1):
-        total = 0.0
-        for m in range(-deg, deg + 1):
-            ylm = special.sph_harm_y(deg, m, theta, phi)
-            c = w * np.sum(np.conj(ylm) * ff.values)
-            coeffs.append(c)
-            total += abs(c) ** 2
-        b[deg] = np.sqrt(total)
-    return HarmonicDecomposition(ff.k, 3, b, np.array(coeffs), J)
+        above = np.flatnonzero(
+            b > (j_max + 1) * np.finfo(float).eps * np.linalg.norm(b))
+        J = int(above[-1]) if len(above) else 0
+    return HarmonicDecomposition(ff.k, ff.dim, b[:J + 1], J)
 
 
 def sphere_norm_from_decomposition(dec: HarmonicDecomposition,
@@ -285,7 +282,7 @@ def three_spheres_check(field, x, r: float, rng=None,
         raise RellichError("4r must stay below the calibrated R_m")
     rng = np.random.default_rng(0) if rng is None else rng
     x = np.asarray(x, dtype=float)
-    # one nested point cloud keeps the estimated sups monotone in the radius
+    # one cloud per radius; running maxima keep the sups monotone in r
     sups = []
     for radius in (r, 2 * r, 4 * r):
         sups.append(ball_sup(field, x, radius, rng, n_samples))

@@ -21,7 +21,7 @@ from scipy.interpolate import RegularGridInterpolator
 from . import cgo, rellich
 from .cgo import CgoDirection, faddeev_decay_case
 from .fields import ContrastField, WaveField, h2_surrogate, polytope_mask
-from .geom import (PolyCone, Polytope, _cross2, admissibility_report,
+from .geom import (PolyCone, Polytope, admissibility_report, cone_mask,
                    hausdorff_distance)
 from .rellich import Calibration, quantitative_rellich
 from .solver import ScatteringSolution, SolverError, solve_forward
@@ -83,16 +83,11 @@ def cone_boundary_quadrature(q_cone: PolyCone, h: float, n_flat: int = 256,
     v = q_cone.vertex
     if q_cone.dim == 2:
         g1, g2 = q_cone.generators
-        if _cross2(g1, g2) < 0:
-            g1, g2 = g2, g1
         pts, nrm, wts = [], [], []
-        for g, inward in ((g1, g2), (g2, g1)):
-            perp = np.array([-g[1], g[0]])
-            if np.dot(perp, inward) > 0:
-                perp = -perp
+        for g, inward in zip(q_cone.generators, q_cone.facet_normals):
             t = (np.arange(n_flat) + 0.5) / n_flat * h
             pts.append(v + np.outer(t, g))
-            nrm.append(np.tile(perp, (n_flat, 1)))
+            nrm.append(np.tile(-inward, (n_flat, 1)))
             wts.append(np.full(n_flat, h / n_flat))
         a1 = np.arctan2(g1[1], g1[0])
         span = np.arccos(np.clip(np.dot(g1, g2), -1, 1))
@@ -102,9 +97,9 @@ def cone_boundary_quadrature(q_cone: PolyCone, h: float, n_flat: int = 256,
         nrm.append(rad)
         wts.append(np.full(n_arc, h * span / n_arc))
         return np.vstack(pts), np.vstack(nrm), np.concatenate(wts)
-    g = q_cone.generators
-    if g.shape != (3, 3) or np.max(np.abs(g @ g.T - np.eye(3))) > 1e-9:
+    if not q_cone.is_orthant:
         raise StabilityError("3D boundary quadrature needs an orthant cone")
+    g = q_cone.generators
     pts, nrm, wts = [], [], []
     n_r = max(8, int(np.sqrt(n_flat)))
     n_a = n_r
@@ -135,23 +130,9 @@ def cone_boundary_quadrature(q_cone: PolyCone, h: float, n_flat: int = 256,
 
 
 def cone_ball_mask(q_cone: PolyCone, pts: np.ndarray, h: float) -> np.ndarray:
-    d = pts - q_cone.vertex
-    r = np.linalg.norm(d, axis=-1)
-    ok = r <= h
-    if q_cone.kind == "spherical":
-        with np.errstate(invalid="ignore"):
-            cosang = np.tensordot(d, q_cone.generators[0], axes=1) / np.where(
-                r > 0, r, 1.0)
-        return ok & ((r == 0) | (cosang >= np.cos(q_cone.half_angle)))
-    if q_cone.dim == 2:
-        g1, g2 = q_cone.generators
-        if _cross2(g1, g2) < 0:
-            g1, g2 = g2, g1
-        c1 = g1[0] * d[..., 1] - g1[1] * d[..., 0]
-        c2 = g2[0] * d[..., 1] - g2[1] * d[..., 0]
-        return ok & (c1 >= 0) & (c2 <= 0)
-    y = np.tensordot(d, q_cone.generators.T, axes=1)
-    return ok & np.all(y >= 0, axis=-1)
+    """Membership in Q_h = cone intersect B(vertex, h)."""
+    inside_ball = np.linalg.norm(pts - q_cone.vertex, axis=-1) <= h
+    return inside_ball & cone_mask(q_cone, pts)
 
 
 # ---------------------------------------------------------------------------
@@ -338,19 +319,23 @@ def run_support_stability_experiment(scene_pairs, k: float, omega, grid,
                                      tol: float = 1e-8) -> list:
     """For each (V, V') pair: solve both scattering problems, measure the
     far-field difference and the Hausdorff distance of the supports, and
-    evaluate the pipeline bound C (ln ln S/eps)^(-gamma)."""
+    evaluate the pipeline bound C (ln ln S/eps)^(-gamma).  Each distinct
+    contrast object is solved once, however many pairs share it."""
     records = []
     n = grid.dim
+    scene_pairs = list(scene_pairs)  # keeps every object alive: ids stay unique
+    solutions = {}
     for V, Vp in scene_pairs:
         try:
-            solA = solve_forward(V, k, omega, grid, tol=tol,
-                                 n_directions=n_directions)
-            solB = solve_forward(Vp, k, omega, grid, tol=tol,
-                                 n_directions=n_directions)
+            for W in (V, Vp):
+                if id(W) not in solutions:
+                    solutions[id(W)] = solve_forward(
+                        W, k, omega, grid, tol=tol, n_directions=n_directions)
         except SolverError as exc:
             records.append(StabilityRecord(np.nan, np.nan, np.nan, np.nan,
                                            f"solver-error: {exc}"))
             continue
+        solA, solB = solutions[id(V)], solutions[id(Vp)]
         eps = float(np.sqrt(np.sum(
             np.abs(solA.far_field.values - solB.far_field.values) ** 2)
             * solA.far_field.quad_weight))
@@ -384,7 +369,8 @@ def cal_R(grid) -> float:
 
 
 def fit_stability_constant(records) -> float:
-    """Least-squares C in h <= C (ln ln S/eps)^(-gamma) over a sweep."""
+    """Smallest C with h <= C (ln ln S/eps)^(-gamma) on every record of a
+    sweep: the largest ratio of h to the bound."""
     ratios = [r.hausdorff / r.bound_value for r in records
               if np.isfinite(r.bound_value) and r.bound_value > 0
               and np.isfinite(r.hausdorff)]
@@ -422,7 +408,6 @@ def estimate_noise_floor(k: float, omega, grid, n_directions: int = 256
 
 
 def run_corner_lower_bound_experiment(scenes, k: float, omega, grid,
-                                      cal: Calibration | None = None,
                                       C_fit: float = 1.0,
                                       n_directions: int = 256,
                                       tol: float = 1e-8) -> list:

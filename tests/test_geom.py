@@ -136,13 +136,29 @@ def test_farthest_vertex_tie_break():
 # ---------------------------------------------------------------------------
 
 def test_cone_membership_2d():
-    K = geom.PolyCone(np.zeros(2), np.array([[1.0, 0.0], [0.0, 1.0]]),
-                      "polyhedral")
-    assert geom.cone_membership(K, [0.0, 0.0])    # vertex belongs
-    assert geom.cone_membership(K, [0.5, 0.5])
-    assert geom.cone_membership(K, [1.0, 0.0])
-    assert not geom.cone_membership(K, [-0.1, 0.5])
-    assert abs(K.opening_angle() - np.pi / 2) < 1e-12
+    # the quarter plane given counterclockwise and clockwise
+    for gens in ([[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]]):
+        K = geom.PolyCone(np.zeros(2), np.array(gens), "polyhedral")
+        assert geom.cone_membership(K, [0.0, 0.0])    # vertex belongs
+        assert geom.cone_membership(K, [0.5, 0.5])
+        assert geom.cone_membership(K, [1.0, 0.0])
+        assert not geom.cone_membership(K, [-0.1, 0.5])
+        assert abs(K.opening_angle() - np.pi / 2) < 1e-12
+        np.testing.assert_array_equal(K.generators, [[1.0, 0.0], [0.0, 1.0]])
+    # random wedges in both orders against the polar-angle test
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        vertex = rng.uniform(-1, 1, 2)
+        a, span = rng.uniform(0, 2 * np.pi), rng.uniform(0.1, 3.0)
+        g = np.array([[np.cos(a), np.sin(a)],
+                      [np.cos(a + span), np.sin(a + span)]])
+        d = rng.standard_normal((200, 2))
+        expected = (np.arctan2(d[:, 1], d[:, 0]) - a) % (2 * np.pi) <= span
+        for gens in (g, g[::-1]):
+            K = geom.PolyCone(vertex, gens, "polyhedral")
+            assert geom._cross2(*K.generators) > 0   # stored counterclockwise
+            got = [geom.cone_membership(K, vertex + x) for x in d]
+            assert got == list(expected)
 
 
 def test_cone_membership_spherical():
@@ -158,6 +174,54 @@ def test_cone_membership_3d_polyhedral():
     K = geom.PolyCone(np.zeros(3), g, "polyhedral")
     assert geom.cone_membership(K, [0.2, 0.3, 0.4])
     assert not geom.cone_membership(K, [-0.2, 0.3, 0.4])
+
+
+def _conic_hull_contains(g, d, tol=1e-9) -> bool:
+    """Reference: d = sum lambda_i g_i with lambda >= 0, as a small LP."""
+    from scipy.optimize import linprog
+    res = linprog(c=np.zeros(len(g)), A_eq=g.T, b_eq=d,
+                  bounds=[(0, None)] * len(g), method="highs")
+    if res.status == 0:
+        return True
+    # retry with slack for boundary points
+    res = linprog(c=np.zeros(len(g)), A_eq=g.T, b_eq=d,
+                  bounds=[(0, None)] * len(g), method="highs",
+                  options={"primal_feasibility_tolerance": tol})
+    return res.status == 0
+
+
+def test_cone_mask_matches_conic_hull_lp_3d():
+    # hull cones of random cuboid pairs at an extreme vertex; probes are
+    # random directions, the generator rays and points just inside them
+    rng = np.random.default_rng(5)
+    for _ in range(8):
+        boxes = [geom.cuboid(rng.uniform(-0.3, 0.3, 3),
+                             rng.uniform(0.1, 0.4, 3),
+                             rotation=np.linalg.qr(
+                                 rng.standard_normal((3, 3)))[0])
+                 for _ in range(2)]
+        pts = np.vstack([b.vertices for b in boxes])
+        x_c = pts[np.argmax(pts @ rng.standard_normal(3))]
+        K = geom.convex_hull_cone(boxes[0], boxes[1], x_c)
+        g = K.generators
+        d = np.vstack([rng.standard_normal((40, 3)), g,
+                       g + 0.05 * rng.standard_normal(g.shape)])
+        d /= np.linalg.norm(d, axis=1)[:, None]
+        probes = x_c + rng.uniform(0.1, 2.0, (len(d), 1)) * d
+        got = geom.cone_mask(K, probes, tol=1e-10)
+        expected = [_conic_hull_contains(g, x) for x in d]
+        assert list(got) == expected
+        assert np.all(got[40:40 + len(g)])      # the generator rays
+        assert [geom.cone_membership(K, x) for x in probes] == expected
+
+
+def test_cone_rejects_non_pointed_or_flat_3d():
+    half_space = np.array([[1.0, 0, 0], [-1.0, 0, 0], [0, 1.0, 0],
+                           [0, -1.0, 0], [0, 0, 1.0]])
+    flat = np.array([[1.0, 0, 0], [0, 1.0, 0], [1.0, 1.0, 0]])
+    for g in (half_space, flat):
+        with pytest.raises(geom.GeometryError):
+            geom.PolyCone(np.zeros(3), g, "polyhedral")
 
 
 def test_cone_rejects_too_wide_2d():

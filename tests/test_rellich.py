@@ -54,6 +54,12 @@ def test_parseval_3d():
     assert abs(dec.b[0] - 0.7) < 2e-2
     assert abs(dec.b[2] - abs(0.3 - 0.4j)) < 2e-2
     assert dec.b[1] < 2e-2 and dec.b[3] < 2e-2
+    # the broadcast projection against a loop over (degree, order)
+    full = rellich.decompose_far_field(ff, J=20)
+    loop = [np.sqrt(sum(abs(4 * np.pi / len(vals) * np.sum(
+        np.conj(sph_harm_y(deg, m, th, ph)) * vals)) ** 2
+        for m in range(-deg, deg + 1))) for deg in range(21)]
+    np.testing.assert_allclose(full.b, loop, rtol=0, atol=1e-14)
 
 
 def test_sphere_norm_matches_outgoing_series():
@@ -91,26 +97,29 @@ def triangle_solutions():
 @pytest.mark.parametrize("r", [1.2, 3.0])
 def test_sphere_norm_matches_near_field_quadrature(triangle_solutions, k, r):
     # the Rellich oracle: the norm on S_r from the far field's harmonic
-    # decomposition against the trapezoid rule on the solved near field
+    # decomposition against the trapezoid rule on the solved near field;
+    # J = None takes the degree cut derived from the rounding floor
     from polyscat import solver
     sol = triangle_solutions[k]
-    dec = rellich.decompose_far_field(sol.far_field, J=10)
     th = 2 * np.pi * np.arange(512) / 512
     vals = solver.scattered_at_points(
         sol, r * np.stack([np.cos(th), np.sin(th)], axis=1))
     quad = np.sqrt(2 * np.pi * r / 512 * np.sum(np.abs(vals) ** 2))
-    got = rellich.sphere_norm_from_decomposition(dec, r)
-    assert abs(got - quad) < 1e-9 * quad
+    for J in (10, None):
+        dec = rellich.decompose_far_field(sol.far_field, J=J)
+        got = rellich.sphere_norm_from_decomposition(dec, r)
+        assert abs(got - quad) < 1e-9 * quad
 
 
 @pytest.mark.parametrize("r", [0.8, 1.2, 3.0])
 def test_sphere_norm_refuses_rounding_level_degrees(triangle_solutions, r):
-    # at the default J = 127, b_j sits at rounding level from j ~ 15 on,
-    # and |H_j(kr)|^2 would blow that noise up to inf
+    # at J = 127 (the highest unaliased degree on 256 angles), b_j sits at
+    # rounding level from j ~ 15 on, and |H_j(kr)|^2 would blow that noise
+    # up to inf
     ff = triangle_solutions[2.0].far_field
     with pytest.raises(rellich.RellichError):
         rellich.sphere_norm_from_decomposition(
-            rellich.decompose_far_field(ff), r)
+            rellich.decompose_far_field(ff, J=127), r)
     norm = rellich.sphere_norm_from_decomposition(
         rellich.decompose_far_field(ff, J=10), r)
     assert 0 < norm < 1

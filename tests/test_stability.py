@@ -50,11 +50,20 @@ def test_cone_boundary_quadrature_3d_area():
 
 
 def test_cone_ball_mask():
-    K = geom.PolyCone(np.zeros(2), np.array([[1.0, 0.0], [0.0, 1.0]]),
-                      "polyhedral")
     pts = np.array([[0.1, 0.1], [0.5, 0.5], [-0.1, 0.1], [0.1, -0.1]])
-    m = stability.cone_ball_mask(K, pts, 0.4)
-    assert list(m) == [True, False, False, False]
+    rng = np.random.default_rng(2)
+    cloud = rng.uniform(-0.5, 0.5, (2000, 2))
+    twins = []
+    # the quarter plane given counterclockwise and clockwise
+    for gens in ([[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]]):
+        K = geom.PolyCone(np.zeros(2), np.array(gens), "polyhedral")
+        m = stability.cone_ball_mask(K, pts, 0.4)
+        assert list(m) == [True, False, False, False]
+        twins.append(stability.cone_ball_mask(K, cloud, 0.4))
+        assert list(twins[-1]) == [geom.cone_membership(K, x, tol=0.0)
+                                   and np.linalg.norm(x) <= 0.4
+                                   for x in cloud]
+    np.testing.assert_array_equal(twins[0], twins[1])
 
 
 def test_divergence_theorem_on_truncated_cone():
