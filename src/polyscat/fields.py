@@ -237,6 +237,7 @@ class ContrastField:
         vals = np.zeros(grid.shape, dtype=complex)
         if np.any(inside):
             vals[inside] = self.phi(pts[inside])
+        self._cache.clear()   # one grid at a time: the cache stays bounded
         self._cache[key] = vals
         return vals
 

@@ -38,11 +38,14 @@ class Polytope:
 
     2D vertices must be in counterclockwise order and strictly convex.
     3D vertices must be the 8 corners of a rectangular box (any order).
+    frame: a cuboid's (center, axis rows, half-extents); None in 2D.
     """
 
     dim: int
     vertices: np.ndarray  # (m, dim)
     kind: str             # "convex-polygon" | "cuboid"
+    frame: tuple | None = field(default=None, init=False, repr=False,
+                                compare=False)
 
     def __post_init__(self):
         v = np.asarray(self.vertices, dtype=float)
@@ -54,7 +57,7 @@ class Polytope:
         elif self.dim == 3:
             if self.kind != "cuboid":
                 raise GeometryError(f"unsupported 3D kind {self.kind!r}")
-            _check_cuboid(v)
+            object.__setattr__(self, "frame", _cuboid_frame(v))
         else:
             raise GeometryError(f"dimension must be 2 or 3, got {self.dim}")
 
@@ -92,7 +95,7 @@ def polytope_mask(P: Polytope, pts, tol: float = 0.0) -> np.ndarray:
             cross = edge[0] * (pts[..., 1] - a[1]) - edge[1] * (pts[..., 0] - a[0])
             ok &= cross >= -tol
         return ok
-    center, axes, half = _cuboid_frame(P.vertices)
+    center, axes, half = P.frame
     y = np.tensordot(pts - center, axes.T, axes=1)
     return np.all(np.abs(y) <= half + tol, axis=-1)
 
@@ -122,22 +125,11 @@ def _check_ccw_strictly_convex(v: np.ndarray):
         raise GeometryError("vertices must be counterclockwise and strictly convex")
 
 
-def _check_cuboid(v: np.ndarray, tol: float = 1e-9):
+def _cuboid_frame(v: np.ndarray, tol: float = 1e-9):
+    """Recover (center, orthonormal axes rows, half_extents) of a box, and
+    check that every vertex is one of its 8 corners."""
     if v.shape != (8, 3):
         raise GeometryError("3D polytope must be a cuboid with 8 vertices")
-    center, axes, half = _cuboid_frame(v, tol=tol)
-    # Round-trip: every vertex maps to a (+-hx, +-hy, +-hz) corner.
-    y = (v - center) @ axes.T
-    expected = np.abs(y) - half
-    if np.max(np.abs(expected)) > tol * (1 + np.max(half)):
-        raise GeometryError("vertices do not form a rectangular box")
-    signs = {tuple(np.sign(row).astype(int)) for row in y}
-    if len(signs) != 8:
-        raise GeometryError("vertices do not cover all 8 box corners")
-
-
-def _cuboid_frame(v: np.ndarray, tol: float = 1e-9):
-    """Recover (center, orthonormal axes rows, half_extents) of a box."""
     center = v.mean(axis=0)
     d = v - center
     # Greedy edge recovery at vertex 0: the shortest difference vector is an
@@ -161,7 +153,13 @@ def _cuboid_frame(v: np.ndarray, tol: float = 1e-9):
     gram = axes @ axes.T
     if np.max(np.abs(gram - np.eye(3))) > 1e-7:
         raise GeometryError("cuboid edges are not pairwise orthogonal")
-    half = np.max(d @ axes.T, axis=0)
+    y = d @ axes.T
+    half = np.max(y, axis=0)
+    # Round-trip: every vertex maps to a (+-hx, +-hy, +-hz) corner.
+    if np.max(np.abs(np.abs(y) - half)) > tol * (1 + np.max(half)):
+        raise GeometryError("vertices do not form a rectangular box")
+    if len({tuple(np.sign(row).astype(int)) for row in y}) != 8:
+        raise GeometryError("vertices do not cover all 8 box corners")
     return center, axes, half
 
 
@@ -169,31 +167,33 @@ def _cuboid_frame(v: np.ndarray, tol: float = 1e-9):
 # Point-to-set distances and the Hausdorff distance
 # ---------------------------------------------------------------------------
 
-def point_segment_distance(x, a, b) -> float:
-    x, a, b = (np.asarray(p, dtype=float) for p in (x, a, b))
+def _segment_distance(x, a, b) -> np.ndarray:
+    """Distance from points x to the segments [a, b], broadcast over the
+    leading axes of all three."""
     ab = b - a
-    t = np.clip(np.dot(x - a, ab) / np.dot(ab, ab), 0.0, 1.0)
-    return float(np.linalg.norm(x - (a + t * ab)))
+    t = np.clip(np.sum((x - a) * ab, axis=-1) / np.sum(ab * ab, axis=-1),
+                0.0, 1.0)
+    return np.linalg.norm(x - (a + t[..., None] * ab), axis=-1)
 
 
-def point_polytope_distance(x, P: Polytope) -> float:
-    """Euclidean distance from a point to the closed polytope."""
-    x = np.asarray(x, dtype=float)
-    if P.contains(x):
-        return 0.0
+def polytope_distance(P: Polytope, pts) -> np.ndarray:
+    """Euclidean distance from point arrays (..., dim) to the closed
+    polytope: 0 inside, else the nearest edge (2D) or the box excess (3D)."""
+    pts = np.asarray(pts, dtype=float)
     if P.dim == 2:
         v = P.vertices
-        nxt = np.roll(v, -1, axis=0)
-        return min(point_segment_distance(x, a, b) for a, b in zip(v, nxt))
-    center, axes, half = _cuboid_frame(P.vertices)
-    y = (x - center) @ axes.T
-    outside = np.maximum(np.abs(y) - half, 0.0)
-    return float(np.linalg.norm(outside))
+        d = np.min(_segment_distance(pts[..., None, :], v,
+                                     np.roll(v, -1, axis=0)), axis=-1)
+    else:
+        center, axes, half = P.frame
+        y = np.tensordot(pts - center, axes.T, axes=1)
+        d = np.linalg.norm(np.maximum(np.abs(y) - half, 0.0), axis=-1)
+    return np.where(polytope_mask(P, pts, 1e-12), 0.0, d)
 
 
 def directed_hausdorff(P: Polytope, Q: Polytope) -> float:
     """sup_{x in P} d(x, Q).  Attained at a vertex of P by convexity of d(., Q)."""
-    return max(point_polytope_distance(v, Q) for v in P.vertices)
+    return float(np.max(polytope_distance(Q, P.vertices)))
 
 
 def hausdorff_distance(P: Polytope, Q: Polytope) -> float:
@@ -213,7 +213,7 @@ class FarthestVertexResult:
 
 def farthest_vertex(P: Polytope, Q: Polytope) -> FarthestVertexResult:
     """Vertex of P farthest from Q; ties broken by lowest vertex index."""
-    dists = np.array([point_polytope_distance(v, Q) for v in P.vertices])
+    dists = polytope_distance(Q, P.vertices)
     idx = int(np.argmax(dists))  # argmax returns first (= lowest-index) maximum
     d = float(dists[idx])
     return FarthestVertexResult(P.vertices[idx].copy(), idx, d,
@@ -446,21 +446,22 @@ def check_q_angle(P: Polytope, Q: Polytope, tol: float = 1e-9) -> QAngleReport:
 
     The roles of P and Q are swapped when the other polytope realizes
     the Hausdorff distance, so that d(x_c, Q) always equals it."""
-    if directed_hausdorff(Q, P) > directed_hausdorff(P, Q):
-        P, Q = Q, P
-    fv = farthest_vertex(P, Q)
-    x_c = fv.vertex
-    if fv.distance <= tol:
+    d_pq = polytope_distance(Q, P.vertices)
+    d_qp = polytope_distance(P, Q.vertices)
+    if np.max(d_qp) > np.max(d_pq):
+        P, Q, d_pq = Q, P, d_qp
+    index = int(np.argmax(d_pq))   # the farthest vertex, lowest index on ties
+    if d_pq[index] <= tol:
         # Degenerate P' = P style case: the hull cone equals P's own cone.
-        alpha = polygon_vertex_angle(P, fv.index) if P.dim == 2 else np.pi / 2
+        alpha = polygon_vertex_angle(P, index) if P.dim == 2 else np.pi / 2
         return QAngleReport(True, (alpha + np.pi) / 2 if P.dim == 2 else np.pi / 2,
                             alpha, degenerate=True, detail="zero Hausdorff distance")
     try:
-        cone = convex_hull_cone(P, Q, x_c)
+        cone = convex_hull_cone(P, Q, P.vertices[index])
     except GeometryError as exc:
         return QAngleReport(False, np.nan, np.nan, detail=str(exc))
     if P.dim == 2:
-        alpha = polygon_vertex_angle(P, fv.index)
+        alpha = polygon_vertex_angle(P, index)
         bound = (alpha + np.pi) / 2
         actual = cone.opening_angle()
         degenerate = abs(actual - bound) <= tol
@@ -491,13 +492,12 @@ def admissibility_report(P: Polytope, R: float | None = None) -> AdmissibilityRe
     if P.dim == 2:
         v = P.vertices
         m = len(v)
-        ell = np.inf
-        for i in range(m):
-            for j in range(m):
-                # Edge j runs v[j] -> v[j+1]; skip the two edges adjacent to vertex i.
-                if j == i or (j + 1) % m == i:
-                    continue
-                ell = min(ell, point_segment_distance(v[i], v[j], v[(j + 1) % m]))
+        # vertex i to edge j, which runs v[j] -> v[j+1]; edges i and i-1
+        # are the two adjacent to vertex i
+        d = _segment_distance(v[:, None, :], v, np.roll(v, -1, axis=0))
+        i = np.arange(m)
+        d[i, i] = d[i, i - 1] = np.inf
+        ell = np.min(d)
         angles = np.array([polygon_vertex_angle(P, i) for i in range(m)])
         alpha_min = float(angles.min() / 2)
         alpha_max = float(angles.max() / 2)
@@ -507,7 +507,7 @@ def admissibility_report(P: Polytope, R: float | None = None) -> AdmissibilityRe
             violations.append("interior angle >= pi")
         planes = m
     else:
-        _, _, half = _cuboid_frame(P.vertices)
+        _, _, half = P.frame
         ell = float(2 * np.min(half))  # vertex to opposite face pair
         alpha_min = alpha_max = np.pi / 4
         if np.min(half) <= 0:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, asdict, fields
 import numpy as np
 from scipy import special
 
-from .geom import Polytope, point_polytope_distance
+from .geom import Polytope, polytope_distance
 from .solver import FarFieldPattern
 from .specfun import HankelBoundCertificate, certify_hankel_bounds, \
     hankel_h1_log_abs
@@ -56,8 +56,8 @@ class HarmonicDecomposition:
 
 def decompose_far_field(ff: FarFieldPattern, J: int | None = None
                         ) -> HarmonicDecomposition:
-    """2D: FFT over equispaced angles; 3D: discrete spherical-harmonic
-    projection on the sampling directions.
+    """2D: FFT over equispaced angles; 3D: least-squares fit of the spherical
+    harmonics to the samples (equal weights are not an exact quadrature).
 
     Degrees run up to j_max, the highest the samples resolve without
     aliasing (n/2 - 1 on n angles, sqrt(n)/2 on n sphere points).  The
@@ -78,14 +78,14 @@ def decompose_far_field(ff: FarFieldPattern, J: int | None = None
         for j in range(1, j_max + 1):
             b[j] = np.sqrt(2 * np.pi * (np.abs(c[j]) ** 2 + np.abs(c[-j]) ** 2))
     else:
-        # equal-weight projection onto every (degree, order) pair at once
+        # one fit over every (degree, order) pair up to j_max
         x, y, z = ff.directions.T
         phi = np.arctan2(y, x)
         theta = np.arccos(np.clip(z, -1, 1))
         deg, m = np.array([(j, mj) for j in range(j_max + 1)
                            for mj in range(-j, j + 1)]).T
         ylm = special.sph_harm_y(deg[:, None], m[:, None], theta, phi)
-        c = 4 * np.pi / n * np.sum(np.conj(ylm) * ff.values, axis=-1)
+        c = np.linalg.lstsq(ylm.T, ff.values, rcond=None)[0]
         b = np.sqrt(np.bincount(deg, np.abs(c) ** 2))
     if J is None:
         above = np.flatnonzero(
@@ -415,7 +415,7 @@ def propagate_outside_hull(field, Q: Polytope, query, r: float,
         raise RellichError("delta must lie in (0, 1]")
     query = np.asarray(query, dtype=float)
     if Q is not None:
-        if point_polytope_distance(query, Q) < 4 * r - 1e-12:
+        if polytope_distance(Q, query) < 4 * r - 1e-12:
             raise RellichError("query point is inside the 4r collar of Q")
     nq = np.linalg.norm(query)
     direction = (query / nq if nq > 1e-12
@@ -464,12 +464,9 @@ def _ray_exit(start, direction, target_radius):
     return start + t * np.asarray(direction)
 
 
-def _segment_clear(a, b, Q: Polytope, margin: float, n_check: int = 64) -> bool:
-    ts = np.linspace(0, 1, n_check)
-    for t in ts:
-        if point_polytope_distance(a + t * (b - a), Q) < margin - 1e-12:
-            return False
-    return True
+def _segment_clear(a, b, Q: Polytope, margin: float) -> bool:
+    pts = a + np.linspace(0, 1, 64)[:, None] * (b - a)
+    return bool(np.all(polytope_distance(Q, pts) >= margin - 1e-12))
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,8 @@ from .fields import (ContrastField, FieldError, Grid, WaveField, plane_wave,
 
 GMRES_RESTART = 50
 GMRES_MAXITER = 2000
-# the largest (points or orders) x source cells temporary the off-grid
-# field evaluation allocates at once
+# the largest (points, orders or directions) x source cells temporary a
+# far-field or off-grid field evaluation allocates at once
 BLOCK_ELEMENTS = 2 ** 20
 # truncation tolerance of the Graf expansion, on J_N(k R_src) |H_N(k b)|
 GRAF_TOL = 2.0 ** -52
@@ -193,9 +193,17 @@ def far_field_from_volume(Vvals: np.ndarray, u: WaveField, k: float,
     pts = g.points()[nz]
     amp = src[nz]
     gamma = far_field_constant(k, g.dim)
-    phases = np.exp(-1j * k * (directions @ pts.T))
-    vals = gamma * k ** 2 * (phases @ amp) * g.cell_volume
+    sums = np.empty(len(directions), dtype=complex)
+    for rows in _blocks(len(directions), len(pts)):
+        sums[rows] = np.exp(-1j * k * (directions[rows] @ pts.T)) @ amp
+    vals = gamma * k ** 2 * sums * g.cell_volume
     return FarFieldPattern(directions, vals, k)
+
+
+def _blocks(n_rows: int, row_elements: int):
+    """Row slices holding at most BLOCK_ELEMENTS elements, or one row, each."""
+    step = max(1, BLOCK_ELEMENTS // max(row_elements, 1))
+    return (slice(start, start + step) for start in range(0, n_rows, step))
 
 
 # ---------------------------------------------------------------------------
@@ -313,14 +321,11 @@ def _dense_potential(k: float, ys: np.ndarray, amps: np.ndarray,
                      points: np.ndarray) -> np.ndarray:
     """sum_y Phi_k(x - y) amps(y), one block of points at a time."""
     out = np.empty(len(points), dtype=complex)
-    step = max(1, BLOCK_ELEMENTS // max(len(ys), 1))
-    for start in range(0, len(points), step):
-        p = points[start:start + step]
-        r = np.linalg.norm(p[:, None, :] - ys[None, :, :], axis=-1)
+    for rows in _blocks(len(points), len(ys)):
+        r = np.linalg.norm(points[rows, None, :] - ys[None, :, :], axis=-1)
         if np.any(r == 0):
             raise SolverError("evaluation point inside the support")
-        out[start:start + step] = (fundamental_solution(k, r, ys.shape[1])
-                                   @ amps)
+        out[rows] = fundamental_solution(k, r, ys.shape[1]) @ amps
     return out
 
 
@@ -364,11 +369,10 @@ def _graf_potential(k: float, ys: np.ndarray, amps: np.ndarray,
     share H_n(k|x|): u^s = sum_{n>=0} H_n (a_n e^(in theta) +
     c_n e^(-in theta)) with c_n = (-1)^n a_{-n}, and c_0 = 0."""
     n = np.arange(order + 1)[:, None]
-    step = max(1, BLOCK_ELEMENTS // (order + 1))
     a = np.zeros(order + 1, dtype=complex)
     c = np.zeros(order + 1, dtype=complex)
-    for start in range(0, len(ys), step):
-        y, w = ys[start:start + step], amps[start:start + step]
+    for rows in _blocks(len(ys), order + 1):
+        y, w = ys[rows], amps[rows]
         kr, at = np.unique(k * np.linalg.norm(y, axis=1), return_inverse=True)
         j = jv(n, kr)[:, at]
         e = np.exp(-1j * n * np.arctan2(y[:, 1], y[:, 0]))
@@ -378,12 +382,12 @@ def _graf_potential(k: float, ys: np.ndarray, amps: np.ndarray,
     c *= 0.25j
     c[0] = 0
     out = np.empty(len(points), dtype=complex)
-    for start in range(0, len(points), step):
-        p = points[start:start + step]
+    for rows in _blocks(len(points), order + 1):
+        p = points[rows]
         kr, at = np.unique(k * np.linalg.norm(p, axis=1), return_inverse=True)
         h = hankel1(n, kr)[:, at]
         e = np.exp(1j * n * np.arctan2(p[:, 1], p[:, 0]))
-        out[start:start + step] = np.sum(
+        out[rows] = np.sum(
             h * (a[:, None] * e + c[:, None] * e.conj()), axis=0)
     return out
 
@@ -396,9 +400,6 @@ class SampledField:
 
     def l2_norm(self, weight: float) -> float:
         return float(np.sqrt(np.sum(np.abs(self.values) ** 2) * weight))
-
-    def linf_norm(self) -> float:
-        return float(np.max(np.abs(self.values)))
 
 
 def annulus_sampling(r1: float, r2: float, dim: int, n_radial: int = 24,

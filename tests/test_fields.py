@@ -130,6 +130,14 @@ def test_contrast_cache_reuse():
     assert V.evaluate(fields.centered_grid(1.0, 32, dim=2)) is a
 
 
+def test_contrast_cache_holds_one_grid():
+    P = geom.convex_polygon([[-0.4, -0.4], [0.4, -0.4], [0.0, 0.4]])
+    V = fields.constant_contrast(P, 1.0)
+    for n in range(16, 36):
+        V.evaluate(fields.centered_grid(1.0, n, dim=2))
+    assert len(V._cache) == 1
+
+
 def test_affine_contrast_mu_and_values():
     P = geom.convex_polygon([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     V = fields.affine_contrast(P, 1.0, [0.5, 0.0])

@@ -62,10 +62,89 @@ def test_containment_and_ball():
 
 def test_point_polytope_distance_cases():
     P = square(2.0)
-    assert geom.point_polytope_distance([0.2, -0.3], P) == 0.0
-    assert abs(geom.point_polytope_distance([2.0, 0.0], P) - 1.0) < 1e-14
+    assert geom.polytope_distance(P, [0.2, -0.3]) == 0.0
+    assert abs(geom.polytope_distance(P, [2.0, 0.0]) - 1.0) < 1e-14
     # corner region: diagonal distance
-    assert abs(geom.point_polytope_distance([2.0, 2.0], P) - np.sqrt(2)) < 1e-14
+    assert abs(geom.polytope_distance(P, [2.0, 2.0]) - np.sqrt(2)) < 1e-14
+
+
+def _point_segment_distance(x, a, b) -> float:
+    """Reference: one point to one segment."""
+    x, a, b = (np.asarray(p, dtype=float) for p in (x, a, b))
+    ab = b - a
+    t = np.clip(np.dot(x - a, ab) / np.dot(ab, ab), 0.0, 1.0)
+    return float(np.linalg.norm(x - (a + t * ab)))
+
+
+def _point_polytope_distance(x, P) -> float:
+    """Reference: one point at a time, a loop over the polygon edges."""
+    x = np.asarray(x, dtype=float)
+    if P.contains(x):
+        return 0.0
+    if P.dim == 2:
+        v = P.vertices
+        nxt = np.roll(v, -1, axis=0)
+        return min(_point_segment_distance(x, a, b) for a, b in zip(v, nxt))
+    center, axes, half = geom._cuboid_frame(P.vertices)
+    y = (x - center) @ axes.T
+    outside = np.maximum(np.abs(y) - half, 0.0)
+    return float(np.linalg.norm(outside))
+
+
+def _random_polygons(rng, count):
+    from scipy.spatial import ConvexHull
+    polys = []
+    while len(polys) < count:
+        pts = rng.uniform(-1, 1, (int(rng.integers(3, 12)), 2))
+        try:
+            polys.append(geom.convex_polygon(pts[ConvexHull(pts).vertices]))
+        except (geom.GeometryError, ValueError):
+            continue
+    return polys
+
+
+def test_polytope_distance_matches_scalar_reference():
+    rng = np.random.default_rng(21)
+    for P in _random_polygons(rng, 20):
+        v = P.vertices
+        nxt = np.roll(v, -1, axis=0)
+        edge = nxt - v
+        normal = np.stack([edge[:, 1], -edge[:, 0]], axis=1)   # outward
+        normal /= np.linalg.norm(normal, axis=1)[:, None]
+        t = rng.uniform(0, 1, (len(v), 1))
+        s = rng.uniform(0.01, 1.5, (len(v), 1))
+        w = rng.dirichlet(np.ones(len(v)), 10)
+        pts = np.vstack([
+            w @ v,                                        # inside
+            v + t * edge + s * normal,                    # edge regions
+            v + s * normal + rng.uniform(0.01, 1.5, (len(v), 1))
+            * np.roll(normal, 1, axis=0),                 # corner regions
+        ])
+        ref = [_point_polytope_distance(x, P) for x in pts]
+        np.testing.assert_allclose(geom.polytope_distance(P, pts), ref,
+                                   rtol=0, atol=1e-15)
+        assert np.all(geom.polytope_distance(P, v + t * edge) == 0)
+        assert np.all(geom.polytope_distance(P, v) == 0)
+    for _ in range(10):
+        rot = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        half = rng.uniform(0.1, 0.5, 3)
+        P = geom.cuboid(rng.uniform(-0.3, 0.3, 3), half, rotation=rot)
+        # inside, and past 1, 2 or 3 faces: face, edge and corner regions
+        y = rng.uniform(-1, 1, (200, 3)) * half
+        past = rng.uniform(size=(200, 3)) < 0.5
+        y[past] = np.sign(y[past]) * (half + rng.uniform(0, 1, (200, 3)))[past]
+        pts = P.frame[0] + y @ rot.T
+        ref = [_point_polytope_distance(x, P) for x in pts]
+        np.testing.assert_allclose(geom.polytope_distance(P, pts), ref,
+                                   rtol=0, atol=1e-15)
+        assert np.all(geom.polytope_distance(P, P.vertices) == 0)
+    # broadcast input keeps the leading shape
+    d = geom.polytope_distance(P, pts.reshape(20, 10, 3))
+    assert d.shape == (20, 10)
+    np.testing.assert_array_equal(d.ravel(), geom.polytope_distance(P, pts))
+    Q = square(2.0)
+    assert geom.polytope_distance(
+        Q, rng.uniform(-3, 3, (4, 5, 2))).shape == (4, 5)
 
 
 def test_hausdorff_translation_and_scaling():
@@ -317,6 +396,17 @@ def test_admissibility_cuboid():
     assert rep.ok
     assert abs(rep.ell - 0.6) < 1e-12
     assert rep.n_boundary_planes == 6
+
+
+def test_admissibility_ell_matches_double_loop():
+    rng = np.random.default_rng(22)
+    for P in _random_polygons(rng, 30):
+        v = P.vertices
+        m = len(v)
+        ell = min(_point_segment_distance(v[i], v[j], v[(j + 1) % m])
+                  for i in range(m) for j in range(m)
+                  if j != i and (j + 1) % m != i)
+        assert abs(geom.admissibility_report(P).ell - min(ell, 1.0)) <= 1e-15
 
 
 def test_triangulation_cost_values():

@@ -337,3 +337,24 @@ def test_solver_3d_born_regime():
     rel = (np.max(np.abs(sol.far_field.values - born.values))
            / np.max(np.abs(born.values)))
     assert rel <= 5 * eps
+
+
+def test_far_field_memory_stays_blocked():
+    # a 1.2-wide cube at n = 48 has 21,952 source cells; building the
+    # whole 256-direction phase matrix at once peaks near 180 MB
+    import tracemalloc
+    k = 2.0
+    V = fields.constant_contrast(geom.cuboid([0, 0, 0], [0.6, 0.6, 0.6]), 0.3)
+    g = fields.centered_grid(1.0, 48, dim=3)
+    Vv = V.evaluate(g)
+    assert np.count_nonzero(Vv) == 21952
+    ui = fields.plane_wave(k, [0.0, 0.0, 1.0], g)
+    dirs = solver.default_directions(3, 256)
+    tracemalloc.start()
+    try:
+        ff = solver.far_field_from_volume(Vv, ui, k, dirs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100e6
+    assert np.all(np.isfinite(ff.values))
