@@ -22,6 +22,8 @@ FIXED_R = {2: 6.0 / 5.0, 3: 4.0 / 3.0}   # r = 2(n+1)/(n+3)
 DEFAULT_S = 0.49
 CONTRACTION_LIMIT = 0.9
 REMAINDER_MAXITER = 400   # GMRES restart cycles of the remainder solve
+REMAINDER_TOL = 1e-10     # GMRES tolerance of the remainder solve
+PLATEAU_FRAC = 0.9        # share of |L(zeta)| that starts the plateau
 
 
 class CgoError(RuntimeError):
@@ -177,10 +179,9 @@ class LowerBoundCurve:
 
 
 def lower_bound_curve(p_cone: PolyCone, q_cone: PolyCone, k: float,
-                      tau_grid: np.ndarray,
-                      plateau_frac: float = 0.9) -> LowerBoundCurve:
+                      tau_grid: np.ndarray) -> LowerBoundCurve:
     """Evaluate tau^n |L(rho(tau))| along the curve; the plateau constant is
-    the minimum beyond the first grid point within plateau_frac of |L(zeta)|."""
+    the minimum beyond the first grid point within PLATEAU_FRAC of |L(zeta)|."""
     check_cone_geometry(p_cone, q_cone)
     taus = np.asarray(tau_grid, dtype=float)
     n = p_cone.dim
@@ -189,7 +190,7 @@ def lower_bound_curve(p_cone: PolyCone, q_cone: PolyCone, k: float,
     for i, tau in enumerate(taus):
         d = build_direction(q_cone, k, tau)
         vals[i] = tau ** n * abs(cone_laplace(p_cone, d.rho).value)
-    target = plateau_frac * abs(zeta_val)
+    target = PLATEAU_FRAC * abs(zeta_val)
     above = np.nonzero(vals >= target)[0]
     i0 = int(above[0]) if len(above) else len(taus) - 1
     c = float(np.min(vals[i0:]))
@@ -232,16 +233,15 @@ class FaddeevGreen(PaddedFFTMultiplier):
         self._mod = np.exp(-1j * sum(phases))
 
 
-def contraction_estimate(green: FaddeevGreen, q: np.ndarray,
-                         iters: int = 6, seed: int = 0) -> float:
-    """Power-iteration estimate of the fixed-point contraction factor
-    ||G_rho m_q|| on the grid."""
-    rng = np.random.default_rng(seed)
+def contraction_estimate(green: FaddeevGreen, q: np.ndarray) -> float:
+    """Six-step power-iteration estimate of the fixed-point contraction
+    factor ||G_rho m_q|| on the grid."""
+    rng = np.random.default_rng(0)
     x = rng.standard_normal(green.grid.shape) \
         + 1j * rng.standard_normal(green.grid.shape)
     x /= np.linalg.norm(x)
     rate = 0.0
-    for _ in range(iters):
+    for _ in range(6):
         y = green.apply(q * x)
         rate = np.linalg.norm(y)
         if rate == 0:
@@ -250,8 +250,8 @@ def contraction_estimate(green: FaddeevGreen, q: np.ndarray,
     return float(rate)
 
 
-def solve_faddeev(q: np.ndarray, f: np.ndarray, rho: np.ndarray, grid: Grid,
-                  tol: float = 1e-10) -> WaveField:
+def solve_faddeev(q: np.ndarray, f: np.ndarray, rho: np.ndarray,
+                  grid: Grid) -> WaveField:
     """Solve (Lap + 2 rho.grad + q) psi = f as psi = G_rho(f - q psi).
 
     Rejects directions whose fixed-point map is not an observable
@@ -269,7 +269,7 @@ def solve_faddeev(q: np.ndarray, f: np.ndarray, rho: np.ndarray, grid: Grid,
                            f"{CONTRACTION_LIMIT}; |Im rho| too small for this "
                            "contrast")
         try:
-            psi, _, _ = solve_volume_equation(green, q, psi, tol,
+            psi, _, _ = solve_volume_equation(green, q, psi, REMAINDER_TOL,
                                               REMAINDER_MAXITER)
         except SolverError as exc:
             raise CgoError(f"remainder solve: {exc}") from exc
@@ -315,11 +315,11 @@ def faddeev_decay_case(n: int, s: float = DEFAULT_S,
 
 
 def build_cgo(V: ContrastField, k: float, direction: CgoDirection,
-              grid: Grid, tol: float = 1e-10) -> tuple[WaveField, WaveField]:
+              grid: Grid) -> tuple[WaveField, WaveField]:
     """u0 = e^(rho.(x - x_c)) (1 + psi) with psi solving the remainder
     equation for q = k^2 V, f = -k^2 V.  Returns (u0, psi)."""
     q = k ** 2 * V.evaluate(grid)
-    psi = solve_faddeev(q, -q, direction.rho, grid, tol=tol)
+    psi = solve_faddeev(q, -q, direction.rho, grid)
     phase = np.tensordot(grid.points() - direction.vertex, direction.rho, axes=1)
     u0 = np.exp(phase) * (1.0 + psi.values)
     return WaveField(grid, u0, k, role="cgo"), psi

@@ -182,17 +182,15 @@ def cmd_solve(args) -> int:
 def cmd_calibrate(args) -> int:
     manifest = load_manifest(args)
     mhash = manifest_hash(manifest)
-    scene = manifest["scenes"][0]
-    k = float(scene["k"])
-    dim = len(scene["omega"])
-    cal = rellich.calibrate(k, dim=dim, trials=int(manifest.get("trials", 100)),
+    _, k, _, grid, R = build_scene(manifest["scenes"][0])
+    cal = rellich.calibrate(k, dim=grid.dim,
+                            trials=int(manifest.get("trials", 100)),
                             seed=int(manifest["seed"]))
     payload = json.loads(cal.to_json())
     payload["manifest_hash"] = mhash
     write_text(os.path.join(args.out, "calibration.json"),
                json.dumps(payload, indent=2, sort_keys=True) + "\n",
                args.force)
-    R = float(scene.get("R", 1.0))
     cert = certify_hankel_bounds(k * R, 4 * k * R, nu_max=40)
     cert_payload = json.loads(cert.to_json())
     cert_payload["manifest_hash"] = mhash
@@ -205,6 +203,8 @@ def cmd_calibrate(args) -> int:
 def cmd_verify(args) -> int:
     manifest = load_manifest(args)
     mhash = manifest_hash(manifest)
+    _, k, _, grid, _ = build_scene(manifest["scenes"][0])
+    dim = grid.dim
     seed = int(manifest["seed"])
     rng = np.random.default_rng(seed)
     checks = []
@@ -225,9 +225,7 @@ def cmd_verify(args) -> int:
                    "max_error": err})
 
     # three-spheres inequality with the calibration at the scene's k and dim
-    scene = manifest["scenes"][0]
-    dim = len(scene["omega"])
-    cal = load_calibration(manifest, float(scene["k"]), dim)
+    cal = load_calibration(manifest, k, dim)
     viol = 0
     for _ in range(50):
         f = rellich.random_helmholtz_field(cal.k, dim, rng)
@@ -285,12 +283,12 @@ def _cone_transform_error() -> float:
     return abs(exact - approx) / abs(exact)
 
 
-def _cone_quadrature(cone, zeta, n: int = 400) -> complex:
+def _cone_quadrature(cone, zeta) -> complex:
     """Numerical Laplace transform of a 2D wedge, independent of the
     closed form: the radial integral is exact, leaving a smooth angular
-    integrand 1/(omega(theta).zeta)^2 handled by Gauss-Legendre."""
+    integrand 1/(omega(theta).zeta)^2 handled by 400-node Gauss-Legendre."""
     zeta = np.asarray(zeta, dtype=complex)
-    nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes, weights = np.polynomial.legendre.leggauss(400)
     g1, g2 = cone.generators
     t1, t2 = np.arctan2(g1[1], g1[0]), np.arctan2(g2[1], g2[0])
     t2 = t1 + (t2 - t1) % (2 * np.pi)

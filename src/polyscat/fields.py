@@ -23,7 +23,7 @@ class FieldError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Grids and regions
+# Grids
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -72,36 +72,6 @@ def centered_grid(half_width: float, n: int, dim: int = 2,
     h = 2 * half_width / n
     origin = center - half_width + h / 2
     return Grid(origin, h, (n,) * dim)
-
-
-@dataclass(frozen=True)
-class Ball:
-    center: np.ndarray
-    radius: float
-
-    def mask(self, pts: np.ndarray) -> np.ndarray:
-        c = np.asarray(self.center, dtype=float)
-        return np.linalg.norm(pts - c, axis=-1) <= self.radius
-
-
-@dataclass(frozen=True)
-class Annulus:
-    center: np.ndarray
-    r_inner: float
-    r_outer: float
-
-    def mask(self, pts: np.ndarray) -> np.ndarray:
-        c = np.asarray(self.center, dtype=float)
-        r = np.linalg.norm(pts - c, axis=-1)
-        return (r >= self.r_inner) & (r <= self.r_outer)
-
-
-def region_mask(region, pts: np.ndarray) -> np.ndarray:
-    if isinstance(region, Polytope):
-        return polytope_mask(region, pts)
-    if hasattr(region, "mask"):
-        return region.mask(pts)
-    raise FieldError(f"unsupported region type {type(region)!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -170,37 +140,20 @@ def helmholtz_residual(u: WaveField, V: np.ndarray | None = None,
     return float(np.max(r))
 
 
-def field_norm(u: WaveField, region, norm: str = "L2") -> float:
-    """Midpoint-quadrature L2 norm or pointwise Linf norm over a region."""
-    mask = region_mask(region, u.grid.points())
-    if not np.any(mask):
-        raise FieldError("region contains no grid cell centers")
-    vals = u.values[mask]
-    if norm == "L2":
-        return float(np.sqrt(np.sum(np.abs(vals) ** 2) * u.grid.cell_volume))
-    if norm == "Linf":
-        return float(np.max(np.abs(vals)))
-    raise FieldError(f"unknown norm {norm!r}")
-
-
-def h2_surrogate(u: WaveField, region=None) -> float:
-    """Discrete stand-in for the H^2 norm: L2 norms of the values, the
-    central-difference gradient and the stencil Laplacian, combined in
-    quadrature.  Recorded in experiment outputs instead of an a-priori
-    scattering bound."""
+def h2_surrogate(u: WaveField) -> float:
+    """Discrete stand-in for the H^2 norm over the interior cells: L2 norms
+    of the values, the central-difference gradient and the stencil
+    Laplacian, combined in quadrature.  Recorded in experiment outputs
+    instead of an a-priori scattering bound."""
     g = u.grid
     h = g.spacing
     grads = np.gradient(u.values, h)
     lap = laplacian_stencil(u.values, h)
     core = (slice(1, -1),) * g.dim
-    if region is not None:
-        mask = region_mask(region, g.points())[core]
-    else:
-        mask = np.ones(u.values[core].shape, dtype=bool)
-    total = np.sum(np.abs(u.values[core][mask]) ** 2)
+    total = np.sum(np.abs(u.values[core]) ** 2)
     for gr in grads:
-        total += np.sum(np.abs(gr[core][mask]) ** 2)
-    total += np.sum(np.abs(lap[core][mask]) ** 2)
+        total += np.sum(np.abs(gr[core]) ** 2)
+    total += np.sum(np.abs(lap[core]) ** 2)
     return float(np.sqrt(total * g.cell_volume))
 
 
@@ -282,25 +235,3 @@ def hoelder_bump_contrast(P: Polytope, center, alpha: float,
     diam = float(np.max(np.linalg.norm(P.vertices - x0, axis=-1)))
     M = float(abs(s) * (1 + diam ** alpha) + abs(s))
     return ContrastField(P, phi, alpha=alpha, M=M, mu=float(np.min(vert_abs)))
-
-
-def measured_hoelder_quotient(V: ContrastField, n_pairs: int = 200,
-                              seed: int = 0) -> float:
-    """Sampled sup |phi(x)-phi(y)| / |x-y|^alpha over random point pairs in P."""
-    gen = np.random.default_rng(seed)
-    lo = V.polytope.vertices.min(axis=0)
-    hi = V.polytope.vertices.max(axis=0)
-    best = 0.0
-    count = 0
-    while count < n_pairs:
-        x = gen.uniform(lo, hi)
-        y = gen.uniform(lo, hi)
-        if not (V.polytope.contains(x) and V.polytope.contains(y)):
-            continue
-        count += 1
-        d = np.linalg.norm(x - y)
-        if d < 1e-12:
-            continue
-        num = abs(complex(V.phi(x[None, :])[0]) - complex(V.phi(y[None, :])[0]))
-        best = max(best, num / d ** V.alpha)
-    return best

@@ -3,9 +3,8 @@
 Supports two families of scatterer supports: convex polygons in 2D and
 rectangular cuboids in 3D.  Provides exact Hausdorff distances (convexity
 makes vertex/edge projections sufficient), cones generated by convex hulls
-at a vertex, the enclosing-angle checks used by the stability arguments,
-and a fan-triangulation surrogate for the half-space multiplier cost of a
-polytope.
+at a vertex, and the enclosing-angle checks used by the stability
+arguments.
 """
 
 from __future__ import annotations
@@ -15,6 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial import ConvexHull
+
+MEMBERSHIP_TOL = 1e-12   # closed-set slack of point-in-polytope tests
+ANGLE_TOL = 1e-9         # slack of the enclosing-angle checks
 
 
 class GeometryError(ValueError):
@@ -69,9 +71,9 @@ class Polytope:
         c = np.zeros(self.dim) if center is None else np.asarray(center)
         return bool(np.all(np.linalg.norm(self.vertices - c, axis=1) <= radius))
 
-    def contains(self, x, tol: float = 1e-12) -> bool:
+    def contains(self, x) -> bool:
         """Closed-set membership test."""
-        return bool(polytope_mask(self, x, tol))
+        return bool(polytope_mask(self, x, MEMBERSHIP_TOL))
 
     def to_json(self) -> str:
         return json.dumps({"dim": self.dim, "kind": self.kind,
@@ -125,11 +127,12 @@ def _check_ccw_strictly_convex(v: np.ndarray):
         raise GeometryError("vertices must be counterclockwise and strictly convex")
 
 
-def _cuboid_frame(v: np.ndarray, tol: float = 1e-9):
+def _cuboid_frame(v: np.ndarray):
     """Recover (center, orthonormal axes rows, half_extents) of a box, and
     check that every vertex is one of its 8 corners."""
     if v.shape != (8, 3):
         raise GeometryError("3D polytope must be a cuboid with 8 vertices")
+    tol = 1e-9
     center = v.mean(axis=0)
     d = v - center
     # Greedy edge recovery at vertex 0: the shortest difference vector is an
@@ -188,7 +191,7 @@ def polytope_distance(P: Polytope, pts) -> np.ndarray:
         center, axes, half = P.frame
         y = np.tensordot(pts - center, axes.T, axes=1)
         d = np.linalg.norm(np.maximum(np.abs(y) - half, 0.0), axis=-1)
-    return np.where(polytope_mask(P, pts, 1e-12), 0.0, d)
+    return np.where(polytope_mask(P, pts, MEMBERSHIP_TOL), 0.0, d)
 
 
 def directed_hausdorff(P: Polytope, Q: Polytope) -> float:
@@ -376,14 +379,14 @@ def _two_generator_cone(x_c, dirs: np.ndarray) -> PolyCone:
 # Minimal enclosing spherical cone (3D)
 # ---------------------------------------------------------------------------
 
-def minimal_enclosing_cone(directions: np.ndarray, tol: float = 1e-9):
+def minimal_enclosing_cone(directions: np.ndarray):
     """Axis and half-angle of the smallest spherical cone containing the
     given unit directions.  Uses the minimal enclosing ball of the direction
     points (Welzl); valid whenever the result has half-angle < pi/2."""
     pts = np.asarray(directions, dtype=float)
     center, _ = _welzl_ball(pts)
     nc = np.linalg.norm(center)
-    if nc < tol:
+    if nc < ANGLE_TOL:
         raise GeometryError("directions span too wide a fan for a proper cone")
     axis = center / nc
     cosines = np.clip(pts @ axis, -1.0, 1.0)
@@ -438,7 +441,7 @@ class QAngleReport:
     detail: str = ""
 
 
-def check_q_angle(P: Polytope, Q: Polytope, tol: float = 1e-9) -> QAngleReport:
+def check_q_angle(P: Polytope, Q: Polytope) -> QAngleReport:
     """Check the enclosing-cone angle at the vertex of P realizing the
     Hausdorff distance: in 2D the hull angle there is at most (alpha+pi)/2
     with alpha the angle of P at the vertex; in 3D the hull fits in a
@@ -451,7 +454,7 @@ def check_q_angle(P: Polytope, Q: Polytope, tol: float = 1e-9) -> QAngleReport:
     if np.max(d_qp) > np.max(d_pq):
         P, Q, d_pq = Q, P, d_qp
     index = int(np.argmax(d_pq))   # the farthest vertex, lowest index on ties
-    if d_pq[index] <= tol:
+    if d_pq[index] <= ANGLE_TOL:
         # Degenerate P' = P style case: the hull cone equals P's own cone.
         alpha = polygon_vertex_angle(P, index) if P.dim == 2 else np.pi / 2
         return QAngleReport(True, (alpha + np.pi) / 2 if P.dim == 2 else np.pi / 2,
@@ -464,15 +467,15 @@ def check_q_angle(P: Polytope, Q: Polytope, tol: float = 1e-9) -> QAngleReport:
         alpha = polygon_vertex_angle(P, index)
         bound = (alpha + np.pi) / 2
         actual = cone.opening_angle()
-        degenerate = abs(actual - bound) <= tol
-        return QAngleReport(actual <= bound + tol, bound, actual,
+        degenerate = abs(actual - bound) <= ANGLE_TOL
+        return QAngleReport(actual <= bound + ANGLE_TOL, bound, actual,
                             degenerate=degenerate)
-    _, half = minimal_enclosing_cone(cone.generators, tol=tol)
+    _, half = minimal_enclosing_cone(cone.generators)
     return QAngleReport(half < np.pi / 2, np.pi / 2, half)
 
 
 # ---------------------------------------------------------------------------
-# Admissibility and the triangulation-cost surrogate
+# Admissibility
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -518,13 +521,3 @@ def admissibility_report(P: Polytope, R: float | None = None) -> AdmissibilityRe
         violations.append(f"not contained in the ball of radius {R}")
     return AdmissibilityReport(ell, alpha_min, alpha_max, not violations,
                                tuple(violations), planes)
-
-
-def triangulation_cost(P: Polytope, C: float) -> float:
-    """Fan-triangulation upper bound for the half-space multiplier cost:
-    J * C**(n+1) with J = n_vertices - 2 simplices, each an intersection of
-    n+1 half-spaces.  Upper bound, not the infimum over triangulations."""
-    if C < 1:
-        raise GeometryError("multiplier constant must be >= 1")
-    J = P.n_vertices - 2
-    return float(J * C ** (P.dim + 1))

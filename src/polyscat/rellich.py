@@ -23,12 +23,15 @@ from scipy import special
 
 from .geom import Polytope, polytope_distance
 from .solver import FarFieldPattern
-from .specfun import HankelBoundCertificate, certify_hankel_bounds, \
-    hankel_h1_log_abs
+from .specfun import certify_hankel_bounds, hankel_h1_log_abs
 
 TS_FACTOR = (2 + np.sqrt(2)) ** 1.5   # geometric factor of the three-balls bound
+B0_DEFAULT = 2.0                      # annulus B(0,2 B0 R) \ B(0,B0 R) scale
+ALPHA_DEFAULT = 0.5                   # C^(1,1/2) regularity of total-wave differences
 LAMBDA_DEFAULT = 0.25                 # annulus thickness parameter
 A_DEFAULT = 2 + LAMBDA_DEFAULT        # escape-segment length parameter (>= 2+lambda)
+N_WAVES = 20                          # plane waves per random Helmholtz field
+BALL_SAMPLES = 600                    # interior samples per sampled ball sup
 UNRESOLVED_SHARE = 1e-12              # share of a sphere norm left to rounding noise
 
 
@@ -140,9 +143,7 @@ class Ff2nfBound:
 
 
 def ff2nf_bound(epsilon: float | None, S: float, k: float, R: float,
-                B0: float,
-                certificate: HankelBoundCertificate | None = None,
-                log_ratio: float | None = None) -> Ff2nfBound:
+                B0: float, log_ratio: float | None = None) -> Ff2nfBound:
     """Bound ||w||_L2 on the annulus B(0,2 B0 R) \\ B(0,B0 R) by the
     far-field size epsilon and the a-priori annulus bound S.
 
@@ -164,10 +165,8 @@ def ff2nf_bound(epsilon: float | None, S: float, k: float, R: float,
     ell = float(np.sqrt(2 * np.e * k * R * max(log_ratio, 0.0)))
     nu0 = np.floor(ell) / 2
     if nu0 >= max(1.5, np.e * B0 * k * R) and log_ratio >= 0:
-        if certificate is None:
-            nu_max = min(200.0, max(np.ceil(min(ell, 400.0)) / 2 + 2, 10.0))
-            certificate = certify_hankel_bounds(k * R, 2 * B0 * k * R, nu_max)
-        C = certificate.C
+        nu_max = min(200.0, max(np.ceil(min(ell, 400.0)) / 2 + 2, 10.0))
+        C = certify_hankel_bounds(k * R, 2 * B0 * k * R, nu_max).C
         const = float(np.sqrt(2 * max(2 * C ** 2 * R / np.e, C ** 4))
                       * B0 ** 1.5)
         log_bound = np.log(const) + np.log(S) - 0.5 * ell * np.log(B0)
@@ -222,17 +221,16 @@ class Calibration:
         return float(np.exp(min(log_const, 700.0)))
 
 
-def random_helmholtz_field(k: float, dim: int, rng: np.random.Generator,
-                           n_waves: int = 20):
-    """Exact Helmholtz solution: random superposition of plane waves.
-    Returns a callable pts (..., dim) -> complex values."""
+def random_helmholtz_field(k: float, dim: int, rng: np.random.Generator):
+    """Exact Helmholtz solution: random superposition of N_WAVES plane
+    waves.  Returns a callable pts (..., dim) -> complex values."""
     if dim == 2:
-        ang = rng.uniform(0, 2 * np.pi, n_waves)
+        ang = rng.uniform(0, 2 * np.pi, N_WAVES)
         dirs = np.stack([np.cos(ang), np.sin(ang)], axis=1)
     else:
-        dirs = rng.standard_normal((n_waves, 3))
+        dirs = rng.standard_normal((N_WAVES, 3))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    amps = rng.standard_normal(n_waves) + 1j * rng.standard_normal(n_waves)
+    amps = rng.standard_normal(N_WAVES) + 1j * rng.standard_normal(N_WAVES)
 
     def field(pts):
         pts = np.asarray(pts, dtype=float)
@@ -242,15 +240,14 @@ def random_helmholtz_field(k: float, dim: int, rng: np.random.Generator,
     return field
 
 
-def ball_sup(field, center, radius, rng: np.random.Generator,
-             n_samples: int = 600) -> float:
-    """Sampled sup |field| over a ball: uniform interior points plus the
-    center."""
+def ball_sup(field, center, radius, rng: np.random.Generator) -> float:
+    """Sampled sup |field| over a ball: BALL_SAMPLES uniform interior
+    points plus the center."""
     center = np.asarray(center, dtype=float)
     dim = center.size
-    raw = rng.standard_normal((n_samples, dim))
+    raw = rng.standard_normal((BALL_SAMPLES, dim))
     raw /= np.linalg.norm(raw, axis=1, keepdims=True)
-    radii = radius * rng.uniform(0, 1, n_samples) ** (1.0 / dim)
+    radii = radius * rng.uniform(0, 1, BALL_SAMPLES) ** (1.0 / dim)
     pts = np.vstack([center, center + raw * radii[:, None]])
     return float(np.max(np.abs(field(pts))))
 
@@ -273,8 +270,8 @@ class ThreeSpheresResult:
 
 
 def three_spheres_check(field, x, r: float, rng=None,
-                        cal: "Calibration | None" = None,
-                        n_samples: int = 600) -> ThreeSpheresResult:
+                        cal: "Calibration | None" = None
+                        ) -> ThreeSpheresResult:
     """Measure sup-norms on B(x,r), B(x,2r), B(x,4r) and solve for the
     interpolation exponent beta* solving
     ||w||_2r = ||w||_4r^(1-beta) ||w||_r^beta."""
@@ -285,7 +282,7 @@ def three_spheres_check(field, x, r: float, rng=None,
     # one cloud per radius; running maxima keep the sups monotone in r
     sups = []
     for radius in (r, 2 * r, 4 * r):
-        sups.append(ball_sup(field, x, radius, rng, n_samples))
+        sups.append(ball_sup(field, x, radius, rng))
     n1 = sups[0]
     n2 = max(sups[0], sups[1])
     n4 = max(sups)
@@ -300,31 +297,29 @@ def three_spheres_check(field, x, r: float, rng=None,
 
 
 def calibration_sweep(k: float, dim: int, R_m: float, trials: int,
-                      seed: int, n_waves: int = 20):
+                      seed: int):
     """The documented-seed trial stream behind `calibrate`.
 
     Yields one ThreeSpheresResult per trial so verification runs can replay
     exactly the population the constants were certified on."""
     rng = np.random.default_rng(seed)
     for _ in range(trials):
-        field = random_helmholtz_field(k, dim, rng, n_waves)
+        field = random_helmholtz_field(k, dim, rng)
         x = rng.uniform(-0.5, 0.5, dim)
         r = rng.uniform(R_m / 8, R_m / 4 * 0.999)
         yield three_spheres_check(field, x, r, rng)
 
 
-def calibrate(k: float, dim: int = 2, R_m: float | None = None,
-              trials: int = 100, seed: int = 0,
-              n_waves: int = 20) -> Calibration:
-    """Calibrate (C, c1, c2, R_m) by randomized plane-wave sweeps.
+def calibrate(k: float, dim: int = 2, *, trials: int = 100,
+              seed: int = 0) -> Calibration:
+    """Calibrate (C, c1, c2, R_m) by randomized plane-wave sweeps, with
+    R_m = min(1, 2/k).
 
     c1 is deflated and C inflated by 10% so the three-balls inequality with
     beta anywhere in [c1/4, 1 - 3 c1/4] holds on every observed field.
     """
-    if R_m is None:
-        R_m = min(1.0, 2.0 / k)
-    records = [res for res in
-               calibration_sweep(k, dim, R_m, trials, seed, n_waves)
+    R_m = min(1.0, 2.0 / k)
+    records = [res for res in calibration_sweep(k, dim, R_m, trials, seed)
                if not res.degenerate]
     if not records:
         raise RellichError("all calibration trials degenerate")
@@ -402,8 +397,7 @@ def propagate_chain(field, path: PropagationPath, T: float,
 
 def propagate_outside_hull(field, Q: Polytope, query, r: float,
                            lam: float, delta: float, T: float,
-                           cal: Calibration, R: float,
-                           rng=None) -> ChainResult:
+                           cal: Calibration, R: float) -> ChainResult:
     """Carry delta-smallness on the annulus B((2-lam)R) \\ B((1+lam)R)
     to a query point outside B(Q, 4r), along the radial escape ray the
     convexity of Q guarantees."""
@@ -432,7 +426,7 @@ def propagate_outside_hull(field, Q: Polytope, query, r: float,
             ts = np.linspace(1.0, 0.0, n_steps + 1)
             centers = end + np.outer(1 - ts, query - end)
             path = PropagationPath(centers, r)
-            rng = np.random.default_rng(0) if rng is None else rng
+            rng = np.random.default_rng(0)
             m_first = ball_sup(field, centers[0], r, rng)
             if m_first > delta * (1 + 1e-6):
                 raise RellichError("annulus smallness assumption fails at the "
@@ -483,15 +477,15 @@ class CrossingResult:
 
 def cross_into_boundary(delta: float, alpha: float, T: float, A: float,
                         cal: Calibration, R: float,
-                        lam: float = LAMBDA_DEFAULT,
                         log_delta: float | None = None) -> CrossingResult:
     """Hoelder bridge onto the boundary collar: with r(d) =
     A R |ln c2| / ((1-alpha) ln|ln d|), points within 4 r(d) of the hull
     boundary obey |w| <= ((8AR|ln c2|/(1-alpha))^alpha + C/c2^2)
-    (ln|ln d|)^(-alpha) T.
+    (ln|ln d|)^(-alpha) T.  The annulus thickness is LAMBDA_DEFAULT.
 
     log_delta = ln(delta) may be given for deltas below underflow.
     """
+    lam = LAMBDA_DEFAULT
     if not (0 < alpha < 1):
         raise RellichError("Hoelder exponent must lie in (0, 1)")
     if A < 2 + lam:
@@ -534,33 +528,26 @@ class RellichBound:
 
 def quantitative_rellich(epsilon: float | None, S: float, k: float, R: float,
                          cal: Calibration, T: float,
-                         B0: float = 2.0, alpha: float = 0.5,
-                         A: float = A_DEFAULT,
-                         lam: float = LAMBDA_DEFAULT,
                          log_ratio: float | None = None) -> RellichBound:
     """Chain far-field -> near-field -> hull collar -> boundary.
 
     Returns the double-log boundary bound, applicable to both the
     difference field and (applied to difference quotients) its gradient.
-    The alpha = 1/2 default reflects the C^(1,1/2) interior regularity of
-    total-wave differences.  log_ratio = ln(S/epsilon) admits symbolically
-    tiny far-field sizes.
+    The annulus scale is B0_DEFAULT, the Hoelder exponent ALPHA_DEFAULT
+    and the escape-segment length A_DEFAULT.  log_ratio = ln(S/epsilon)
+    admits symbolically tiny far-field sizes.
     """
     if epsilon is not None and epsilon < 0:
         raise RellichError("epsilon must be nonnegative")
     if epsilon == 0:
         return RellichBound(0.0, 0.0, "zero", 0.0, True, None)
-    nf = ff2nf_bound(epsilon, S, k, R, B0, log_ratio=log_ratio)
+    nf = ff2nf_bound(epsilon, S, k, R, B0_DEFAULT, log_ratio=log_ratio)
     if nf.regime == "saturated" or not nf.log_bound < 0:
         # smallness never reaches the propagation stage; only the trivial
         # a-priori bound survives
         delta = min(nf.bound, 1.0) if nf.bound > 0 else 1.0
         return RellichBound(float(T), delta, "saturated", 0.0, False, nf)
-    crossing = cross_into_boundary(nf.bound, alpha, T, A, cal, R, lam,
-                                   log_delta=nf.log_bound)
+    crossing = cross_into_boundary(nf.bound, ALPHA_DEFAULT, T, A_DEFAULT, cal,
+                                   R, log_delta=nf.log_bound)
     return RellichBound(crossing.bound, float(nf.bound), "decay",
                         crossing.r_delta, crossing.delta_ok, nf)
-
-
-def far_field_epsilon(ff_diff: FarFieldPattern) -> float:
-    return float(ff_diff.l2_norm())

@@ -15,7 +15,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 from scipy import special
 
-NU_MAX_DEFAULT = 200.0
+CERTIFICATE_SAFETY = 1.05   # inflation of the sampled envelope constant
 
 
 class SpecfunError(ValueError):
@@ -25,25 +25,6 @@ class SpecfunError(ValueError):
 # ---------------------------------------------------------------------------
 # Hankel functions of half-integer and integer order
 # ---------------------------------------------------------------------------
-
-def hankel_h1(nu: float, z) -> complex | np.ndarray:
-    """Hankel function of the first kind H^(1)_nu(z) for z > 0 and
-    half-integer order 0 <= nu <= NU_MAX_DEFAULT.
-
-    Raises on overflow (large order, small argument) rather than returning
-    infinities.
-    """
-    z = np.asarray(z, dtype=float)
-    if np.any(z <= 0):
-        raise SpecfunError("argument must be positive")
-    two_nu = 2 * nu
-    if nu < 0 or abs(two_nu - round(two_nu)) > 1e-12 or nu > NU_MAX_DEFAULT:
-        raise SpecfunError(f"order must be a half-integer in [0, {NU_MAX_DEFAULT}]")
-    out = special.hankel1(nu, z)
-    if not (np.all(np.isfinite(np.real(out))) and np.all(np.isfinite(np.imag(out)))):
-        raise SpecfunError(f"H^(1)_{nu} overflows at z={z!r}")
-    return out if out.ndim else complex(out)
-
 
 def hankel_h1_log_abs(nu, z) -> float | np.ndarray:
     """log |H^(1)_nu(z)|, elementwise over broadcast (nu, z), computed
@@ -95,9 +76,9 @@ def _envelope_log(nu: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 
 def certify_hankel_bounds(z1: float, z2: float, nu_max: float,
-                          samples: int = 512,
-                          safety: float = 1.05) -> HankelBoundCertificate:
-    """Certify the two-sided Hankel envelope constant on a sampled grid."""
+                          samples: int = 512) -> HankelBoundCertificate:
+    """Certify the two-sided Hankel envelope constant on a sampled grid,
+    inflated by CERTIFICATE_SAFETY."""
     if not (0 < z1 <= z2):
         raise SpecfunError("need 0 < z1 <= z2")
     if nu_max < 0.5:
@@ -111,7 +92,7 @@ def certify_hankel_bounds(z1: float, z2: float, nu_max: float,
     log_h2 = 2 * hankel_h1_log_abs(nus, zgrid)
     dev = 0.5 * np.max(np.abs(log_h2 - _envelope_log(nus, zgrid)))
     log_c = max(log_c, dev)
-    C = float(np.exp(log_c) * safety)
+    C = float(np.exp(log_c) * CERTIFICATE_SAFETY)
     if C < 1.0:
         C = 1.0
     return HankelBoundCertificate(float(z1), float(z2), float(nu_max), C,

@@ -12,7 +12,6 @@ sweeps and report the fit, never assert a numeric value.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, asdict, field
 
 import numpy as np
@@ -230,14 +229,13 @@ class EstimateBudget:
 def assemble_budget(V: ContrastField, x_c, h: float,
                     direction: CgoDirection, p_cone: PolyCone,
                     u_prime_at_xc: complex, psi_lp: float, psi_h2: float,
-                    boundary_sup: float, u_h2_sum: float, p: float,
-                    alpha: float | None = None,
-                    beta: float | None = None) -> EstimateBudget:
+                    boundary_sup: float, u_h2_sum: float, p: float
+                    ) -> EstimateBudget:
     """Evaluate the five right-hand terms of the corner estimate with
     measured constants, plus the closed-form left side
     |phi(x_c) L_P(rho) u'(x_c)| via the cone Laplace transform."""
     n = direction.dim
-    alpha = V.alpha if alpha is None else alpha
+    alpha = V.alpha
     tau = float(np.linalg.norm(np.real(direction.rho)))
     rho_abs = float(np.linalg.norm(direction.rho))
     d0 = direction.delta0
@@ -253,7 +251,7 @@ def assemble_budget(V: ContrastField, x_c, h: float,
     phi_xc = complex(V.phi(np.asarray(x_c, dtype=float)[None, :])[0])
     laplace = cgo.cone_laplace(p_cone, direction.rho).value
     lhs = abs(phi_xc * laplace * u_prime_at_xc)
-    m = min(1.0, alpha, beta) if beta is not None else min(1.0, alpha)
+    m = min(1.0, alpha)
     return EstimateBudget(float(tail), float(hoelder), float(remainder),
                           float(boundary_near), float(boundary_sphere),
                           float(lhs), float(tau), float(h),
@@ -268,16 +266,16 @@ class TauChoice:
 
 
 def optimize_tau(h: float, delta_eps: float, m: float, n: int,
-                 tau0: float = 1.0, C0: float = 1.0,
                  k: float = 1.0) -> TauChoice:
     """tau_e = (1/(h^(n+5) delta))^(1/(m+n+5)): the decay rate balancing
-    the two terms delta tau^(n+5) and h^(-n-5) tau^(-m)."""
+    the two terms delta tau^(n+5) and h^(-n-5) tau^(-m), floored at
+    max(1, k)."""
     if not (0 < h <= 1):
         raise StabilityError("h must lie in (0, 1]")
     if delta_eps <= 0:
         raise StabilityError("delta must be positive")
     tau_e = (1.0 / (h ** (n + 5) * delta_eps)) ** (1.0 / (m + n + 5))
-    floor = max(tau0, C0, k)
+    floor = max(1.0, k)
     if tau_e < floor:
         return TauChoice(float(floor), True, float(floor))
     return TauChoice(float(tau_e), False, float(floor))
@@ -408,17 +406,17 @@ def estimate_noise_floor(k: float, omega, grid, n_directions: int = 256
 
 
 def run_corner_lower_bound_experiment(scenes, k: float, omega, grid,
-                                      C_fit: float = 1.0,
                                       n_directions: int = 256,
                                       tol: float = 1e-8) -> list:
     """Solve each corner scene, record the far-field norm against the
-    double-exponential lower-bound expression and the noise floor."""
+    double-exponential lower-bound expression and the noise floor.  Each
+    support must be admissible inside the grid's ball B(0, cal_R(grid))."""
     noise = estimate_noise_floor(k, omega, grid, n_directions)
     n = grid.dim
     beta = faddeev_decay_case(n).beta
     out = []
     for V in scenes:
-        rep = admissibility_report(V.polytope)
+        rep = admissibility_report(V.polytope, cal_R(grid))
         if not rep.ok:
             raise StabilityError(f"inadmissible scene: {rep.violations}")
         sol = solve_forward(V, k, omega, grid, tol=tol,
@@ -430,15 +428,11 @@ def run_corner_lower_bound_experiment(scenes, k: float, omega, grid,
         x_c = V.polytope.vertices[0]
         phi_xc = complex(np.atleast_1d(V.phi(x_c[None, :]))[0])
         ell = rep.ell
-        inner = C_fit * ell ** (-2 / g) * abs(phi_xc) ** (-2 - 2 / ((n + 5) * g))
+        inner = ell ** (-2 / g) * abs(phi_xc) ** (-2 - 2 / ((n + 5) * g))
         bound = S / np.exp(np.exp(min(inner, 700.0))) if inner < 700 else 0.0
         out.append(CornerRecord(ff_norm, float(bound), float(ell), phi_xc,
                                 noise, ff_norm / noise))
     return out
-
-
-def records_to_json(records) -> str:
-    return json.dumps([r.to_dict() for r in records], indent=2)
 
 
 def records_to_csv(records) -> str:

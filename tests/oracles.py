@@ -75,11 +75,6 @@ def mie_scattered_field(k, a, phi, points, n_modes=60):
 # Bessel/Hankel references (mpmath)
 # ---------------------------------------------------------------------------
 
-def mp_hankel1(nu, z):
-    import mpmath
-    return complex(mpmath.hankel1(nu, z))
-
-
 def mp_log_abs_hankel1(nu, z):
     import mpmath
     with mpmath.workdps(60):

@@ -140,6 +140,18 @@ def test_check_cone_geometry_guards():
         cgo.check_cone_geometry(p_in, q_moved)
 
 
+def test_check_cone_geometry_opening_angle_bounds():
+    # the quarter plane opens pi/2; each bound is strict
+    q = spherical_cone_2d(axis=(np.sqrt(0.5), np.sqrt(0.5)), half=0.8)
+    p = quarter_plane_cone()
+    cgo.check_cone_geometry(p, q, alpha_m=np.pi / 5)
+    cgo.check_cone_geometry(p, q, alpha_M=np.pi / 3)
+    with pytest.raises(geom.GeometryError, match="lower bound"):
+        cgo.check_cone_geometry(p, q, alpha_m=np.pi / 4)
+    with pytest.raises(geom.GeometryError, match="upper bound"):
+        cgo.check_cone_geometry(p, q, alpha_M=np.pi / 4)
+
+
 def test_lower_bound_curve_plateau():
     q = spherical_cone_2d(axis=(np.sqrt(0.5), np.sqrt(0.5)), half=0.8)
     p = quarter_plane_cone()

@@ -144,6 +144,23 @@ def test_calibrate_outputs(tmp_path):
     assert back.c1 == cal["c1"]
 
 
+def test_calibrate_certifies_at_the_scene_radius(tmp_path):
+    # a scene without "R" has the grid's half-width as its ball radius, in
+    # calibrate as in every other command
+    d = scene_dict()
+    del d["R"]
+    d["grid"]["half_width"] = 1.5
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps({"scenes": [d], "trials": 10}))
+    rc = cli.main(["calibrate", "--scene", str(scene), "--seed", "5",
+                   "--out", str(tmp_path / "out")])
+    assert rc == 0
+    cert = json.loads((tmp_path / "out"
+                       / "hankel_certificate.json").read_text())
+    assert cert["z1"] == d["k"] * 1.5
+    assert cert["z2"] == 4 * d["k"] * 1.5
+
+
 def test_verify_passes(tmp_path):
     scene = write_scene(tmp_path)
     out = str(tmp_path / "out")

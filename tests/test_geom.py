@@ -407,13 +407,3 @@ def test_admissibility_ell_matches_double_loop():
                   for i in range(m) for j in range(m)
                   if j != i and (j + 1) % m != i)
         assert abs(geom.admissibility_report(P).ell - min(ell, 1.0)) <= 1e-15
-
-
-def test_triangulation_cost_values():
-    assert geom.triangulation_cost(triangle(), 1.0) == 1.0
-    assert geom.triangulation_cost(square(), 2.0) == 16.0
-    hexagon = geom.convex_polygon(
-        [[np.cos(t), np.sin(t)] for t in np.linspace(0, 2 * np.pi, 7)[:-1]])
-    assert geom.triangulation_cost(hexagon, 1.0) == 4.0
-    with pytest.raises(geom.GeometryError):
-        geom.triangulation_cost(square(), 0.5)

@@ -419,8 +419,3 @@ def test_pipeline_symbolic_double_log_form():
         vals.append(res.boundary_bound * np.sqrt(q))
     # ln|ln delta| ~ q up to additive constants, so the scaled values agree
     assert abs(vals[0] - vals[1]) < 0.05 * vals[0]
-
-
-def test_far_field_epsilon_is_l2():
-    ff = circle_pattern(2.0, lambda th: np.exp(1j * th))
-    assert abs(rellich.far_field_epsilon(ff) - ff.l2_norm()) < 1e-15
