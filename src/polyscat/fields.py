@@ -197,9 +197,6 @@ class ContrastField:
     def vertex_values(self) -> np.ndarray:
         return np.asarray(self.phi(self.polytope.vertices), dtype=complex)
 
-    def sup_norm(self, grid: Grid) -> float:
-        return float(np.max(np.abs(self.evaluate(grid))))
-
 
 def constant_contrast(P: Polytope, value: complex) -> ContrastField:
     c = complex(value)

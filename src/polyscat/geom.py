@@ -71,10 +71,6 @@ class Polytope:
         c = np.zeros(self.dim) if center is None else np.asarray(center)
         return bool(np.all(np.linalg.norm(self.vertices - c, axis=1) <= radius))
 
-    def contains(self, x) -> bool:
-        """Closed-set membership test."""
-        return bool(polytope_mask(self, x, MEMBERSHIP_TOL))
-
     def to_json(self) -> str:
         return json.dumps({"dim": self.dim, "kind": self.kind,
                            "vertices": self.vertices.tolist()})
@@ -331,11 +327,6 @@ def cone_mask(K: PolyCone, pts, tol: float = 0.0) -> np.ndarray:
     for n in K.facet_normals:
         ok &= np.sum(d * n, axis=-1) >= -tol * r
     return ok | (r <= tol)
-
-
-def cone_membership(K: PolyCone, x, tol: float = 1e-10) -> bool:
-    """Closed-cone membership of one point.  The vertex belongs to the cone."""
-    return bool(cone_mask(K, x, tol))
 
 
 def polygon_vertex_angle(P: Polytope, index: int) -> float:

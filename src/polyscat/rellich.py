@@ -39,6 +39,14 @@ class RellichError(RuntimeError):
     pass
 
 
+def float_view(log_value: float) -> float:
+    """exp(log_value) as a float: 0 below the float range, inf above it and
+    never a clamped value.  Every bound of the chain is carried as its
+    logarithm; this is the one place one becomes a float."""
+    with np.errstate(over="ignore"):
+        return float(np.exp(log_value))
+
+
 # ---------------------------------------------------------------------------
 # Harmonic decomposition of far fields
 # ---------------------------------------------------------------------------
@@ -134,53 +142,48 @@ def sphere_norm_from_decomposition(dec: HarmonicDecomposition,
 
 @dataclass(frozen=True)
 class Ff2nfBound:
-    bound: float
-    regime: str      # "decay" | "saturated"
+    regime: str          # "decay" | "saturated"
     ell: float
     nu0: float
-    constant: float  # the multiplicative constant used
-    log_bound: float = np.nan  # ln(bound), exact even when bound underflows
+    log_constant: float  # ln of the multiplicative constant used
+    log_bound: float     # ln of the annulus bound
+
+    @property
+    def bound(self) -> float:
+        return float_view(self.log_bound)
+
+    @property
+    def constant(self) -> float:
+        return float_view(self.log_constant)
 
 
-def ff2nf_bound(epsilon: float | None, S: float, k: float, R: float,
-                B0: float, log_ratio: float | None = None) -> Ff2nfBound:
-    """Bound ||w||_L2 on the annulus B(0,2 B0 R) \\ B(0,B0 R) by the
-    far-field size epsilon and the a-priori annulus bound S.
+def ff2nf_bound(log_ratio: float, S: float, k: float, R: float,
+                B0: float) -> Ff2nfBound:
+    """Bound ||w||_L2 on the annulus B(0,2 B0 R) \\ B(0,B0 R) by
+    log_ratio = ln(S/eps), where eps is the far-field size and S the
+    a-priori annulus bound.
 
     Decay regime: bound = Const * S * B0^(-l/2), l = sqrt(2ekR ln(S/eps));
-    otherwise the bound saturates proportionally to epsilon.  Symbolically
-    tiny far-field sizes can be supplied as log_ratio = ln(S/eps) to avoid
-    floating-point underflow.
+    otherwise the bound saturates proportionally to eps.
     """
-    if S < 0 or (epsilon is not None and epsilon < 0):
-        raise RellichError("epsilon and S must be nonnegative")
+    if S <= 0:
+        raise RellichError("S must be positive")
     if B0 <= 1:
         raise RellichError("B0 must exceed 1")
-    if log_ratio is None:
-        if epsilon is None:
-            raise RellichError("need epsilon or log_ratio")
-        if epsilon == 0:
-            return Ff2nfBound(0.0, "decay", np.inf, np.inf, 0.0, -np.inf)
-        log_ratio = float(np.log(S / epsilon)) if S > 0 else -np.inf
     ell = float(np.sqrt(2 * np.e * k * R * max(log_ratio, 0.0)))
     nu0 = np.floor(ell) / 2
     if nu0 >= max(1.5, np.e * B0 * k * R) and log_ratio >= 0:
         nu_max = min(200.0, max(np.ceil(min(ell, 400.0)) / 2 + 2, 10.0))
         C = certify_hankel_bounds(k * R, 2 * B0 * k * R, nu_max).C
-        const = float(np.sqrt(2 * max(2 * C ** 2 * R / np.e, C ** 4))
-                      * B0 ** 1.5)
-        log_bound = np.log(const) + np.log(S) - 0.5 * ell * np.log(B0)
-        bound = float(np.exp(log_bound)) if log_bound > -700 else 0.0
-        return Ff2nfBound(bound, "decay", ell, float(nu0), const,
+        log_const = np.log(np.sqrt(2 * max(2 * C ** 2 * R / np.e, C ** 4))
+                           * B0 ** 1.5)
+        log_bound = log_const + np.log(S) - 0.5 * ell * np.log(B0)
+        return Ff2nfBound("decay", ell, float(nu0), float(log_const),
                           float(log_bound))
     # saturated: S/eps is itself bounded, so the annulus norm is O(eps)
     log_const = (1 + max(3.0, 2 * np.e * B0 * k * R)) ** 2 / (2 * np.e * k * R)
-    const = float(np.exp(min(log_const, 700.0)))
-    if epsilon is None:
-        epsilon = S * float(np.exp(-min(log_ratio, 700.0)))
-    return Ff2nfBound(const * epsilon, "saturated", ell, float(nu0), const,
-                      float(np.log(const * epsilon)) if epsilon > 0
-                      else -np.inf)
+    return Ff2nfBound("saturated", ell, float(nu0), float(log_const),
+                      float(log_const + np.log(S) - log_ratio))
 
 
 # ---------------------------------------------------------------------------
@@ -216,9 +219,21 @@ class Calibration:
             return Calibration.from_json(f.read())
 
     @property
+    def log_chain_constant(self) -> float:
+        """ln C_chain, with C_chain = (C TS_FACTOR)^(4/(3 c1))."""
+        return float((4.0 / (3.0 * self.c1)) * np.log(self.C * TS_FACTOR))
+
+    @property
     def chain_constant(self) -> float:
-        log_const = (4.0 / (3.0 * self.c1)) * np.log(self.C * TS_FACTOR)
-        return float(np.exp(min(log_const, 700.0)))
+        return float_view(self.log_chain_constant)
+
+    def chain_bound(self, T: float, start: float, steps: float) -> float:
+        """C_chain T start^(c2^steps): a start-ball smallness carried
+        through `steps` three-balls steps."""
+        with np.errstate(divide="ignore"):
+            log_start = np.log(start)
+        return float_view(self.log_chain_constant + np.log(T)
+                          + self.c2 ** steps * log_start)
 
 
 def random_helmholtz_field(k: float, dim: int, rng: np.random.Generator):
@@ -269,14 +284,10 @@ class ThreeSpheresResult:
         return self.norm_2r
 
 
-def three_spheres_check(field, x, r: float, rng=None,
-                        cal: "Calibration | None" = None
-                        ) -> ThreeSpheresResult:
+def three_spheres_check(field, x, r: float, rng=None) -> ThreeSpheresResult:
     """Measure sup-norms on B(x,r), B(x,2r), B(x,4r) and solve for the
     interpolation exponent beta* solving
     ||w||_2r = ||w||_4r^(1-beta) ||w||_r^beta."""
-    if cal is not None and 4 * r >= cal.R_m:
-        raise RellichError("4r must stay below the calibrated R_m")
     rng = np.random.default_rng(0) if rng is None else rng
     x = np.asarray(x, dtype=float)
     # one cloud per radius; running maxima keep the sups monotone in r
@@ -390,9 +401,7 @@ def propagate_chain(field, path: PropagationPath, T: float,
         raise RellichError("chain start norm exceeds 1")
     if path.K == 1:
         return ChainResult(m1, m1, mK, 1)
-    exponent = cal.c2 ** (path.K - 1)
-    bound = cal.chain_constant * T * m1 ** exponent
-    return ChainResult(float(bound), m1, mK, path.K)
+    return ChainResult(cal.chain_bound(T, m1, path.K - 1), m1, mK, path.K)
 
 
 def propagate_outside_hull(field, Q: Polytope, query, r: float,
@@ -431,18 +440,16 @@ def propagate_outside_hull(field, Q: Polytope, query, r: float,
             if m_first > delta * (1 + 1e-6):
                 raise RellichError("annulus smallness assumption fails at the "
                                    "chain start")
-            exponent = cal.c2 ** (path.K - 1)
-            bound = cal.chain_constant * T * delta ** exponent
             m_end = ball_sup(field, query, r, rng)
-            return ChainResult(float(bound), m_first, m_end, path.K)
+            return ChainResult(cal.chain_bound(T, delta, path.K - 1),
+                               m_first, m_end, path.K)
     raise RellichError("no radial escape ray clears B(Q, 4r)")
 
 
 def uniform_outside_hull_bound(delta: float, r: float, lam: float,
                                T: float, cal: Calibration, R: float) -> float:
     """The query-independent form C T delta^(c2^((2+lam)R/r + 2))."""
-    exponent = cal.c2 ** ((2 + lam) * R / r + 2)
-    return float(cal.chain_constant * T * delta ** exponent)
+    return cal.chain_bound(T, delta, (2 + lam) * R / r + 2)
 
 
 def _ray_exit(start, direction, target_radius):
@@ -471,45 +478,34 @@ def _segment_clear(a, b, Q: Polytope, margin: float) -> bool:
 class CrossingResult:
     r_delta: float
     bound: float
-    delta_max: float
+    log_delta_max: float
     delta_ok: bool
 
 
-def cross_into_boundary(delta: float, alpha: float, T: float, A: float,
-                        cal: Calibration, R: float,
-                        log_delta: float | None = None) -> CrossingResult:
-    """Hoelder bridge onto the boundary collar: with r(d) =
-    A R |ln c2| / ((1-alpha) ln|ln d|), points within 4 r(d) of the hull
-    boundary obey |w| <= ((8AR|ln c2|/(1-alpha))^alpha + C/c2^2)
-    (ln|ln d|)^(-alpha) T.  The annulus thickness is LAMBDA_DEFAULT.
-
-    log_delta = ln(delta) may be given for deltas below underflow.
+def cross_into_boundary(log_delta: float, alpha: float, T: float, A: float,
+                        cal: Calibration, R: float) -> CrossingResult:
+    """Hoelder bridge onto the boundary collar from log_delta = ln(delta):
+    with r(d) = A R |ln c2| / ((1-alpha) ln|ln d|), points within 4 r(d)
+    of the hull boundary obey |w| <= ((8AR|ln c2|/(1-alpha))^alpha +
+    C/c2^2) (ln|ln d|)^(-alpha) T.  The annulus thickness is
+    LAMBDA_DEFAULT.  The double logarithm is positive only for delta < 1/e.
     """
     lam = LAMBDA_DEFAULT
     if not (0 < alpha < 1):
         raise RellichError("Hoelder exponent must lie in (0, 1)")
     if A < 2 + lam:
         raise RellichError("A must be at least 2 + lambda")
-    if log_delta is None:
-        if not (0 < delta < 1):
-            raise RellichError("delta must lie in (0, 1)")
-        log_delta = float(np.log(delta))
-    elif log_delta >= 0:
-        raise RellichError("delta must lie in (0, 1)")
+    if not log_delta < -1:
+        raise RellichError("the double-log bridge needs delta < 1/e")
     log_c2 = abs(np.log(cal.c2))
     geom = min(cal.R_m, R / 2, 2 * (1 - 2 * lam) * R)
-    log_delta_max = -np.exp(min(4 * A * R * log_c2 / (1 - alpha) / geom,
-                                700.0))
-    delta_max = float(np.exp(max(log_delta_max, -700.0)))
-    delta_ok = log_delta < log_delta_max
+    log_delta_max = -float_view(4 * A * R * log_c2 / (1 - alpha) / geom)
     lnln = np.log(abs(log_delta))
-    if lnln <= 0:
-        raise RellichError("delta too close to 1 for the double-log bridge")
     r_delta = A * R * log_c2 / ((1 - alpha) * lnln)
     numer = (8 * A * R * log_c2 / (1 - alpha)) ** alpha + cal.C / cal.c2 ** 2
     bound = numer / lnln ** alpha * T
-    return CrossingResult(float(r_delta), float(bound), delta_max,
-                          bool(delta_ok))
+    return CrossingResult(float(r_delta), float(bound), log_delta_max,
+                          bool(log_delta < log_delta_max))
 
 
 # ---------------------------------------------------------------------------
@@ -535,19 +531,24 @@ def quantitative_rellich(epsilon: float | None, S: float, k: float, R: float,
     difference field and (applied to difference quotients) its gradient.
     The annulus scale is B0_DEFAULT, the Hoelder exponent ALPHA_DEFAULT
     and the escape-segment length A_DEFAULT.  log_ratio = ln(S/epsilon)
-    admits symbolically tiny far-field sizes.
+    admits symbolically tiny far-field sizes.  Where the bridge does not
+    apply (the saturated regime, or delta >= 1/e) the bound is T.
     """
     if epsilon is not None and epsilon < 0:
         raise RellichError("epsilon must be nonnegative")
     if epsilon == 0:
         return RellichBound(0.0, 0.0, "zero", 0.0, True, None)
-    nf = ff2nf_bound(epsilon, S, k, R, B0_DEFAULT, log_ratio=log_ratio)
-    if nf.regime == "saturated" or not nf.log_bound < 0:
+    if log_ratio is None:
+        if epsilon is None:
+            raise RellichError("need epsilon or log_ratio")
+        log_ratio = float(np.log(S / epsilon))
+    nf = ff2nf_bound(log_ratio, S, k, R, B0_DEFAULT)
+    if nf.regime == "saturated" or not nf.log_bound < -1:
         # smallness never reaches the propagation stage; only the trivial
         # a-priori bound survives
-        delta = min(nf.bound, 1.0) if nf.bound > 0 else 1.0
-        return RellichBound(float(T), delta, "saturated", 0.0, False, nf)
-    crossing = cross_into_boundary(nf.bound, ALPHA_DEFAULT, T, A_DEFAULT, cal,
-                                   R, log_delta=nf.log_bound)
-    return RellichBound(crossing.bound, float(nf.bound), "decay",
+        return RellichBound(float(T), min(nf.bound, 1.0), "saturated", 0.0,
+                            False, nf)
+    crossing = cross_into_boundary(nf.log_bound, ALPHA_DEFAULT, T, A_DEFAULT,
+                                   cal, R)
+    return RellichBound(crossing.bound, nf.bound, "decay",
                         crossing.r_delta, crossing.delta_ok, nf)

@@ -20,10 +20,10 @@ from scipy.interpolate import RegularGridInterpolator
 from . import cgo, rellich
 from .cgo import CgoDirection, faddeev_decay_case
 from .fields import ContrastField, WaveField, h2_surrogate, polytope_mask
-from .geom import (PolyCone, Polytope, admissibility_report, cone_mask,
+from .geom import (PolyCone, admissibility_report, cone_mask,
                    hausdorff_distance)
-from .rellich import Calibration, quantitative_rellich
-from .solver import ScatteringSolution, SolverError, solve_forward
+from .rellich import Calibration, float_view, quantitative_rellich
+from .solver import SolverError, solve_forward
 
 
 class StabilityError(RuntimeError):
@@ -46,10 +46,6 @@ def field_interpolator(w: WaveField):
     return f
 
 
-def _as_callable(w):
-    return field_interpolator(w) if isinstance(w, WaveField) else w
-
-
 def normal_derivative(f, pts, normals, step: float):
     """Central-difference derivative of f along the given unit normals."""
     return (f(pts + step * normals) - f(pts - step * normals)) / (2 * step)
@@ -70,58 +66,52 @@ def gradient_at(f, pts, step: float):
 # Truncated-cone boundary quadrature
 # ---------------------------------------------------------------------------
 
-def cone_boundary_quadrature(q_cone: PolyCone, h: float, n_flat: int = 256,
-                             n_arc: int = 256):
+def cone_boundary_quadrature(q_cone: PolyCone, h: float, n: int = 256):
     """Midpoint quadrature for the boundary of Q_h = cone intersect
     B(vertex, h): points, outward unit normals and weights.
 
-    2D: two radial edges plus the circular arc.  3D: supported for
-    rotated-orthant cones (three quarter-disc faces plus the spherical
-    patch).
+    2D: two radial edges plus the circular arc, n points on each.  3D:
+    supported for rotated-orthant cones (three quarter-disc faces plus the
+    spherical patch, each on a grid of about sqrt(n) by sqrt(n)).
     """
     v = q_cone.vertex
     if q_cone.dim == 2:
         g1, g2 = q_cone.generators
         pts, nrm, wts = [], [], []
         for g, inward in zip(q_cone.generators, q_cone.facet_normals):
-            t = (np.arange(n_flat) + 0.5) / n_flat * h
+            t = (np.arange(n) + 0.5) / n * h
             pts.append(v + np.outer(t, g))
-            nrm.append(np.tile(-inward, (n_flat, 1)))
-            wts.append(np.full(n_flat, h / n_flat))
+            nrm.append(np.tile(-inward, (n, 1)))
+            wts.append(np.full(n, h / n))
         a1 = np.arctan2(g1[1], g1[0])
         span = np.arccos(np.clip(np.dot(g1, g2), -1, 1))
-        ang = a1 + (np.arange(n_arc) + 0.5) / n_arc * span
+        ang = a1 + (np.arange(n) + 0.5) / n * span
         rad = np.stack([np.cos(ang), np.sin(ang)], axis=1)
         pts.append(v + h * rad)
         nrm.append(rad)
-        wts.append(np.full(n_arc, h * span / n_arc))
+        wts.append(np.full(n, h * span / n))
         return np.vstack(pts), np.vstack(nrm), np.concatenate(wts)
     if not q_cone.is_orthant:
         raise StabilityError("3D boundary quadrature needs an orthant cone")
     g = q_cone.generators
     pts, nrm, wts = [], [], []
-    n_r = max(8, int(np.sqrt(n_flat)))
-    n_a = n_r
+    m = max(8, int(np.sqrt(n)))   # points per side of each patch
+    mid = (np.arange(m) + 0.5) / m
+    ang = mid * (np.pi / 2)
     for k_out in range(3):
         gi, gj = g[(k_out + 1) % 3], g[(k_out + 2) % 3]
-        outward = -g[k_out]
-        s = (np.arange(n_r) + 0.5) / n_r * h
-        phi = (np.arange(n_a) + 0.5) / n_a * (np.pi / 2)
-        S, PHI = np.meshgrid(s, phi, indexing="ij")
+        S, PHI = np.meshgrid(mid * h, ang, indexing="ij")
         P = (v + S[..., None] * (np.cos(PHI)[..., None] * gi
                                  + np.sin(PHI)[..., None] * gj))
-        W = S * (h / n_r) * (np.pi / 2 / n_a)
+        W = S * (h / m) * (np.pi / 2 / m)
         pts.append(P.reshape(-1, 3))
-        nrm.append(np.tile(outward, (P.size // 3, 1)))
+        nrm.append(np.tile(-g[k_out], (P.size // 3, 1)))
         wts.append(W.ravel())
-    n_t = max(8, int(np.sqrt(n_arc)))
-    th = (np.arange(n_t) + 0.5) / n_t * (np.pi / 2)
-    ph = (np.arange(n_t) + 0.5) / n_t * (np.pi / 2)
-    TH, PH = np.meshgrid(th, ph, indexing="ij")
+    TH, PH = np.meshgrid(ang, ang, indexing="ij")
     local = np.stack([np.sin(TH) * np.cos(PH), np.sin(TH) * np.sin(PH),
                       np.cos(TH)], axis=-1)
     rad = local @ g
-    W = h ** 2 * np.sin(TH) * (np.pi / 2 / n_t) ** 2
+    W = h ** 2 * np.sin(TH) * (np.pi / 2 / m) ** 2
     pts.append(v + h * rad.reshape(-1, 3))
     nrm.append(rad.reshape(-1, 3))
     wts.append(W.ravel())
@@ -158,13 +148,14 @@ def check_orthogonality(V: ContrastField, u_total, u_prime, u0,
     """Quadrature check of
     k^2 int_{Q_h} V u0 u' dx = int_{dQ_h} (u0 dn(u'-u) - (u'-u) dn u0).
 
+    The three fields are WaveFields, each interpolated cubically.
     Q_h is the cone truncated at radius h around its vertex.  u' must
     solve the free Helmholtz equation on Q_h (V' = 0 there); u0 any
     solution with potential V.
     """
-    fu = _as_callable(u_total)
-    fup = _as_callable(u_prime)
-    f0 = _as_callable(u0)
+    fu = field_interpolator(u_total)
+    fup = field_interpolator(u_prime)
+    f0 = field_interpolator(u0)
     v = q_cone.vertex
     # volume term on a fine midpoint subgrid of the bounding box
     cell = 2 * h / n_volume
@@ -179,8 +170,7 @@ def check_orthogonality(V: ContrastField, u_total, u_prime, u0,
         pv = pts[in_p]
         vol = k ** 2 * np.sum(V.phi(pv) * f0(pv) * fup(pv)) \
             * cell ** q_cone.dim
-    bpts, bnrm, bwts = cone_boundary_quadrature(q_cone, h, n_boundary,
-                                                n_boundary)
+    bpts, bnrm, bwts = cone_boundary_quadrature(q_cone, h, n_boundary)
     step = fd_step if fd_step is not None else h / 64
     diff = fup(bpts) - fu(bpts)
     dn_diff = normal_derivative(fup, bpts, bnrm, step) \
@@ -343,12 +333,10 @@ def run_support_stability_experiment(scene_pairs, k: float, omega, grid,
         m = min(1.0, V.alpha, beta)
         gamma = support_stability_gamma(m, n)
         pipeline = quantitative_rellich(eps, S, k, cal_R(grid), cal, T=S)
-        if eps > 0 and S / eps > 1 and np.log(S / eps) > 1:
-            lnln = np.log(np.log(S / eps))
-            bound = lnln ** (-gamma) if lnln > 0 else np.inf
-            delta_eps = pipeline.boundary_bound
+        if eps > 0 and np.log(S / eps) > 1:
+            bound = np.log(np.log(S / eps)) ** (-gamma)
             tau = optimize_tau(min(1.0, max(hh, grid.spacing)),
-                               max(delta_eps, 1e-300), m, n, k=k).tau_e
+                               pipeline.boundary_bound, m, n, k=k).tau_e
             regime = pipeline.regime
         else:
             bound, tau, regime = np.inf, np.nan, "saturated"
@@ -429,7 +417,7 @@ def run_corner_lower_bound_experiment(scenes, k: float, omega, grid,
         phi_xc = complex(np.atleast_1d(V.phi(x_c[None, :]))[0])
         ell = rep.ell
         inner = ell ** (-2 / g) * abs(phi_xc) ** (-2 - 2 / ((n + 5) * g))
-        bound = S / np.exp(np.exp(min(inner, 700.0))) if inner < 700 else 0.0
+        bound = float_view(np.log(S) - float_view(inner))
         out.append(CornerRecord(ff_norm, float(bound), float(ell), phi_xc,
                                 noise, ff_norm / noise))
     return out

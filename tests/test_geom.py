@@ -31,7 +31,7 @@ def test_cuboid_roundtrip_and_validation():
     rot = np.array([[0, -1, 0], [1, 0, 0], [0, 0, 1]], dtype=float)
     P = geom.cuboid([1.0, 2.0, 3.0], [0.5, 0.25, 1.0], rotation=rot)
     assert P.n_vertices == 8
-    assert P.contains([1.0, 2.0, 3.0])
+    assert geom.polytope_mask(P, [1.0, 2.0, 3.0], geom.MEMBERSHIP_TOL)
     bad = P.vertices.copy()
     bad[0] += 0.3
     with pytest.raises(geom.GeometryError):
@@ -47,9 +47,10 @@ def test_polytope_json_roundtrip():
 
 def test_containment_and_ball():
     P = square(2.0)
-    assert P.contains([0.0, 0.0])
-    assert P.contains([1.0, 1.0])          # closed set: corner included
-    assert not P.contains([1.0001, 0.0])
+    tol = geom.MEMBERSHIP_TOL
+    assert geom.polytope_mask(P, [0.0, 0.0], tol)
+    assert geom.polytope_mask(P, [1.0, 1.0], tol)   # closed set: corner included
+    assert not geom.polytope_mask(P, [1.0001, 0.0], tol)
     assert P.contained_in_ball(np.sqrt(2) + 1e-12)
     assert not P.contained_in_ball(1.0)
     assert P.contained_in_ball(2 * np.sqrt(2) + 1e-9, center=[1.0, 1.0])
@@ -79,7 +80,7 @@ def _point_segment_distance(x, a, b) -> float:
 def _point_polytope_distance(x, P) -> float:
     """Reference: one point at a time, a loop over the polygon edges."""
     x = np.asarray(x, dtype=float)
-    if P.contains(x):
+    if geom.polytope_mask(P, x, geom.MEMBERSHIP_TOL):
         return 0.0
     if P.dim == 2:
         v = P.vertices
@@ -218,10 +219,10 @@ def test_cone_membership_2d():
     # the quarter plane given counterclockwise and clockwise
     for gens in ([[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]]):
         K = geom.PolyCone(np.zeros(2), np.array(gens), "polyhedral")
-        assert geom.cone_membership(K, [0.0, 0.0])    # vertex belongs
-        assert geom.cone_membership(K, [0.5, 0.5])
-        assert geom.cone_membership(K, [1.0, 0.0])
-        assert not geom.cone_membership(K, [-0.1, 0.5])
+        assert geom.cone_mask(K, [0.0, 0.0], tol=1e-10)    # vertex belongs
+        assert geom.cone_mask(K, [0.5, 0.5], tol=1e-10)
+        assert geom.cone_mask(K, [1.0, 0.0], tol=1e-10)
+        assert not geom.cone_mask(K, [-0.1, 0.5], tol=1e-10)
         assert abs(K.opening_angle() - np.pi / 2) < 1e-12
         np.testing.assert_array_equal(K.generators, [[1.0, 0.0], [0.0, 1.0]])
     # random wedges in both orders against the polar-angle test
@@ -236,23 +237,23 @@ def test_cone_membership_2d():
         for gens in (g, g[::-1]):
             K = geom.PolyCone(vertex, gens, "polyhedral")
             assert geom._cross2(*K.generators) > 0   # stored counterclockwise
-            got = [geom.cone_membership(K, vertex + x) for x in d]
+            got = [bool(geom.cone_mask(K, vertex + x, tol=1e-10)) for x in d]
             assert got == list(expected)
 
 
 def test_cone_membership_spherical():
     K = geom.PolyCone(np.zeros(3), np.array([[0.0, 0.0, 1.0]]),
                       "spherical", half_angle=np.pi / 6)
-    assert geom.cone_membership(K, [0.0, 0.0, 2.0])
-    assert geom.cone_membership(K, [0.0, np.tan(np.pi / 6) - 1e-6, 1.0])
-    assert not geom.cone_membership(K, [0.0, 1.0, 1.0])
+    assert geom.cone_mask(K, [0.0, 0.0, 2.0], tol=1e-10)
+    assert geom.cone_mask(K, [0.0, np.tan(np.pi / 6) - 1e-6, 1.0], tol=1e-10)
+    assert not geom.cone_mask(K, [0.0, 1.0, 1.0], tol=1e-10)
 
 
 def test_cone_membership_3d_polyhedral():
     g = np.array([[1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0]])
     K = geom.PolyCone(np.zeros(3), g, "polyhedral")
-    assert geom.cone_membership(K, [0.2, 0.3, 0.4])
-    assert not geom.cone_membership(K, [-0.2, 0.3, 0.4])
+    assert geom.cone_mask(K, [0.2, 0.3, 0.4], tol=1e-10)
+    assert not geom.cone_mask(K, [-0.2, 0.3, 0.4], tol=1e-10)
 
 
 def _conic_hull_contains(g, d, tol=1e-9) -> bool:
@@ -291,7 +292,7 @@ def test_cone_mask_matches_conic_hull_lp_3d():
         expected = [_conic_hull_contains(g, x) for x in d]
         assert list(got) == expected
         assert np.all(got[40:40 + len(g)])      # the generator rays
-        assert [geom.cone_membership(K, x) for x in probes] == expected
+        assert [bool(geom.cone_mask(K, x, tol=1e-10)) for x in probes] == expected
 
 
 def test_cone_rejects_non_pointed_or_flat_3d():
@@ -319,8 +320,8 @@ def test_convex_hull_cone_contains_both_bodies():
         lo, hi = body.vertices.min(0), body.vertices.max(0)
         for _ in range(50):
             x = rng.uniform(lo, hi)
-            if body.contains(x):
-                assert geom.cone_membership(cone, x, tol=1e-8)
+            if geom.polytope_mask(body, x, geom.MEMBERSHIP_TOL):
+                assert geom.cone_mask(cone, x, tol=1e-8)
 
 
 def test_convex_hull_cone_requires_hull_vertex():

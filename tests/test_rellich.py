@@ -162,7 +162,7 @@ def test_sphere_norm_refuses_rounding_level_degrees(triangle_solutions, r):
 def test_ff2nf_worked_example_saturated():
     # k = R = 1, B0 = 2, S = 1, eps = 1e-8: l ~ 10.007, nu0 = 5, and
     # 5 < e B0 k R ~ 5.44 keeps the bound in the saturated regime
-    nf = rellich.ff2nf_bound(1e-8, 1.0, 1.0, 1.0, 2.0)
+    nf = rellich.ff2nf_bound(np.log(1e8), 1.0, 1.0, 1.0, 2.0)
     assert abs(nf.ell - np.sqrt(2 * np.e * np.log(1e8))) < 1e-12
     assert abs(nf.ell - 10.007) < 5e-3
     assert nf.nu0 == 5.0
@@ -171,7 +171,7 @@ def test_ff2nf_worked_example_saturated():
 
 
 def test_ff2nf_decay_regime():
-    nf = rellich.ff2nf_bound(1e-11, 1.0, 1.0, 1.0, 2.0)
+    nf = rellich.ff2nf_bound(np.log(1e11), 1.0, 1.0, 1.0, 2.0)
     assert nf.regime == "decay"
     assert nf.nu0 >= np.e * 2.0
     # bound = const * S * B0^(-l/2), checked from the reported pieces
@@ -182,31 +182,52 @@ def test_ff2nf_decay_regime():
 
 def test_ff2nf_monotone_in_epsilon_and_B0():
     eps = 10.0 ** -np.arange(8, 30, 3)
-    bounds = [rellich.ff2nf_bound(e, 1.0, 1.0, 1.0, 2.0).bound for e in eps]
+    bounds = [rellich.ff2nf_bound(-np.log(e), 1.0, 1.0, 1.0, 2.0).bound
+              for e in eps]
     assert np.all(np.diff(bounds) <= 1e-15)
-    b_small = rellich.ff2nf_bound(1e-60, 1.0, 1.0, 1.0, 2.0)
-    b_large = rellich.ff2nf_bound(1e-60, 1.0, 1.0, 1.0, 4.0)
+    b_small = rellich.ff2nf_bound(np.log(1e60), 1.0, 1.0, 1.0, 2.0)
+    b_large = rellich.ff2nf_bound(np.log(1e60), 1.0, 1.0, 1.0, 4.0)
     assert b_large.regime == b_small.regime == "decay"
     assert b_large.log_bound < b_small.log_bound
 
 
 def test_ff2nf_symbolic_log_ratio():
     # epsilon = S e^{-e^{100}} cannot be represented; log_ratio can
-    nf = rellich.ff2nf_bound(None, 1.0, 1.0, 1.0, 2.0,
-                             log_ratio=float(np.exp(100)))
+    nf = rellich.ff2nf_bound(float(np.exp(100)), 1.0, 1.0, 1.0, 2.0)
     assert nf.regime == "decay"
-    assert nf.bound == 0.0            # underflow clamps the literal value
+    assert nf.bound == 0.0            # the float view underflows to 0
     assert nf.log_bound < -1e20       # but the log form stays exact
-    with pytest.raises(rellich.RellichError):
-        rellich.ff2nf_bound(None, 1.0, 1.0, 1.0, 2.0)
 
 
 def test_ff2nf_zero_and_validation():
-    assert rellich.ff2nf_bound(0.0, 1.0, 1.0, 1.0, 2.0).bound == 0.0
+    # eps = 0, a negative eps and a missing eps are the pipeline's to handle
+    cal = small_cal()
+    assert rellich.quantitative_rellich(0.0, 1.0, 1.0, 1.0, cal,
+                                        1.0).boundary_bound == 0.0
     with pytest.raises(rellich.RellichError):
-        rellich.ff2nf_bound(1e-3, 1.0, 1.0, 1.0, 0.5)
+        rellich.quantitative_rellich(None, 1.0, 1.0, 1.0, cal, 1.0)
     with pytest.raises(rellich.RellichError):
-        rellich.ff2nf_bound(-1e-3, 1.0, 1.0, 1.0, 2.0)
+        rellich.quantitative_rellich(-1e-3, 1.0, 1.0, 1.0, cal, 1.0)
+    with pytest.raises(rellich.RellichError):
+        rellich.ff2nf_bound(np.log(1e3), 1.0, 1.0, 1.0, 0.5)
+    with pytest.raises(rellich.RellichError):
+        rellich.ff2nf_bound(np.log(1e3), 0.0, 1.0, 1.0, 2.0)
+
+
+def test_ff2nf_saturated_constant_is_not_capped():
+    # at kR = 40 the saturated constant is e^873.85, beyond the float range:
+    # its log is reported exactly and its float view is inf
+    k, R, B0 = 40.0, 1.0, 2.0
+    expect = (1 + 2 * np.e * B0 * k * R) ** 2 / (2 * np.e * k * R)
+    assert abs(expect - 873.85) < 5e-3
+    for log_ratio in (10.0, 800.0):
+        nf = rellich.ff2nf_bound(log_ratio, 3.0, k, R, B0)
+        assert nf.regime == "saturated"
+        assert abs(nf.log_constant - expect) < 1e-12 * expect
+        assert nf.constant == np.inf
+        # bound = Const * eps with eps = S e^(-log_ratio), in logs
+        got = nf.log_bound - (expect + np.log(3.0) - log_ratio)
+        assert abs(got) < 1e-12 * expect
 
 
 # ---------------------------------------------------------------------------
@@ -265,9 +286,12 @@ def test_calibration_roundtrip():
 
 
 def test_chain_constant_log_safe():
+    # c1 = 1e-6 puts C_chain = (C TS)^(4/(3 c1)) far beyond the float range:
+    # the log is exact and the float view is inf, not a clamped value
     cal = rellich.Calibration(1.0, 1.0, 10.0, 1e-6, 2.5e-7, 0, 10)
-    assert np.isfinite(cal.chain_constant)
-    assert cal.chain_constant >= 1.0
+    expect = 4.0 / (3.0 * 1e-6) * np.log(10.0 * rellich.TS_FACTOR)
+    assert abs(cal.log_chain_constant - expect) < 1e-14 * expect
+    assert cal.chain_constant == np.inf
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +378,7 @@ def test_uniform_outside_hull_bound_formula():
 def test_crossing_independent_recomputation():
     cal = small_cal()
     alpha, A, R, T, delta = 0.5, 2.5, 1.0, 1.0, 1e-20
-    res = rellich.cross_into_boundary(delta, alpha, T, A, cal, R)
+    res = rellich.cross_into_boundary(np.log(delta), alpha, T, A, cal, R)
     log_c2 = abs(np.log(cal.c2))
     lnln = np.log(abs(np.log(delta)))
     r_delta = A * R * log_c2 / ((1 - alpha) * lnln)
@@ -367,15 +391,15 @@ def test_crossing_independent_recomputation():
 def test_crossing_bound_decreases_in_smallness():
     cal = small_cal()
     deltas = [1e-10, 1e-40, 1e-160]
-    bounds = [rellich.cross_into_boundary(d, 0.5, 1.0, 2.5, cal, 1.0).bound
+    bounds = [rellich.cross_into_boundary(np.log(d), 0.5, 1.0, 2.5, cal,
+                                          1.0).bound
               for d in deltas]
     assert bounds[0] > bounds[1] > bounds[2]
 
 
 def test_crossing_symbolic_log_delta():
     cal = small_cal()
-    res = rellich.cross_into_boundary(None, 0.5, 1.0, 2.5, cal, 1.0,
-                                      log_delta=-np.exp(200))
+    res = rellich.cross_into_boundary(-np.exp(200), 0.5, 1.0, 2.5, cal, 1.0)
     assert res.delta_ok
     # bound scales like (ln|ln delta|)^(-alpha)
     assert abs(res.bound * 200 ** 0.5
@@ -386,11 +410,11 @@ def test_crossing_symbolic_log_delta():
 def test_crossing_validation():
     cal = small_cal()
     with pytest.raises(rellich.RellichError):
-        rellich.cross_into_boundary(1e-20, 1.5, 1.0, 2.5, cal, 1.0)
+        rellich.cross_into_boundary(np.log(1e-20), 1.5, 1.0, 2.5, cal, 1.0)
     with pytest.raises(rellich.RellichError):
-        rellich.cross_into_boundary(1e-20, 0.5, 1.0, 1.0, cal, 1.0)
+        rellich.cross_into_boundary(np.log(1e-20), 0.5, 1.0, 1.0, cal, 1.0)
     with pytest.raises(rellich.RellichError):
-        rellich.cross_into_boundary(0.999, 0.5, 1.0, 2.5, cal, 1.0)
+        rellich.cross_into_boundary(np.log(0.999), 0.5, 1.0, 2.5, cal, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -406,6 +430,18 @@ def test_pipeline_saturated_falls_back_to_T():
     res = rellich.quantitative_rellich(1e-3, 1.0, 1.0, 1.0, small_cal(), 7.0)
     assert res.regime == "saturated"
     assert res.boundary_bound == 7.0
+
+
+def test_pipeline_falls_back_to_T_when_delta_is_not_below_1_over_e():
+    # k = 1.5, eps = 1e-30: the annulus bound decays, but delta ~ 0.87 is
+    # too close to 1 for the double-log bridge, so only T survives
+    res = rellich.quantitative_rellich(1e-30, 3.0, 1.5, 1.0, small_cal(),
+                                       T=3.0)
+    assert res.nf.regime == "decay"
+    assert -1 <= res.nf.log_bound < 0
+    assert res.regime == "saturated"
+    assert res.boundary_bound == 3.0
+    assert res.delta == res.nf.bound
 
 
 def test_pipeline_symbolic_double_log_form():

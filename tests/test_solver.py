@@ -339,6 +339,36 @@ def test_solver_3d_born_regime():
     assert rel <= 5 * eps
 
 
+def load_mie3d():
+    """perfbench/mie3d.py, loaded by path so the sphere series has one copy."""
+    import importlib.util
+    import os
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                        "mie3d.py")
+    spec = importlib.util.spec_from_file_location("polyscat_mie3d", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_sphere_against_mie_series_3d():
+    # a = 0.3, contrast 0.4, k = 2 at n = 48: the far field on the default
+    # directions and the scattered field at 32 points on |x| = 0.8 each
+    # agree with the separation-of-variables series to 1 %
+    mie3d = load_mie3d()
+    k, a, phi = 2.0, 0.3, 0.4
+    omega = np.array([0.0, 0.6, 0.8])
+    g = fields.centered_grid(1.0, 48, dim=3)
+    sol = solver.solve_forward(mie3d.BallContrast(a, phi), k, omega, g)
+    ff = sol.far_field
+    ref = mie3d.sphere_far_field(k, a, phi, omega, ff.directions)
+    probe = 0.8 * solver.default_directions(3, 32)
+    near = solver.scattered_at_points(sol, probe)
+    ref_near = mie3d.sphere_scattered_field(k, a, phi, omega, probe)
+    for got, want in ((ff.values, ref), (near, ref_near)):
+        assert np.linalg.norm(got - want) <= 0.01 * np.linalg.norm(want)
+
+
 def test_far_field_memory_stays_blocked():
     # a 1.2-wide cube at n = 48 has 21,952 source cells; building the
     # whole 256-direction phase matrix at once peaks near 180 MB
