@@ -274,7 +274,7 @@ def solve_faddeev(q: np.ndarray, f: np.ndarray, rho: np.ndarray,
         except SolverError as exc:
             raise CgoError(f"remainder solve: {exc}") from exc
     # A rho of 0 never reaches here (multiplier singularity), so k is moot.
-    return WaveField(grid, psi, k=0.0, role="remainder")
+    return WaveField(grid, psi, k=0.0)
 
 
 def lp_norm(values: np.ndarray, p: float, cell_volume: float) -> float:
@@ -322,4 +322,4 @@ def build_cgo(V: ContrastField, k: float, direction: CgoDirection,
     psi = solve_faddeev(q, -q, direction.rho, grid)
     phase = np.tensordot(grid.points() - direction.vertex, direction.rho, axes=1)
     u0 = np.exp(phase) * (1.0 + psi.values)
-    return WaveField(grid, u0, k, role="cgo"), psi
+    return WaveField(grid, u0, k), psi

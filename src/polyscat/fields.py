@@ -83,7 +83,6 @@ class WaveField:
     grid: Grid
     values: np.ndarray   # complex, shape grid.shape
     k: float
-    role: str = "total"  # incident | total | scattered | cgo | remainder
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=complex)
@@ -100,7 +99,7 @@ def plane_wave(k: float, omega, grid: Grid) -> WaveField:
     if abs(np.linalg.norm(omega) - 1.0) > 1e-12:
         raise FieldError("direction must be a unit vector")
     phase = np.tensordot(grid.points(), omega, axes=1)
-    return WaveField(grid, np.exp(1j * k * phase), k, role="incident")
+    return WaveField(grid, np.exp(1j * k * phase), k)
 
 
 def laplacian_stencil(values: np.ndarray, h: float) -> np.ndarray:

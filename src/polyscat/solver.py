@@ -213,13 +213,11 @@ def _blocks(n_rows: int, row_elements: int):
 @dataclass(frozen=True)
 class ScatteringSolution:
     contrast: ContrastField
-    incident: WaveField
     total: WaveField
     scattered: WaveField
     far_field: FarFieldPattern
     iterations: int
     residual: float
-    omega: np.ndarray
 
     def min_total_outside(self, R: float) -> float:
         """inf |u| over B_R minus the scatterer (non-vanishing wave check)."""
@@ -237,7 +235,6 @@ def solve_forward(V: ContrastField, k: float, omega, grid: Grid,
                   tol: float = 1e-8,
                   n_directions: int = 256) -> ScatteringSolution:
     """Solve u = u^i + k^2 Phi_k * (V u) by GMRES and compute the far field."""
-    omega = np.asarray(omega, dtype=float)
     Vvals = V.evaluate(grid)
     if _support_touches_boundary(Vvals):
         raise SolverError("potential support escapes the grid interior")
@@ -245,12 +242,11 @@ def solve_forward(V: ContrastField, k: float, omega, grid: Grid,
     u, iterations, res = solve_volume_equation(
         GreenConvolution(grid, k), -k ** 2 * Vvals, ui.values, tol,
         GMRES_MAXITER)
-    total = WaveField(grid, u, k, role="total")
-    scattered = WaveField(grid, u - ui.values, k, role="scattered")
+    total = WaveField(grid, u, k)
+    scattered = WaveField(grid, u - ui.values, k)
     dirs = default_directions(grid.dim, n_directions)
     ff = far_field_from_volume(Vvals, total, k, dirs)
-    return ScatteringSolution(V, ui, total, scattered, ff,
-                              iterations, res, omega)
+    return ScatteringSolution(V, total, scattered, ff, iterations, res)
 
 
 def _support_touches_boundary(Vvals: np.ndarray) -> bool:

@@ -34,21 +34,24 @@ class StabilityError(RuntimeError):
 # Field sampling helpers
 # ---------------------------------------------------------------------------
 
-def field_interpolator(w: WaveField):
-    """Cubic interpolation of a grid field; callable on (..., dim) points."""
-    interp = RegularGridInterpolator(tuple(w.grid.axes()), w.values,
+def field_interpolator(*fields: WaveField):
+    """One cubic interpolant of one or more fields on one grid, callable on
+    (..., dim) points: shape pts.shape[:-1] for one field and
+    pts.shape[:-1] + (m,) for m fields."""
+    if len({(w.grid.shape, w.grid.spacing, tuple(w.grid.origin))
+            for w in fields}) > 1:
+        raise StabilityError("interpolated fields must share one grid")
+    grid = fields[0].grid
+    values = np.stack([w.values for w in fields], axis=-1)
+    interp = RegularGridInterpolator(tuple(grid.axes()), values,
                                      method="cubic", bounds_error=True)
+    tail = (len(fields),) if len(fields) > 1 else ()
 
     def f(pts):
         pts = np.asarray(pts, dtype=float)
-        return interp(pts.reshape(-1, w.grid.dim)).reshape(pts.shape[:-1])
+        return interp(pts.reshape(-1, grid.dim)).reshape(pts.shape[:-1] + tail)
 
     return f
-
-
-def normal_derivative(f, pts, normals, step: float):
-    """Central-difference derivative of f along the given unit normals."""
-    return (f(pts + step * normals) - f(pts - step * normals)) / (2 * step)
 
 
 def gradient_at(f, pts, step: float):
@@ -133,7 +136,6 @@ class OrthogonalityReport:
     volume_term: complex
     boundary_term: complex
     mismatch: float
-    h: float
 
     @property
     def relative_mismatch(self) -> float:
@@ -143,43 +145,40 @@ class OrthogonalityReport:
 
 def check_orthogonality(V: ContrastField, u_total, u_prime, u0,
                         q_cone: PolyCone, h: float, k: float,
-                        n_volume: int = 256, n_boundary: int = 512,
+                        n_volume: int, n_boundary: int,
                         fd_step: float | None = None) -> OrthogonalityReport:
     """Quadrature check of
     k^2 int_{Q_h} V u0 u' dx = int_{dQ_h} (u0 dn(u'-u) - (u'-u) dn u0).
 
-    The three fields are WaveFields, each interpolated cubically.
-    Q_h is the cone truncated at radius h around its vertex.  u' must
-    solve the free Helmholtz equation on Q_h (V' = 0 there); u0 any
-    solution with potential V.
+    The three fields are WaveFields on one grid, interpolated together in
+    one pass.  Q_h is the cone truncated at radius h around its vertex.
+    u' must solve the free Helmholtz equation on Q_h (V' = 0 there); u0
+    any solution with potential V.
     """
-    fu = field_interpolator(u_total)
-    fup = field_interpolator(u_prime)
-    f0 = field_interpolator(u0)
+    f = field_interpolator(u_total, u_prime, u0)
     v = q_cone.vertex
     # volume term on a fine midpoint subgrid of the bounding box
     cell = 2 * h / n_volume
     ax = [v[i] - h + cell * (np.arange(n_volume) + 0.5)
           for i in range(q_cone.dim)]
     mesh = np.stack(np.meshgrid(*ax, indexing="ij"), axis=-1)
-    inside = cone_ball_mask(q_cone, mesh, h)
-    pts = mesh[inside]
-    in_p = polytope_mask(V.polytope, pts)
-    vol = 0.0 + 0.0j
-    if np.any(in_p):
-        pv = pts[in_p]
-        vol = k ** 2 * np.sum(V.phi(pv) * f0(pv) * fup(pv)) \
-            * cell ** q_cone.dim
+    pts = mesh[cone_ball_mask(q_cone, mesh, h)]
+    pv = pts[polytope_mask(V.polytope, pts)]
     bpts, bnrm, bwts = cone_boundary_quadrature(q_cone, h, n_boundary)
     step = fd_step if fd_step is not None else h / 64
-    diff = fup(bpts) - fu(bpts)
-    dn_diff = normal_derivative(fup, bpts, bnrm, step) \
-        - normal_derivative(fu, bpts, bnrm, step)
-    u0_b = f0(bpts)
-    dn_u0 = normal_derivative(f0, bpts, bnrm, step)
-    bnd = np.sum((u0_b * dn_diff - diff * dn_u0) * bwts)
+    # columns u, u', u0
+    vals = f(np.concatenate([pv, bpts, bpts + step * bnrm,
+                             bpts - step * bnrm]))
+    vol_vals, on_b, plus, minus = np.split(
+        vals, np.cumsum([len(pv), len(bpts), len(bpts)]))
+    vol = k ** 2 * np.sum(V.phi(pv) * vol_vals[:, 2] * vol_vals[:, 1]) \
+        * cell ** q_cone.dim
+    dn = (plus - minus) / (2 * step)
+    diff = on_b[:, 1] - on_b[:, 0]
+    dn_diff = dn[:, 1] - dn[:, 0]
+    bnd = np.sum((on_b[:, 2] * dn_diff - diff * dn[:, 2]) * bwts)
     return OrthogonalityReport(complex(vol), complex(bnd),
-                               float(abs(vol - bnd)), float(h))
+                               float(abs(vol - bnd)))
 
 
 # ---------------------------------------------------------------------------
@@ -370,14 +369,14 @@ class CornerRecord:
     ff_norm: float
     bound: float
     ell: float
-    phi_xc: complex
+    phi_re: float        # phi(x_c), the contrast at the probed corner
+    phi_im: float
     noise_floor: float
     separation: float
+    lnln_ratio: float    # ln ln(S/bound): finite where bound underflows to 0
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["phi_xc"] = [self.phi_xc.real, self.phi_xc.imag]
-        return d
+        return asdict(self)
 
 
 def estimate_noise_floor(k: float, omega, grid, n_directions: int = 256
@@ -416,10 +415,15 @@ def run_corner_lower_bound_experiment(scenes, k: float, omega, grid,
         x_c = V.polytope.vertices[0]
         phi_xc = complex(np.atleast_1d(V.phi(x_c[None, :]))[0])
         ell = rep.ell
-        inner = ell ** (-2 / g) * abs(phi_xc) ** (-2 - 2 / ((n + 5) * g))
-        bound = float_view(np.log(S) - float_view(inner))
-        out.append(CornerRecord(ff_norm, float(bound), float(ell), phi_xc,
-                                noise, ff_norm / noise))
+        # bound = S exp(-inner) with inner = ell^(-2/g) |phi|^(-2-2/((n+5)g)),
+        # carried as ln(inner) = ln ln(S/bound)
+        with np.errstate(divide="ignore"):
+            lnln = (-(2 / g) * np.log(ell)
+                    - (2 + 2 / ((n + 5) * g)) * np.log(abs(phi_xc)))
+        bound = float_view(np.log(S) - float_view(lnln))
+        out.append(CornerRecord(ff_norm, float(bound), float(ell),
+                                phi_xc.real, phi_xc.imag, noise,
+                                ff_norm / noise, float(lnln)))
     return out
 
 

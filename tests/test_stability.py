@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -137,6 +140,55 @@ def test_orthogonality_mismatch_shrinks_under_refinement():
     assert mismatches[1] < mismatches[0] / 1.8
 
 
+def test_orthogonality_one_interpolant_one_pass(monkeypatch):
+    # the three fields share one interpolant, evaluated once on the volume
+    # points, the boundary points and both normal shifts together
+    counts = {"built": 0, "calls": 0}
+    base = stability.RegularGridInterpolator
+
+    class Counting(base):
+        def __init__(self, *args, **kwargs):
+            counts["built"] += 1
+            super().__init__(*args, **kwargs)
+
+        def __call__(self, *args, **kwargs):
+            counts["calls"] += 1
+            return super().__call__(*args, **kwargs)
+
+    monkeypatch.setattr(stability, "RegularGridInterpolator", Counting)
+    V = square_contrast(0.4)
+    k = 2.0
+    g = fields.centered_grid(1.0, 64, dim=2)
+    u, up, u0 = (fields.plane_wave(k, d, g)
+                 for d in ([1.0, 0.0], [0.0, 1.0], [0.6, 0.8]))
+    p_cone, _ = top_vertex_cones(V.polytope, [-0.35, 0.35])
+    rep = stability.check_orthogonality(V, u, up, u0, p_cone, h=0.2, k=k,
+                                        n_volume=32, n_boundary=64)
+    assert rep.volume_term != 0
+    assert counts == {"built": 1, "calls": 1}
+
+
+def test_orthogonality_mismatch_shrinks_under_refinement_3d():
+    # total-field identity at a cuboid vertex, probed by the orthant cone
+    # pointing into the cuboid
+    from polyscat.solver import solve_forward
+    k = 2.0
+    V = fields.constant_contrast(geom.cuboid([0, 0, 0], [0.3, 0.3, 0.3]), 0.4)
+    omega = [1.0, 0.0, 0.0]
+    p_cone = geom.PolyCone(np.full(3, 0.3), -np.eye(3), "polyhedral")
+    mismatches = []
+    for n in (48, 64):
+        g = fields.centered_grid(1.0, n, dim=3)
+        sol = solve_forward(V, k, omega, g)
+        up = fields.plane_wave(k, omega, g)
+        rep = stability.check_orthogonality(V, sol.total, up, sol.total,
+                                            p_cone, h=0.15, k=k, n_volume=64,
+                                            n_boundary=256)
+        mismatches.append(rep.relative_mismatch)
+    assert mismatches[1] <= mismatches[0] / 2
+    assert mismatches[1] <= 0.06
+
+
 # ---------------------------------------------------------------------------
 # Budgets and the decay-rate choice
 # ---------------------------------------------------------------------------
@@ -266,6 +318,40 @@ def test_corner_experiment_born_monotone():
     assert np.all(np.abs(ratios - 2.0) < 0.2)
 
 
+@pytest.fixture(scope="module")
+def born_ladder_records():
+    g = fields.centered_grid(1.0, 96, dim=2)
+    scenes = [square_contrast(phi) for phi in (0.01, 0.02, 0.04, 0.08)]
+    return stability.run_corner_lower_bound_experiment(scenes, 2.0, [1.0, 0.0],
+                                                       g, n_directions=64)
+
+
+def test_corner_records_csv_rows_match_header(born_ladder_records):
+    rows = list(csv.reader(io.StringIO(
+        stability.records_to_csv(born_ladder_records))))
+    header, body = rows[0], rows[1:]
+    assert len(body) == 4
+    for row, r in zip(body, born_ladder_records):
+        assert len(row) == len(header)
+        assert float(row[3]) == r.phi_re  # gnuplot's column 4
+    assert header[3:5] == ["phi_re", "phi_im"] and header[-1] == "lnln_ratio"
+
+
+def test_corner_lnln_ratio_is_finite(born_ladder_records):
+    for r in born_ladder_records:
+        assert np.isfinite(r.lnln_ratio)
+    # still finite where inner = ln(S/bound) would overflow a float: a
+    # square of side ell = 0.01 with phi = 0.01
+    s = 0.005
+    P = geom.convex_polygon(np.array([[-s, -s], [s, -s], [s, s], [-s, s]]))
+    [r] = stability.run_corner_lower_bound_experiment(
+        [fields.constant_contrast(P, 0.01)], 2.0, [1.0, 0.0],
+        fields.centered_grid(0.05, 24, dim=2), n_directions=64)
+    assert r.ell == pytest.approx(0.01)
+    assert np.log(np.finfo(float).max) < r.lnln_ratio < np.inf
+    assert r.bound == 0.0 and r.ff_norm >= r.bound
+
+
 def test_corner_experiment_rejects_inadmissible():
     # a square of half-side 0.8 leaves B(0, 1), the ball of a grid of
     # half-width 1
@@ -287,11 +373,25 @@ def test_field_interpolator_roundtrip():
         f(np.array([[5.0, 0.0]]))
 
 
+def test_field_interpolator_stacks_fields():
+    g = fields.centered_grid(1.0, 32, dim=2)
+    ws = [fields.plane_wave(2.0, d, g)
+          for d in ([1.0, 0.0], [0.0, 1.0], [0.6, 0.8])]
+    pts = np.random.default_rng(3).uniform(-0.5, 0.5, (5, 3, 2))
+    stacked = stability.field_interpolator(*ws)(pts)
+    assert stacked.shape == (5, 3, 3)
+    for i, w in enumerate(ws):
+        np.testing.assert_array_equal(stacked[..., i],
+                                      stability.field_interpolator(w)(pts))
+    shifted = fields.Grid(g.origin + g.spacing / 2, g.spacing, g.shape)
+    for other in (fields.centered_grid(1.0, 33, dim=2), shifted):
+        with pytest.raises(stability.StabilityError, match="one grid"):
+            stability.field_interpolator(
+                ws[0], fields.plane_wave(2.0, [1.0, 0.0], other))
+
+
 def test_gradient_and_normal_derivative():
     f = lambda pts: np.asarray(pts)[..., 0] ** 2 + 3 * np.asarray(pts)[..., 1]
     pts = np.array([[0.5, 1.0]])
     grad = stability.gradient_at(f, pts, 1e-5)
     np.testing.assert_allclose(grad[0], [1.0, 3.0], atol=1e-8)
-    nrm = np.array([[0.0, 1.0]])
-    dn = stability.normal_derivative(f, pts, nrm, 1e-5)
-    np.testing.assert_allclose(dn, [3.0], atol=1e-8)
