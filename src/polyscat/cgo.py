@@ -213,23 +213,22 @@ class FaddeevGreen(PaddedFFTMultiplier):
 
     def __init__(self, grid: Grid, rho: np.ndarray):
         super().__init__(grid)
-        self.rho = np.asarray(rho, dtype=complex)
+        rho = np.asarray(rho, dtype=complex)
         shifts = [np.pi / (m * grid.spacing) for m in self._pad]
-        freqs = [2 * np.pi * np.fft.fftfreq(m, d=grid.spacing) + s
-                 for m, s in zip(self._pad, shifts)]
-        mesh = np.meshgrid(*freqs, indexing="ij")
-        xi2 = sum(m ** 2 for m in mesh)
-        rho_dot_xi = sum(self.rho[i] * mesh[i] for i in range(grid.dim))
-        symbol = -xi2 + 2j * rho_dot_xi
+        xi = np.meshgrid(*[2 * np.pi * np.fft.fftfreq(m, d=grid.spacing) + s
+                           for m, s in zip(self._pad, shifts)],
+                         indexing="ij", sparse=True)
+        symbol = (-sum(x ** 2 for x in xi)
+                  + 2j * sum(r * x for r, x in zip(rho, xi)))
         min_abs = float(np.min(np.abs(symbol)))
         if min_abs < 1e-8:
-            tau = float(np.linalg.norm(np.real(self.rho)))
+            tau = float(np.linalg.norm(np.real(rho)))
             dq = 2 * np.pi / (self._pad[0] * grid.spacing)
             raise MultiplierSingularity(min_abs, tau + dq)
         self._symbol = 1.0 / symbol
-        idx = [np.arange(m) * grid.spacing for m in self._pad]
-        phases = np.meshgrid(*[s * x for s, x in zip(shifts, idx)],
-                             indexing="ij")
+        phases = np.meshgrid(*[s * (np.arange(m) * grid.spacing)
+                               for m, s in zip(self._pad, shifts)],
+                             indexing="ij", sparse=True)
         self._mod = np.exp(-1j * sum(phases))
 
 

@@ -90,22 +90,26 @@ class PaddedFFTMultiplier:
 
 
 class GreenConvolution(PaddedFFTMultiplier):
-    """Circulant embedding of x -> (Phi_k * x) h^n on a uniform grid."""
+    """Circulant embedding of x -> (Phi_k * x) h^n on a uniform grid.
+
+    The kernel depends on each offset only through its size per axis, so
+    Phi_k is evaluated once on the first orthant of offsets 0..s and
+    folded onto the padded lattice of m = 2s points, where index a holds
+    the offset of size min(a, m - a)."""
 
     def __init__(self, grid: Grid, k: float):
         super().__init__(grid)
-        self.k = k
         h = grid.spacing
-        offsets = np.meshgrid(
-            *[np.where(np.arange(m) < s, np.arange(m), np.arange(m) - m) * h
-              for s, m in zip(grid.shape, self._pad)],
-            indexing="ij")
+        offsets = np.meshgrid(*[np.arange(s + 1) * h for s in grid.shape],
+                              indexing="ij", sparse=True)
         r = np.sqrt(sum(o ** 2 for o in offsets))
-        kernel = np.zeros(self._pad, dtype=complex)
-        nz = r > 0
-        kernel[nz] = fundamental_solution(k, r[nz], grid.dim) * grid.cell_volume
-        kernel[(0,) * grid.dim] = singular_cell_integral(k, h, grid.dim)
-        self._symbol = np.fft.fftn(kernel)
+        origin = (0,) * grid.dim
+        r[origin] = h   # keeps r = 0 out of Phi_k; the cell is set below
+        orthant = fundamental_solution(k, r, grid.dim) * grid.cell_volume
+        orthant[origin] = singular_cell_integral(k, h, grid.dim)
+        fold = np.ix_(*[np.minimum(np.arange(m), m - np.arange(m))
+                        for m in self._pad])
+        self._symbol = np.fft.fftn(orthant[fold])
 
 
 def solve_volume_equation(op: PaddedFFTMultiplier, m: np.ndarray,
@@ -250,14 +254,10 @@ def solve_forward(V: ContrastField, k: float, omega, grid: Grid,
 
 
 def _support_touches_boundary(Vvals: np.ndarray) -> bool:
-    if not np.any(Vvals != 0):
-        return False
-    for ax in range(Vvals.ndim):
-        first = np.take(Vvals, 0, axis=ax)
-        last = np.take(Vvals, -1, axis=ax)
-        if np.any(first != 0) or np.any(last != 0):
-            return True
-    return False
+    """True when some nonzero lies on a face of the grid, i.e. outside its
+    interior (every index strictly between the first and the last)."""
+    interior = Vvals[(slice(1, -1),) * Vvals.ndim]
+    return np.count_nonzero(Vvals) != np.count_nonzero(interior)
 
 
 # ---------------------------------------------------------------------------

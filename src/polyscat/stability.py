@@ -12,7 +12,7 @@ sweeps and report the fit, never assert a numeric value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict, field
+from dataclasses import dataclass, asdict
 
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
@@ -284,12 +284,9 @@ class StabilityRecord:
     gamma: float = np.nan
     m: float = np.nan
     S: float = np.nan
-    detail: dict = field(default_factory=dict, compare=False)
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d.pop("detail", None)
-        return d
+        return asdict(self)
 
 
 def support_stability_gamma(m: float, n: int) -> float:
@@ -340,10 +337,7 @@ def run_support_stability_experiment(scene_pairs, k: float, omega, grid,
         else:
             bound, tau, regime = np.inf, np.nan, "saturated"
         records.append(StabilityRecord(eps, float(hh), float(tau),
-                                       float(bound), regime, gamma, m, S,
-                                       detail={"pipeline_delta": pipeline.delta,
-                                               "boundary_bound":
-                                               pipeline.boundary_bound}))
+                                       float(bound), regime, gamma, m, S))
     return records
 
 

@@ -37,19 +37,24 @@ def test_singular_cell_integral_3d_against_quadrature():
     assert abs(got - (re + 1j * im)) < 1e-12
 
 
-def test_green_convolution_matches_direct_sum():
+@pytest.mark.parametrize("g", [
+    fields.centered_grid(0.5, 12, dim=2),
+    # odd and unequal axes: the folded kernel reads offset min(a, 2s - a)
+    fields.Grid(np.array([-0.6, -0.4]), 0.09, (11, 14)),
+    fields.Grid(np.array([-0.3, -0.2, -0.35]), 0.1, (5, 6, 7)),
+], ids=["2d-12x12", "2d-11x14", "3d-5x6x7"])
+def test_green_convolution_matches_direct_sum(g):
     k = 2.0
-    g = fields.centered_grid(0.5, 12, dim=2)
     rng = np.random.default_rng(0)
     x = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
     conv = solver.GreenConvolution(g, k)
     got = conv.apply(x)
-    pts = g.points().reshape(-1, 2)
+    pts = g.points().reshape(-1, g.dim)
     diff = np.linalg.norm(pts[:, None] - pts[None], axis=-1)
     kernel = np.zeros(diff.shape, dtype=complex)
     nz = diff > 0
-    kernel[nz] = solver.fundamental_solution(k, diff[nz], 2) * g.cell_volume
-    kernel[~nz] = solver.singular_cell_integral(k, g.spacing, 2)
+    kernel[nz] = solver.fundamental_solution(k, diff[nz], g.dim) * g.cell_volume
+    kernel[~nz] = solver.singular_cell_integral(k, g.spacing, g.dim)
     direct = (kernel @ x.ravel()).reshape(g.shape)
     assert np.max(np.abs(got - direct)) < 1e-10 * np.max(np.abs(direct))
 
@@ -82,6 +87,24 @@ def test_support_must_stay_interior():
     g = fields.centered_grid(1.0, 32, dim=2)
     with pytest.raises(solver.SolverError):
         solver.solve_forward(V, 2.0, [1.0, 0.0], g)
+    # a 3D cuboid reaching only the x = max face of a 16^3 grid
+    g3 = fields.centered_grid(1.0, 16, dim=3)
+    C = geom.cuboid([0.6, 0.0, 0.0], [0.4, 0.3, 0.3])
+    Vvals = fields.constant_contrast(C, 0.5).evaluate(g3)
+    nz = np.nonzero(Vvals)
+    assert nz[0].max() == 15 and nz[0].min() > 0
+    assert all(0 < a.min() and a.max() < 15 for a in nz[1:])
+    with pytest.raises(solver.SolverError):
+        solver.solve_forward(fields.constant_contrast(C, 0.5), 2.0,
+                             [1.0, 0.0, 0.0], g3)
+    # a square whose support stays one cell inside every face solves
+    s = 1.0 - 1.5 * g.spacing
+    P = geom.convex_polygon([[-s, -s], [s, -s], [s, s], [-s, s]])
+    V = fields.constant_contrast(P, 0.5)
+    nz = np.nonzero(V.evaluate(g))
+    assert all(a.min() == 1 and a.max() == 30 for a in nz)
+    sol = solver.solve_forward(V, 2.0, [1.0, 0.0], g)
+    assert np.all(np.isfinite(sol.far_field.values))
 
 
 def test_gmres_non_convergence_is_a_typed_error(monkeypatch):
