@@ -1,8 +1,8 @@
 """Forward solver sanity demo: plane wave on a penetrable disc.
 
-Solves the Lippmann-Schwinger equation on a 2D grid and compares the far
-field against the separation-of-variables series, then prints the radial
-decay of the scattered wave.
+Solves the Lippmann-Schwinger equation on the disc's support box in a 2D
+grid and compares the far field against the separation-of-variables
+series, then prints the radial decay of the scattered wave.
 
 Run:  python demos/forward_disc.py
 """
@@ -27,8 +27,10 @@ def main():
     t0 = time.perf_counter()
     sol = solver.solve_forward(DiscContrast(a, phi), k, [1.0, 0.0], grid,
                                n_directions=16)
-    print(f"solved in {time.perf_counter() - t0:.1f} s "
-          f"({sol.iterations} GMRES iterations, residual {sol.residual:.1e})")
+    box = "x".join(str(s) for s in sol.box.grid.shape)
+    print(f"solved in {time.perf_counter() - t0:.1f} s on the {box} support "
+          f"box ({sol.iterations} GMRES iterations, "
+          f"residual {sol.residual:.1e})")
 
     theta = np.arctan2(sol.far_field.directions[:, 1],
                        sol.far_field.directions[:, 0])

@@ -2,23 +2,25 @@
 
 The total field solves u = u^i + k^2 Phi_k * (V u) with the outgoing
 fundamental solution Phi_k (2D: (i/4) H_0^(1)(k|x|), 3D: e^(ik|x|)/(4 pi |x|)).
-The volume convolution is applied with FFTs on a zero-padded grid; the
-singular cell is replaced by the analytic average of Phi_k over an
-equal-measure disc/ball, and the linear system is solved with restarted
-GMRES.  The radiation condition is exact by construction of the kernel.
+Only u on supp V enters the equation, so it is solved on the bounding box
+of supp V.  The volume convolution is applied with FFTs on the box
+zero-padded to twice its shape; the singular cell is replaced by the
+analytic average of Phi_k over an equal-measure disc/ball, and the linear
+system is solved with restarted GMRES.  The radiation condition is exact by
+construction of the kernel.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, gmres
 from scipy.special import hankel1, jv
 
-from .fields import (ContrastField, FieldError, Grid, WaveField, plane_wave,
-                     polytope_mask)
+from .fields import ContrastField, FieldError, Grid, WaveField, plane_wave
 
 GMRES_RESTART = 50
 GMRES_MAXITER = 2000
@@ -216,41 +218,68 @@ def _blocks(n_rows: int, row_elements: int):
 
 @dataclass(frozen=True)
 class ScatteringSolution:
+    """A forward solve.  The solve computes the total field only on `box`,
+    the bounding box of supp V (index slices `support` of `grid`), where
+    `box_contrast` holds V.  The full-grid `total` and `scattered` fields
+    are rebuilt from it on first read by one convolution over the grid."""
     contrast: ContrastField
-    total: WaveField
-    scattered: WaveField
+    grid: Grid
+    omega: np.ndarray
+    support: tuple
+    box: WaveField
+    box_contrast: np.ndarray
     far_field: FarFieldPattern
     iterations: int
     residual: float
 
-    def min_total_outside(self, R: float) -> float:
-        """inf |u| over B_R minus the scatterer (non-vanishing wave check)."""
-        g = self.total.grid
-        pts = g.points()
-        inside_ball = np.linalg.norm(pts, axis=-1) <= R
-        inside_p = polytope_mask(self.contrast.polytope, pts)
-        mask = inside_ball & ~inside_p
-        if not np.any(mask):
-            raise SolverError("no grid points in B_R outside the scatterer")
-        return float(np.min(np.abs(self.total.values[mask])))
+    @cached_property
+    def total(self) -> WaveField:
+        """u = u^i + k^2 Phi_k * (V u) on the grid, equal to the solved
+        field on the box."""
+        k, g = self.box.k, self.grid
+        u = plane_wave(k, self.omega, g).values
+        if self.box.values.size:
+            src = np.zeros(g.shape, dtype=complex)
+            src[self.support] = -k ** 2 * self.box_contrast * self.box.values
+            u = u - GreenConvolution(g, k).apply(src)
+            u[self.support] = self.box.values
+        return WaveField(g, u, k)
+
+    @cached_property
+    def scattered(self) -> WaveField:
+        ui = plane_wave(self.box.k, self.omega, self.grid)
+        return WaveField(self.grid, self.total.values - ui.values, ui.k)
 
 
 def solve_forward(V: ContrastField, k: float, omega, grid: Grid,
                   tol: float = 1e-8,
                   n_directions: int = 256) -> ScatteringSolution:
-    """Solve u = u^i + k^2 Phi_k * (V u) by GMRES and compute the far field."""
+    """Solve u = u^i + k^2 Phi_k * (V u) by GMRES on the bounding box of
+    supp V, the only place u enters the equation, and compute the far
+    field from the box field.  A zero contrast has an empty box and the
+    solution u = u^i."""
     Vvals = V.evaluate(grid)
     if _support_touches_boundary(Vvals):
         raise SolverError("potential support escapes the grid interior")
-    ui = plane_wave(k, omega, grid)
-    u, iterations, res = solve_volume_equation(
-        GreenConvolution(grid, k), -k ** 2 * Vvals, ui.values, tol,
-        GMRES_MAXITER)
-    total = WaveField(grid, u, k)
-    scattered = WaveField(grid, u - ui.values, k)
+    nz = np.argwhere(Vvals)
+    lo, hi = ((nz.min(axis=0), nz.max(axis=0) + 1) if len(nz)
+              else (np.zeros(grid.dim, dtype=int),) * 2)
+    support = tuple(slice(a, b) for a, b in zip(lo, hi))
+    box = Grid(grid.origin + grid.spacing * lo, grid.spacing, hi - lo)
+    omega = np.asarray(omega, dtype=float)
+    ui = plane_wave(k, omega, box)
+    Vbox = Vvals[support]
+    if Vbox.size:
+        u, iterations, res = solve_volume_equation(
+            GreenConvolution(box, k), -k ** 2 * Vbox, ui.values, tol,
+            GMRES_MAXITER)
+    else:
+        u, iterations, res = ui.values, 0, 0.0
+    field = WaveField(box, u, k)
     dirs = default_directions(grid.dim, n_directions)
-    ff = far_field_from_volume(Vvals, total, k, dirs)
-    return ScatteringSolution(V, total, scattered, ff, iterations, res)
+    ff = far_field_from_volume(Vbox, field, k, dirs)
+    return ScatteringSolution(V, grid, omega, support, field, Vbox, ff,
+                              iterations, res)
 
 
 def _support_touches_boundary(Vvals: np.ndarray) -> bool:
@@ -289,12 +318,12 @@ def scattered_at_points(sol: ScatteringSolution,
     to R_src that J_n(k R_src) underflows or H_n(k b) overflows before the
     term falls below GRAF_TOL.
     """
-    k = sol.total.k
+    k = sol.box.k
     ys, amps = _volume_sources(sol)
     points = np.atleast_2d(np.asarray(points, dtype=float))
     out = np.empty(len(points), dtype=complex)
     graf = np.zeros(len(points), dtype=bool)
-    if sol.total.grid.dim == 2:
+    if sol.grid.dim == 2:
         kr = k * np.linalg.norm(points, axis=1)
         kR = k * np.linalg.norm(ys, axis=1).max(initial=0.0)
         kb, order = _graf_reach(kR, np.unique(kr[kr > kR]))
@@ -307,10 +336,10 @@ def scattered_at_points(sol: ScatteringSolution,
 
 def _volume_sources(sol: ScatteringSolution) -> tuple[np.ndarray, np.ndarray]:
     """Source cells y where V u != 0, and their weights k^2 (V u)(y) h^n."""
-    g = sol.total.grid
-    src = sol.contrast.evaluate(g) * sol.total.values
+    g = sol.box.grid
+    src = sol.box_contrast * sol.box.values
     nz = src != 0
-    return g.points()[nz], src[nz] * g.cell_volume * sol.total.k ** 2
+    return g.points()[nz], src[nz] * g.cell_volume * sol.box.k ** 2
 
 
 def _dense_potential(k: float, ys: np.ndarray, amps: np.ndarray,
@@ -426,11 +455,5 @@ def near_field_on_annulus(sol: ScatteringSolution, r1: float, r2: float,
         raise SolverError("annulus intersects the potential support")
     pts, w = annulus_sampling(r1, r2, P.dim, n_radial, n_angular)
     vals = scattered_at_points(sol, pts)
-    return SampledField(pts, vals, sol.total.k), w
+    return SampledField(pts, vals, sol.box.k), w
 
-
-def born_far_field(V: ContrastField, k: float, omega, grid: Grid,
-                   directions: np.ndarray) -> FarFieldPattern:
-    """Born approximation: the far-field quadrature with u replaced by u^i."""
-    ui = plane_wave(k, np.asarray(omega, dtype=float), grid)
-    return far_field_from_volume(V.evaluate(grid), ui, k, directions)
