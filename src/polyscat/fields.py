@@ -47,10 +47,6 @@ class Grid:
     def dim(self) -> int:
         return self.origin.size
 
-    @property
-    def n_points(self) -> int:
-        return int(np.prod(self.shape))
-
     def axes(self) -> list[np.ndarray]:
         return [self.origin[i] + self.spacing * np.arange(self.shape[i])
                 for i in range(self.dim)]
@@ -117,28 +113,6 @@ def laplacian_stencil(values: np.ndarray, h: float) -> np.ndarray:
     return lap
 
 
-def helmholtz_residual(u: WaveField, V: np.ndarray | None = None,
-                       mask: np.ndarray | None = None) -> float:
-    """max over interior points of |Lap_h u + k^2 (1+V) u|.
-
-    A solver sanity metric, not a convergence proof.  An optional mask
-    restricts the maximum (e.g. to cells away from a contrast boundary).
-    """
-    lap = laplacian_stencil(u.values, u.grid.spacing)
-    one_plus_v = 1.0 if V is None else 1.0 + V
-    res = lap + u.k ** 2 * one_plus_v * u.values
-    core = (slice(1, -1),) * u.grid.dim
-    r = np.abs(res[core])
-    if mask is not None:
-        m = mask[core]
-        if not np.any(m):
-            raise FieldError("empty interior mask")
-        r = r[m]
-    if r.size == 0:
-        raise FieldError("grid has no interior points")
-    return float(np.max(r))
-
-
 def h2_surrogate(u: WaveField) -> float:
     """Discrete stand-in for the H^2 norm over the interior cells: L2 norms
     of the values, the central-difference gradient and the stencil
@@ -192,9 +166,6 @@ class ContrastField:
         self._cache.clear()   # one grid at a time: the cache stays bounded
         self._cache[key] = vals
         return vals
-
-    def vertex_values(self) -> np.ndarray:
-        return np.asarray(self.phi(self.polytope.vertices), dtype=complex)
 
 
 def constant_contrast(P: Polytope, value: complex) -> ContrastField:

@@ -261,11 +261,7 @@ def solve_forward(V: ContrastField, k: float, omega, grid: Grid,
     Vvals = V.evaluate(grid)
     if _support_touches_boundary(Vvals):
         raise SolverError("potential support escapes the grid interior")
-    nz = np.argwhere(Vvals)
-    lo, hi = ((nz.min(axis=0), nz.max(axis=0) + 1) if len(nz)
-              else (np.zeros(grid.dim, dtype=int),) * 2)
-    support = tuple(slice(a, b) for a, b in zip(lo, hi))
-    box = Grid(grid.origin + grid.spacing * lo, grid.spacing, hi - lo)
+    support, box = support_box(Vvals, grid)
     omega = np.asarray(omega, dtype=float)
     ui = plane_wave(k, omega, box)
     Vbox = Vvals[support]
@@ -280,6 +276,17 @@ def solve_forward(V: ContrastField, k: float, omega, grid: Grid,
     ff = far_field_from_volume(Vbox, field, k, dirs)
     return ScatteringSolution(V, grid, omega, support, field, Vbox, ff,
                               iterations, res)
+
+
+def support_box(values: np.ndarray, grid: Grid) -> tuple[tuple, Grid]:
+    """Index slices of the bounding box of the nonzeros of `values` on
+    `grid`, and that box as a Grid; both are empty when all values are 0."""
+    nz = np.argwhere(values)
+    lo, hi = ((nz.min(axis=0), nz.max(axis=0) + 1) if len(nz)
+              else (np.zeros(grid.dim, dtype=int),) * 2)
+    support = tuple(slice(a, b) for a, b in zip(lo, hi))
+    return support, Grid(grid.origin + grid.spacing * lo, grid.spacing,
+                         hi - lo)
 
 
 def _support_touches_boundary(Vvals: np.ndarray) -> bool:

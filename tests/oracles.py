@@ -3,7 +3,8 @@
 Everything here is deliberately written against a different method than the
 library code it checks: separation-of-variables series for the disc, mpmath
 arbitrary-precision Bessel evaluations, dense sampling for distances and
-brute-force quadrature for cone integrals.
+brute-force quadrature for cone integrals, and a finite-difference PDE
+residual.
 """
 
 import numpy as np
@@ -165,3 +166,29 @@ def born_far_field_quadrature(Vvals, grid, k, omega, directions):
         phase = np.exp(1j * k * pts @ (omega - xhat))
         out.append(np.sum(v * phase) * grid.cell_volume)
     return far_field_constant(k, grid.dim) * k ** 2 * np.array(out)
+
+
+# ---------------------------------------------------------------------------
+# Helmholtz residual (finite differences)
+# ---------------------------------------------------------------------------
+
+def helmholtz_residual(u, V=None, mask=None):
+    """max over interior points of |Lap_h u + k^2 (1+V) u| for a WaveField u.
+
+    A solver sanity metric, not a convergence proof.  An optional mask
+    restricts the maximum (e.g. to cells away from a contrast boundary).
+    """
+    from polyscat.fields import FieldError, laplacian_stencil
+    lap = laplacian_stencil(u.values, u.grid.spacing)
+    one_plus_v = 1.0 if V is None else 1.0 + V
+    res = lap + u.k ** 2 * one_plus_v * u.values
+    core = (slice(1, -1),) * u.grid.dim
+    r = np.abs(res[core])
+    if mask is not None:
+        m = mask[core]
+        if not np.any(m):
+            raise FieldError("empty interior mask")
+        r = r[m]
+    if r.size == 0:
+        raise FieldError("grid has no interior points")
+    return float(np.max(r))

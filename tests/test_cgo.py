@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from polyscat import cgo, fields, geom
+from polyscat import cgo, fields, geom, solver
 
 
 def spherical_cone_2d(axis=(1.0, 0.0), half=np.pi / 5, vertex=(0.0, 0.0)):
@@ -220,6 +220,143 @@ def test_contraction_gate_rejects_large_contrast():
         cgo.solve_faddeev(q, -q, rho, g)
 
 
+# ---------------------------------------------------------------------------
+# The remainder solve on the support box, and the certified gate
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("dim, n, lo, hi", [
+    (2, 48, (7, 21), (30, 33)),
+    (3, 20, (2, 5, 9), (10, 16, 14)),
+], ids=["2d-off-centre", "3d"])
+def test_restricted_green_matches_full_operator(dim, n, lo, hi):
+    g = fields.centered_grid(1.0, n, dim=dim)
+    axis = np.ones(dim) / np.sqrt(dim)
+    K = geom.PolyCone(np.zeros(dim), axis[None], "spherical", half_angle=0.9)
+    green = cgo.FaddeevGreen(g, cgo.build_direction(K, 2.0, 7.3).rho)
+    mask = np.zeros(g.shape)
+    mask[tuple(slice(a, b) for a, b in zip(lo, hi))] = 1.0
+    support, box = solver.support_box(mask, g)
+    assert box.shape == tuple(b - a for a, b in zip(lo, hi))
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal(box.shape) + 1j * rng.standard_normal(box.shape)
+    embedded = np.zeros(g.shape, dtype=complex)
+    embedded[support] = x
+    ref = green.apply(embedded)[support]
+    got = green.restrict(box).apply(x)
+    assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+def _cuboid_3d():
+    return fields.constant_contrast(
+        geom.cuboid([0.1, -0.15, 0.05], [0.25, 0.18, 0.3]), 0.4 + 0.1j)
+
+
+def _polygon_2d():
+    P = geom.convex_polygon([[-0.1, -0.5], [0.55, -0.35], [0.45, 0.2],
+                             [0.0, 0.05]])
+    return fields.constant_contrast(P, 0.4 + 0.1j)
+
+
+@pytest.mark.parametrize("make, n, tau", [
+    (_polygon_2d, 96, 10.0),
+    (_cuboid_3d, 32, 20.0),
+], ids=["2d-polygon", "3d-cuboid"])
+def test_box_remainder_solve_matches_full_grid(make, n, tau):
+    V = make()
+    dim = V.polytope.dim
+    k = 2.0
+    g = fields.centered_grid(1.0, n, dim=dim)
+    axis = -np.ones(dim) / np.sqrt(dim)
+    K = geom.PolyCone(np.zeros(dim), axis[None], "spherical", half_angle=0.9)
+    rho = cgo.build_direction(K, k, tau).rho
+    q = k ** 2 * V.evaluate(g)
+    psi = cgo.solve_faddeev(q, -q, rho, g).values
+    # full-grid reference: GMRES on every grid point
+    green = cgo.FaddeevGreen(g, rho)
+    ref, _, _ = solver.solve_volume_equation(
+        green, q, green.apply(-q), cgo.REMAINDER_TOL, cgo.REMAINDER_MAXITER)
+    assert np.linalg.norm(psi - ref) <= 1e-8 * np.linalg.norm(ref)
+
+
+def _power_estimate(green, q):
+    """The six-step full-grid power iteration of the contraction factor."""
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal(green.grid.shape) \
+        + 1j * rng.standard_normal(green.grid.shape)
+    x /= np.linalg.norm(x)
+    rate = 0.0
+    for _ in range(6):
+        y = green.apply(q * x)
+        rate = np.linalg.norm(y)
+        x = y / rate
+    return rate
+
+
+def _disc_q(g, radius, value):
+    r = np.linalg.norm(g.points(), axis=-1)
+    return np.where(r <= radius, value, 0.0).astype(complex)
+
+
+def test_contraction_gate_decides_as_full_grid_estimate():
+    g = fields.centered_grid(1.0, 32, dim=2)
+    decisions = set()
+    for tau in (0.5, 2.0, 8.0, 32.0):
+        green = cgo.FaddeevGreen(
+            g, cgo.build_direction(spherical_cone_2d(), 2.0, tau).rho)
+        for radius in (0.2, 0.35):
+            for value in (1.0, 5.0, 20.0, 60.0):
+                q = _disc_q(g, radius, value)
+                ref = _power_estimate(green, q)
+                got = cgo.contraction_estimate(green, q)
+                bound = value / green.min_abs
+                certified = bound < cgo.CONTRACTION_LIMIT
+                if certified:
+                    assert got == bound and ref <= bound
+                else:
+                    assert got == ref
+                rejected = ref >= cgo.CONTRACTION_LIMIT
+                assert (got >= cgo.CONTRACTION_LIMIT) == rejected
+                decisions.add((certified, rejected))
+    # the sweep reaches the certified, the iterated and the rejecting branch
+    assert decisions == {(True, False), (False, False), (False, True)}
+
+
+def test_contraction_gate_rejects_compact_contrast():
+    # a compact contrast whose full-grid estimate is just above the limit
+    g = fields.centered_grid(1.0, 32, dim=2)
+    rho = cgo.build_direction(spherical_cone_2d(), 2.0, 0.5).rho
+    q = _disc_q(g, 0.2, 60.0)
+    assert 0.9 <= _power_estimate(cgo.FaddeevGreen(g, rho), q) < 0.95
+    with pytest.raises(cgo.CgoError, match="contraction factor"):
+        cgo.solve_faddeev(q, -q, rho, g)
+
+
+def test_certified_build_cgo_skips_power_iteration(monkeypatch):
+    P = geom.convex_polygon([[-0.35, -0.35], [0.35, -0.35], [0.35, 0.35],
+                             [-0.35, 0.35]])
+    V = fields.constant_contrast(P, 0.4)
+    k = 2.0
+    g = fields.centered_grid(1.0, 64, dim=2)
+    d = cgo.build_direction(spherical_cone_2d(vertex=(0.0, 0.35)), k, 20.0)
+    shapes, rates = [], []
+    apply, estimate = cgo.FaddeevGreen.apply, cgo.contraction_estimate
+
+    def counted_apply(self, x):
+        shapes.append(self.grid.shape)
+        return apply(self, x)
+
+    def recorded_estimate(green, q):
+        rates.append((estimate(green, q), np.max(np.abs(q)) / green.min_abs))
+        return rates[-1][0]
+
+    monkeypatch.setattr(cgo.FaddeevGreen, "apply", counted_apply)
+    monkeypatch.setattr(cgo, "contraction_estimate", recorded_estimate)
+    cgo.build_cgo(V, k, d, g)
+    assert len(rates) == 1 and rates[0][0] == rates[0][1] < 0.9
+    assert shapes.count(g.shape) <= 2
+    assert len(shapes) > 2   # the GMRES applies run on the box
+
+
 def test_build_cgo_zero_contrast():
     P = geom.convex_polygon([[-0.3, -0.3], [0.3, -0.3], [0.0, 0.3]])
     V = fields.constant_contrast(P, 0.0)
@@ -232,6 +369,7 @@ def test_build_cgo_zero_contrast():
 
 
 def test_build_cgo_solves_helmholtz_with_potential():
+    from oracles import helmholtz_residual
     P = geom.convex_polygon([[-0.35, -0.35], [0.35, -0.35], [0.35, 0.35],
                              [-0.35, 0.35]])
     V = fields.constant_contrast(P, 0.4)
@@ -245,7 +383,7 @@ def test_build_cgo_solves_helmholtz_with_potential():
     pts = g.points()
     cheb = np.maximum(np.abs(pts[..., 0]), np.abs(pts[..., 1]))
     mask = np.abs(cheb - 0.35) > 0.1
-    res = fields.helmholtz_residual(u0, V=Vv, mask=mask)
+    res = helmholtz_residual(u0, V=Vv, mask=mask)
     scale = np.max(np.abs(u0.values)) * k ** 2
     assert res < 0.05 * scale
 

@@ -189,6 +189,32 @@ def test_orthogonality_mismatch_shrinks_under_refinement_3d():
     assert mismatches[1] <= 0.06
 
 
+def test_cgo_orthogonality_mismatch_shrinks_under_refinement_3d():
+    # the identity at the cuboid vertex with u0 the tau = 20 CGO solution
+    # whose q-cone axis points into the cuboid
+    from polyscat.solver import solve_forward
+    k = 2.0
+    V = fields.constant_contrast(geom.cuboid([0, 0, 0], [0.3, 0.3, 0.3]), 0.4)
+    omega = [1.0, 0.0, 0.0]
+    vertex = np.full(3, 0.3)
+    p_cone = geom.PolyCone(vertex, -np.eye(3), "polyhedral")
+    q_cone = geom.PolyCone(vertex, (-np.ones(3) / np.sqrt(3))[None],
+                           "spherical", half_angle=0.99)
+    d = cgo.build_direction(q_cone, k, 20.0)
+    mismatches = []
+    for n in (48, 64):
+        g = fields.centered_grid(1.0, n, dim=3)
+        sol = solve_forward(V, k, omega, g)
+        up = fields.plane_wave(k, omega, g)
+        u0, _ = cgo.build_cgo(V, k, d, g)
+        rep = stability.check_orthogonality(V, sol.total, up, u0, p_cone,
+                                            h=0.15, k=k, n_volume=64,
+                                            n_boundary=256)
+        mismatches.append(rep.relative_mismatch)
+    assert mismatches[1] <= mismatches[0] / 2
+    assert mismatches[1] <= 0.10
+
+
 # ---------------------------------------------------------------------------
 # Budgets and the decay-rate choice
 # ---------------------------------------------------------------------------
