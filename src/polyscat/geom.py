@@ -63,10 +63,6 @@ class Polytope:
         else:
             raise GeometryError(f"dimension must be 2 or 3, got {self.dim}")
 
-    @property
-    def n_vertices(self) -> int:
-        return len(self.vertices)
-
     def contained_in_ball(self, radius: float, center=None) -> bool:
         c = np.zeros(self.dim) if center is None else np.asarray(center)
         return bool(np.all(np.linalg.norm(self.vertices - c, axis=1) <= radius))

@@ -223,10 +223,6 @@ class Calibration:
         """ln C_chain, with C_chain = (C TS_FACTOR)^(4/(3 c1))."""
         return float((4.0 / (3.0 * self.c1)) * np.log(self.C * TS_FACTOR))
 
-    @property
-    def chain_constant(self) -> float:
-        return float_view(self.log_chain_constant)
-
     def chain_bound(self, T: float, start: float, steps: float) -> float:
         """C_chain T start^(c2^steps): a start-ball smallness carried
         through `steps` three-balls steps."""
@@ -444,12 +440,6 @@ def propagate_outside_hull(field, Q: Polytope, query, r: float,
             return ChainResult(cal.chain_bound(T, delta, path.K - 1),
                                m_first, m_end, path.K)
     raise RellichError("no radial escape ray clears B(Q, 4r)")
-
-
-def uniform_outside_hull_bound(delta: float, r: float, lam: float,
-                               T: float, cal: Calibration, R: float) -> float:
-    """The query-independent form C T delta^(c2^((2+lam)R/r + 2))."""
-    return cal.chain_bound(T, delta, (2 + lam) * R / r + 2)
 
 
 def _ray_exit(start, direction, target_radius):

@@ -7,7 +7,9 @@ of supp V.  The volume convolution is applied with FFTs on the box
 zero-padded to twice its shape; the singular cell is replaced by the
 analytic average of Phi_k over an equal-measure disc/ball, and the linear
 system is solved with restarted GMRES.  The radiation condition is exact by
-construction of the kernel.
+construction of the kernel.  The far field is summed over the bounding box
+of supp V u, where the phase e^(-ik theta.y) splits into one factor per
+grid axis.
 """
 
 from __future__ import annotations
@@ -24,8 +26,9 @@ from .fields import ContrastField, FieldError, Grid, WaveField, plane_wave
 
 GMRES_RESTART = 50
 GMRES_MAXITER = 2000
-# the largest (points, orders or directions) x source cells temporary a
-# far-field or off-grid field evaluation allocates at once
+# the largest temporary a far-field or off-grid field evaluation allocates
+# at once: directions x the partial sums left after the far field's first
+# axis, or (points or orders) x source cells off the grid
 BLOCK_ELEMENTS = 2 ** 20
 # truncation tolerance of the Graf expansion, on J_N(k R_src) |H_N(k b)|
 GRAF_TOL = 2.0 ** -52
@@ -192,17 +195,32 @@ def default_directions(dim: int, n: int) -> np.ndarray:
 def far_field_from_volume(Vvals: np.ndarray, u: WaveField, k: float,
                           directions: np.ndarray) -> FarFieldPattern:
     """A(theta) = gamma_n k^2 int e^(-ik theta.y) V(y) u(y) dy by midpoint
-    quadrature over the grid."""
+    quadrature over the grid.
+
+    The sum runs over the bounding box of the nonzeros of V u, of b_a
+    points x_a per axis.  Every cell there is a grid point, so the phase
+    splits per axis, e^(-ik theta.y) = prod_a e^(-ik theta_a y_a): axis 0
+    is summed by one matmul with E_0 = exp(-ik theta_0 x_0), and each
+    further axis a by a product with E_a row by row.  N directions cost
+    N sum_a b_a exponentials and N prod_a b_a multiply-adds.  A block of
+    directions holds at most BLOCK_ELEMENTS partial sums of the axes
+    after the first.  An all-zero V u gives exact zeros."""
     g = u.grid
     src = Vvals * u.values
-    nz = src != 0
-    pts = g.points()[nz]
-    amp = src[nz]
-    gamma = far_field_constant(k, g.dim)
-    sums = np.empty(len(directions), dtype=complex)
-    for rows in _blocks(len(directions), len(pts)):
-        sums[rows] = np.exp(-1j * k * (directions[rows] @ pts.T)) @ amp
-    vals = gamma * k ** 2 * sums * g.cell_volume
+    support, box = support_box(src, g)
+    sums = np.zeros(len(directions), dtype=complex)
+    if box.shape[0]:
+        src = src[support].reshape(box.shape[0], -1)
+        axes = box.axes()
+        for rows in _blocks(len(directions), src.shape[1]):
+            theta = directions[rows]
+            part = np.exp(-1j * k * np.outer(theta[:, 0], axes[0])) @ src
+            for a in range(1, g.dim):
+                part = part.reshape(len(theta), box.shape[a], -1)
+                e = np.exp(-1j * k * np.outer(theta[:, a], axes[a]))
+                part = (e[:, None, :] @ part)[:, 0]
+            sums[rows] = part[:, 0]
+    vals = far_field_constant(k, g.dim) * k ** 2 * sums * g.cell_volume
     return FarFieldPattern(directions, vals, k)
 
 

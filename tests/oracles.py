@@ -149,7 +149,7 @@ def _sample_polygon(P, n):
 
 
 # ---------------------------------------------------------------------------
-# Born approximation (direct quadrature, no FFT)
+# Far fields by direct quadrature (no FFT, no per-axis split)
 # ---------------------------------------------------------------------------
 
 def born_far_field_quadrature(Vvals, grid, k, omega, directions):
@@ -166,6 +166,17 @@ def born_far_field_quadrature(Vvals, grid, k, omega, directions):
         phase = np.exp(1j * k * pts @ (omega - xhat))
         out.append(np.sum(v * phase) * grid.cell_volume)
     return far_field_constant(k, grid.dim) * k ** 2 * np.array(out)
+
+
+def dense_far_field(Vvals, u, k, directions):
+    """gamma_n k^2 sum_y e^(-ik theta.y) (V u)(y) h^n over the nonzero
+    cells, one complex exponential per (direction, cell) pair."""
+    from polyscat.solver import far_field_constant
+    src = Vvals * u.values
+    nz = src != 0
+    phase = np.exp(-1j * k * (np.asarray(directions) @ u.grid.points()[nz].T))
+    return (far_field_constant(k, u.grid.dim) * k ** 2 * (phase @ src[nz])
+            * u.grid.cell_volume)
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,7 @@ def test_build_scene_roundtrip():
     assert k == 2.0 and R == 1.0
     np.testing.assert_allclose(omega, [1.0, 0.0])
     assert grid.shape == (96, 96)
-    assert V.polytope.n_vertices == 4
+    assert len(V.polytope.vertices) == 4
 
 
 def test_build_scene_normalizes_direction():

@@ -30,7 +30,7 @@ def test_polygon_requires_ccw_convex():
 def test_cuboid_roundtrip_and_validation():
     rot = np.array([[0, -1, 0], [1, 0, 0], [0, 0, 1]], dtype=float)
     P = geom.cuboid([1.0, 2.0, 3.0], [0.5, 0.25, 1.0], rotation=rot)
-    assert P.n_vertices == 8
+    assert len(P.vertices) == 8
     assert geom.polytope_mask(P, [1.0, 2.0, 3.0], geom.MEMBERSHIP_TOL)
     bad = P.vertices.copy()
     bad[0] += 0.3

@@ -216,6 +216,27 @@ def test_disc_far_field_against_mode_matching():
     assert rel < 0.01
 
 
+def test_disc_far_field_converges_under_refinement():
+    # the staircase error of a disc is erratic in n, so the order is a
+    # least-squares fit over n = 64 ... 512: about 2.2 at a = 0.38 and 1.6
+    # at a = 0.40, with errors near 1e-4 and 4e-4 at n = 512
+    from oracles import DiscContrast, mie_far_field
+    k, phi = 4.0, 0.3
+    ns = (64, 128, 256, 512)
+    for a in (0.38, 0.40):
+        errs = []
+        for n in ns:
+            g = fields.centered_grid(1.0, n, dim=2)
+            ff = solver.solve_forward(DiscContrast(a, phi), k, [1.0, 0.0],
+                                      g).far_field
+            d = ff.directions
+            ref = mie_far_field(k, a, phi, np.arctan2(d[:, 1], d[:, 0]))
+            errs.append(np.linalg.norm(ff.values - ref) / np.linalg.norm(ref))
+        order = -np.polyfit(np.log(ns), np.log(errs), 1)[0]
+        assert order >= 1.0
+        assert errs[-1] <= 1e-3
+
+
 def test_scattered_matches_mode_matching_off_grid():
     from oracles import DiscContrast, mie_scattered_field
     k, a, phi = 2.0, 0.5, 0.8
@@ -481,3 +502,59 @@ def test_ball_solve_memory_stays_on_the_support_box():
         tracemalloc.stop()
     assert peak < 100e6
     assert np.all(np.isfinite(sol.far_field.values))
+
+
+def far_field_case(name):
+    """A contrast, a seeded random total field and directions on which the
+    per-axis far field is checked against the dense phase-matrix sum."""
+    from oracles import DiscContrast
+    k = 3.0
+    if name == "2d-disc":
+        g = fields.centered_grid(1.0, 96, dim=2)
+        Vv = DiscContrast(0.4, 0.3).evaluate(g)
+    elif name == "2d-polygon-off-centre":
+        g = fields.centered_grid(1.0, 80, dim=2, center=[0.13, -0.07])
+        Vv = support_box_scene(2)[0].evaluate(g)
+    elif name == "3d-sphere":
+        g = fields.centered_grid(1.0, 32, dim=3)
+        Vv = load_mie3d().BallContrast(0.34, 0.4).evaluate(g)
+    elif name == "3d-rotated-cuboid":
+        g = fields.centered_grid(1.0, 32, dim=3)
+        Vv = support_box_scene(3)[0].evaluate(g)
+    else:   # a full-grid field, or one arbitrary direction
+        g = fields.centered_grid(0.6, 20, dim=3)
+        Vv = np.full(g.shape, 0.3 + 0.1j)
+    rng = np.random.default_rng(14)
+    u = fields.WaveField(g, rng.standard_normal(g.shape)
+                         + 1j * rng.standard_normal(g.shape), k)
+    dirs = solver.default_directions(g.dim, 64)
+    if name == "single-direction":
+        dirs = np.array([[0.48, -0.6, 0.64]])
+    return Vv, u, k, dirs
+
+
+@pytest.mark.parametrize("name", [
+    "2d-disc", "2d-polygon-off-centre", "3d-sphere", "3d-rotated-cuboid",
+    "full-grid", "single-direction"])
+def test_far_field_matches_dense_phase_sum(name):
+    from oracles import dense_far_field
+    Vv, u, k, dirs = far_field_case(name)
+    box = solver.support_box(Vv * u.values, u.grid)[1].shape
+    if name == "2d-polygon-off-centre":
+        assert box[0] != box[1]
+    if name == "full-grid":
+        assert box == u.grid.shape
+    got = solver.far_field_from_volume(Vv, u, k, dirs).values
+    want = dense_far_field(Vv, u, k, dirs)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_far_field_blocks_over_directions(monkeypatch):
+    Vv, u, k, dirs = far_field_case("3d-rotated-cuboid")
+    whole = solver.far_field_from_volume(Vv, u, k, dirs).values
+    box = solver.support_box(Vv * u.values, u.grid)[1].shape
+    # 64 directions in blocks of 5 rows
+    monkeypatch.setattr(solver, "BLOCK_ELEMENTS", 5 * box[1] * box[2])
+    assert len(list(solver._blocks(len(dirs), box[1] * box[2]))) == 13
+    blocked = solver.far_field_from_volume(Vv, u, k, dirs).values
+    assert np.array_equal(blocked, whole)
