@@ -198,23 +198,6 @@ def hausdorff_distance(P: Polytope, Q: Polytope) -> float:
     return max(directed_hausdorff(P, Q), directed_hausdorff(Q, P))
 
 
-@dataclass(frozen=True)
-class FarthestVertexResult:
-    vertex: np.ndarray
-    index: int
-    distance: float
-    realizes_hausdorff: bool  # True iff d(vertex, Q) == d_H(P, Q)
-
-
-def farthest_vertex(P: Polytope, Q: Polytope) -> FarthestVertexResult:
-    """Vertex of P farthest from Q; ties broken by lowest vertex index."""
-    dists = polytope_distance(Q, P.vertices)
-    idx = int(np.argmax(dists))  # argmax returns first (= lowest-index) maximum
-    d = float(dists[idx])
-    return FarthestVertexResult(P.vertices[idx].copy(), idx, d,
-                                realizes_hausdorff=d >= directed_hausdorff(Q, P) - 1e-14)
-
-
 # ---------------------------------------------------------------------------
 # Cones
 # ---------------------------------------------------------------------------

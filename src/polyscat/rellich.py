@@ -504,12 +504,24 @@ def cross_into_boundary(log_delta: float, alpha: float, T: float, A: float,
 
 @dataclass(frozen=True)
 class RellichBound:
+    """`boundary_bound` is the theorem's bound, which in the decay regime
+    can exceed the a-priori bound T; `capped_bound` is the smaller of the
+    two, and `capped` says that T won."""
     boundary_bound: float
     delta: float
     regime: str
     r_delta: float
     delta_ok: bool
     nf: Ff2nfBound | None
+    T: float
+
+    @property
+    def capped_bound(self) -> float:
+        return min(self.boundary_bound, self.T)
+
+    @property
+    def capped(self) -> bool:
+        return self.boundary_bound > self.T
 
 
 def quantitative_rellich(epsilon: float | None, S: float, k: float, R: float,
@@ -527,7 +539,7 @@ def quantitative_rellich(epsilon: float | None, S: float, k: float, R: float,
     if epsilon is not None and epsilon < 0:
         raise RellichError("epsilon must be nonnegative")
     if epsilon == 0:
-        return RellichBound(0.0, 0.0, "zero", 0.0, True, None)
+        return RellichBound(0.0, 0.0, "zero", 0.0, True, None, float(T))
     if log_ratio is None:
         if epsilon is None:
             raise RellichError("need epsilon or log_ratio")
@@ -537,8 +549,8 @@ def quantitative_rellich(epsilon: float | None, S: float, k: float, R: float,
         # smallness never reaches the propagation stage; only the trivial
         # a-priori bound survives
         return RellichBound(float(T), min(nf.bound, 1.0), "saturated", 0.0,
-                            False, nf)
+                            False, nf, float(T))
     crossing = cross_into_boundary(nf.log_bound, ALPHA_DEFAULT, T, A_DEFAULT,
                                    cal, R)
     return RellichBound(crossing.bound, nf.bound, "decay",
-                        crossing.r_delta, crossing.delta_ok, nf)
+                        crossing.r_delta, crossing.delta_ok, nf, float(T))

@@ -23,6 +23,7 @@ from scipy.sparse.linalg import LinearOperator, gmres
 from scipy.special import hankel1, jv
 
 from .fields import ContrastField, FieldError, Grid, WaveField, plane_wave
+from .specfun import bessel_j_orders
 
 GMRES_RESTART = 50
 GMRES_MAXITER = 2000
@@ -326,9 +327,13 @@ def scattered_at_points(sol: ScatteringSolution,
     2D points strictly outside the circle |x| = R_src through the farthest
     source cell (where V u != 0) are summed by Graf's addition theorem,
         u^s(x) = sum_{|n|<=N} a_n H_n(k|x|) e^(in theta_x),
-        a_n = (i/4) k^2 h^2 sum_y J_n(k|y|) e^(-in theta_y) (V u)(y),
-    at O(N) Bessel evaluations per distinct source-cell radius and O(N)
-    Hankel evaluations per distinct evaluation radius.  Let b be the
+        a_n = (i/4) k^2 h^2 sum_y J_n(k|y|) e^(-in theta_y) (V u)(y).
+    J_0..J_N at each distinct source-cell radius come from one backward
+    recurrence (specfun.bessel_j_orders, valid since k|y| <= k R_src <= N),
+    and the phases e^(-in theta) at the cells and the points are the
+    powers of one unit complex number each, so no Bessel or exp call is
+    made per (order, cell) pair; the Hankel functions take O(N)
+    evaluations per distinct evaluation radius.  Let b be the
     nearest radius so evaluated.  For n >= k R_src, J_n(k|y|) <=
     J_n(k R_src), and |H_n| falls with its argument, so at every |x| >= b
     the dropped orders add at most
@@ -417,29 +422,46 @@ def _graf_potential(k: float, ys: np.ndarray, amps: np.ndarray,
 
     With J_{-n} = (-1)^n J_n and H_{-n} = (-1)^n H_n, the orders n and -n
     share H_n(k|x|): u^s = sum_{n>=0} H_n (a_n e^(in theta) +
-    c_n e^(-in theta)) with c_n = (-1)^n a_{-n}, and c_0 = 0."""
-    n = np.arange(order + 1)[:, None]
+    c_n e^(-in theta)) with c_n = (-1)^n a_{-n}, and c_0 = 0.  So
+    a_n = (i/4) sum_y J_n(k|y|) e^(-in theta_y) w_y and c_n the same
+    with e^(+in theta_y): one product table P = J e^(-in theta_y) gives
+    both, as P w and conj(P conj(w))."""
     a = np.zeros(order + 1, dtype=complex)
     c = np.zeros(order + 1, dtype=complex)
     for rows in _blocks(len(ys), order + 1):
         y, w = ys[rows], amps[rows]
         kr, at = np.unique(k * np.linalg.norm(y, axis=1), return_inverse=True)
-        j = jv(n, kr)[:, at]
-        e = np.exp(-1j * n * np.arctan2(y[:, 1], y[:, 0]))
-        a += (j * e) @ w
-        c += (j * e.conj()) @ w
+        p = _phase_powers(y, order)
+        p *= bessel_j_orders(order, kr)[:, at]
+        both = p @ np.stack([w, w.conj()], axis=1)
+        a += both[:, 0]
+        c += both[:, 1].conj()
     a *= 0.25j
     c *= 0.25j
     c[0] = 0
+    n = np.arange(order + 1)[:, None]
     out = np.empty(len(points), dtype=complex)
     for rows in _blocks(len(points), order + 1):
         p = points[rows]
         kr, at = np.unique(k * np.linalg.norm(p, axis=1), return_inverse=True)
         h = hankel1(n, kr)[:, at]
-        e = np.exp(1j * n * np.arctan2(p[:, 1], p[:, 0]))
+        e = _phase_powers(p, order)
         out[rows] = np.sum(
-            h * (a[:, None] * e + c[:, None] * e.conj()), axis=0)
+            h * (a[:, None] * e.conj() + c[:, None] * e), axis=0)
     return out
+
+
+def _phase_powers(v: np.ndarray, order: int) -> np.ndarray:
+    """e^(-in theta_v) for n = 0..order as rows: the powers of
+    z = (v_1 - i v_2)/|v|, with z = 1 at the origin."""
+    r = np.linalg.norm(v, axis=1)
+    z = np.ones(len(v), dtype=complex)
+    np.divide(v[:, 0] - 1j * v[:, 1], r, out=z, where=r > 0)
+    e = np.empty((order + 1, len(v)), dtype=complex)
+    e[0] = 1
+    for n in range(order):
+        np.multiply(e[n], z, out=e[n + 1])
+    return e
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
-"""Hankel functions, incomplete gammas and certified envelope constants.
+"""Bessel and Hankel functions, incomplete gammas and certified envelope
+constants.
 
 The far-field to near-field machinery needs two-sided envelopes for
 |H^(1)_nu(z)| of the form C^2 (4/(pi e z)) (2 nu/(e z))^(2 nu - 1) on a
@@ -23,7 +24,7 @@ class SpecfunError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Hankel functions of half-integer and integer order
+# Bessel and Hankel functions
 # ---------------------------------------------------------------------------
 
 def hankel_h1_log_abs(nu, z) -> float | np.ndarray:
@@ -40,6 +41,53 @@ def hankel_h1_log_abs(nu, z) -> float | np.ndarray:
                  + nu * np.log(2 * nu / (np.e * z)))
         out = np.where(np.isfinite(a) & (a > 0), np.log(a), debye)
     return float(out) if out.ndim == 0 else out
+
+
+def bessel_j_orders(order: int, x: np.ndarray) -> np.ndarray:
+    """J_0(x), ..., J_order(x) as an (order + 1) x len(x) table, for
+    0 <= x <= order.
+
+    Miller's backward recurrence J_(n-1) = (2n/x) J_n - J_(n+1), started
+    from (J_(M+1), J_M) = (0, 1) at the even M >= order + sqrt(160 order)
+    and normalised by J_0 + 2 sum_k J_2k = 1 (Gautschi, SIAM Review 9,
+    1967).  Before a step could overflow, the running values are scaled
+    by a power of two, which is exact.  J_n(0) is 1 for n = 0, else 0."""
+    x = np.asarray(x, dtype=float)
+    if np.any(~(x >= 0) | (x > order)):
+        raise SpecfunError("bessel_j_orders needs 0 <= x <= order")
+    out = np.zeros((order + 1, len(x)))
+    out[0, x == 0] = 1.0
+    pos = x > 0
+    if not np.any(pos):
+        return out
+    xp = x[pos]
+    grow = 2 / xp.min()
+    m = order + int(np.ceil(np.sqrt(160 * order)))
+    m += m % 2
+    table = np.empty((order + 1, len(xp)))
+    f_up, f, nxt = np.zeros_like(xp), np.ones_like(xp), np.empty_like(xp)
+    even = np.zeros_like(xp)   # sum of J_2k, k >= 1, in the running scale
+    bound = 1.0   # a bound on |f_up| and |f| in every column
+    for n in range(m, 0, -1):
+        if n % 2 == 0:
+            even += f
+        if n <= order:
+            table[n] = f
+        step = n * grow + 1   # |next f| <= step * bound
+        if bound > 2.0 ** 1000 / step:
+            _, e = np.frexp(np.maximum(np.abs(f), np.abs(f_up)))
+            f_up, f, even = (np.ldexp(v, -e) for v in (f_up, f, even))
+            table[n:] = np.ldexp(table[n:], -e)
+            bound = 1.0
+        bound *= step
+        np.divide(2 * n, xp, out=nxt)
+        nxt *= f
+        nxt -= f_up
+        f_up, f, nxt = f, nxt, f_up
+    table[0] = f
+    with np.errstate(under="ignore"):
+        out[:, pos] = table / (f + 2 * even)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -332,7 +332,7 @@ def run_support_stability_experiment(scene_pairs, k: float, omega, grid,
         if eps > 0 and np.log(S / eps) > 1:
             bound = np.log(np.log(S / eps)) ** (-gamma)
             tau = optimize_tau(min(1.0, max(hh, grid.spacing)),
-                               pipeline.boundary_bound, m, n, k=k).tau_e
+                               pipeline.capped_bound, m, n, k=k).tau_e
             regime = pipeline.regime
         else:
             bound, tau, regime = np.inf, np.nan, "saturated"

@@ -201,16 +201,6 @@ def test_hausdorff_cuboids():
     assert abs(geom.hausdorff_distance(P, Q) - 0.5) < 1e-12
 
 
-def test_farthest_vertex_tie_break():
-    P = square(2.0)
-    Q = square(1.0)
-    fv = geom.farthest_vertex(P, Q)
-    # all four corners tie at distance sqrt(2)/2: lowest index wins
-    assert fv.index == 0
-    assert abs(fv.distance - np.sqrt(2) / 2) < 1e-12
-    assert fv.realizes_hausdorff
-
-
 # ---------------------------------------------------------------------------
 # Cones
 # ---------------------------------------------------------------------------
@@ -313,8 +303,8 @@ def test_cone_rejects_too_wide_2d():
 def test_convex_hull_cone_contains_both_bodies():
     P = square(1.0, (2.0, 2.0))
     Q = square(1.0, (2.5, 2.0))
-    fv = geom.farthest_vertex(P, Q)
-    cone = geom.convex_hull_cone(P, Q, fv.vertex)
+    # P's lower-left corner is a vertex of the hull of P and Q
+    cone = geom.convex_hull_cone(P, Q, [1.5, 1.5])
     rng = np.random.default_rng(7)
     for body in (P, Q):
         lo, hi = body.vertices.min(0), body.vertices.max(0)

@@ -421,7 +421,7 @@ def test_pipeline_zero_far_field():
 def test_pipeline_saturated_falls_back_to_T():
     res = rellich.quantitative_rellich(1e-3, 1.0, 1.0, 1.0, small_cal(), 7.0)
     assert res.regime == "saturated"
-    assert res.boundary_bound == 7.0
+    assert res.boundary_bound == res.capped_bound == 7.0 and not res.capped
 
 
 def test_pipeline_falls_back_to_T_when_delta_is_not_below_1_over_e():
@@ -434,6 +434,16 @@ def test_pipeline_falls_back_to_T_when_delta_is_not_below_1_over_e():
     assert res.regime == "saturated"
     assert res.boundary_bound == 3.0
     assert res.delta == res.nf.bound
+
+
+def test_pipeline_caps_the_decay_bound_at_T():
+    # at eps = 1e-200 the theorem's decay-regime bound is about 2e3, far
+    # above the a-priori bound T = S = 3: T wins, the theorem's value stays
+    cal = rellich.calibrate(1.5, trials=40, seed=0)
+    res = rellich.quantitative_rellich(1e-200, 3.0, 1.5, 1.0, cal, T=3.0)
+    assert res.regime == "decay"
+    assert 1.9e3 < res.boundary_bound < 2.1e3
+    assert res.T == 3.0 and res.capped_bound == 3.0 and res.capped
 
 
 def test_pipeline_symbolic_double_log_form():

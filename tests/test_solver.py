@@ -384,6 +384,20 @@ def test_graf_matches_dense_on_corner_chain_annulus(k, monkeypatch):
     assert len(orders) == 1 and orders[0][0] >= 7 * 96
 
 
+@pytest.mark.parametrize("n", [127, 255])
+def test_graf_with_a_source_cell_at_the_origin(n, monkeypatch):
+    # odd n puts a cell centre at r = 0 (n = 255) or within rounding of it
+    # (n = 127): there the Bessel table takes its x = 0 column and the
+    # phase factor is z = 1
+    orders = spy_graf_orders(monkeypatch)
+    sol = regular_polygon_solution(2.0, n=n)
+    ys, _ = solver._volume_sources(sol)
+    assert np.linalg.norm(ys, axis=1).min() <= 1e-15
+    pts, _ = solver.annulus_sampling(0.7, 1.4, 2, n_radial=2, n_angular=48)
+    assert_matches_dense(sol, pts)
+    assert len(orders) == 1 and orders[0][0] == len(pts)
+
+
 def test_graf_near_the_source_circle_is_finite():
     sol = regular_polygon_solution(2.0)
     R = source_radius(sol)

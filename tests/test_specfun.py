@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.special import hankel1, jv, jvp, yv, yvp
@@ -98,6 +100,45 @@ def test_certificate_roundtrip_and_reproducible():
     assert c1 == c2
     back = specfun.HankelBoundCertificate.from_json(c1.to_json())
     assert back == c1
+
+
+def test_certificate_against_mpmath_at_scene_radii():
+    # the interval [kR, 4kR] the CLI certifies, at two scene radii, checked
+    # at its ends and at the extreme orders with 30-digit Hankel values
+    import mpmath
+    for kR in (1.5, 5.0):
+        cert = specfun.certify_hankel_bounds(kR, 4 * kR, nu_max=40)
+        with mpmath.workdps(30):
+            C = mpmath.mpf(cert.C)
+            for z in (cert.z1, cert.z2):
+                assert abs(mpmath.hankel1(0, z)) <= C
+                for nu in (0.5, cert.nu_max):
+                    env = (4 / (mpmath.pi * mpmath.e * z)
+                           * (2 * nu / (mpmath.e * z)) ** (2 * nu - 1))
+                    h2 = abs(mpmath.hankel1(nu, z)) ** 2
+                    assert env / C ** 2 <= h2 <= C ** 2 * env
+
+
+@pytest.mark.parametrize("order", [5, 37, 81, 200])
+def test_bessel_j_orders_against_mpmath(order):
+    import mpmath
+    rng = np.random.default_rng(order)
+    x = np.concatenate([[0.0, 1e-8, 1e-200, float(order)],
+                        rng.uniform(0.0, order, 30)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = specfun.bessel_j_orders(order, x)
+    with mpmath.workdps(30):
+        ref = np.array([[float(mpmath.besselj(n, xi)) for xi in x]
+                        for n in range(order + 1)])
+    err = np.abs(got - ref)
+    assert err.max() <= 1e-15
+    # relative accuracy where the recurrence runs on the minimal solution
+    n = np.arange(order + 1)[:, None]
+    sharp = (n >= x) & (np.abs(ref) > 1e-300)
+    assert np.all(err[sharp] <= 1e-14 * np.abs(ref[sharp]))
+    with pytest.raises(specfun.SpecfunError):
+        specfun.bessel_j_orders(order, [order + 0.5])
 
 
 def test_incomplete_gamma_closed_form():
