@@ -4,15 +4,14 @@ Builds the admissible complex direction curve rho(tau) with
 rho.rho + k^2 = 0 attached to a spherical cone, evaluates the closed-form
 Laplace transform of e^(rho.(x-x_c)) over convex polyhedral cones, and
 solves the conjugated remainder equation (Lap + 2 rho.grad + q) psi = f by
-a Fourier-multiplier Green operator on a zero-padded periodic grid, with
-GMRES on the bounding box of supp q, giving the special solution
-u0 = e^(rho.(x-x_c)) (1 + psi).
+a Fourier-multiplier Green operator on the grid's doubled periodic
+lattice, applied between boxes of the grid: GMRES on the bounding box of
+supp q and supp f, then one apply from that box to the grid, giving the
+special solution u0 = e^(rho.(x-x_c)) (1 + psi).
 """
 
 from __future__ import annotations
 
-import copy
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -206,61 +205,40 @@ def lower_bound_curve(p_cone: PolyCone, q_cone: PolyCone, k: float,
 # ---------------------------------------------------------------------------
 
 class FaddeevGreen(PaddedFFTMultiplier):
-    """G_rho: Fourier multiplier 1/(-|xi|^2 + 2i rho.xi) on a periodized
-    grid with zero padding.
+    """G_rho: Fourier multiplier 1/(-|xi|^2 + 2i rho.xi) on the grid's
+    periodized lattice of 2n points per axis, between boxes of the grid.
 
-    The symbol vanishes at xi = 0 for every rho, so the frequency lattice
-    is shifted by half a quantum per axis (realized by modulating the data
-    before and after the FFT); remaining near-zeros on the characteristic
-    circle are detected and reported with a perturbed tau to retry with.
-    Otherwise `min_abs`, the smallest |symbol| on the lattice, gives the
-    operator-norm bound ||G_rho|| <= 1/min_abs.
+    The symbol vanishes at xi = 0 for every rho, so its frequencies are
+    shifted by half a quantum per axis; remaining near-zeros on the
+    characteristic circle are detected and reported with a perturbed tau
+    to retry with.  Otherwise `min_abs`, the smallest |symbol| on that
+    lattice, gives the bound ||G_rho|| <= 1/min_abs, which every
+    compression to boxes keeps.  The kernel at offset d is
+    K[d mod 2n] e^(i pi d / 2n) per axis, K the inverse FFT of 1/symbol.
     """
 
-    def __init__(self, grid: Grid, rho: np.ndarray):
-        super().__init__(grid)
-        rho = np.asarray(rho, dtype=complex)
-        shifts = [np.pi / (m * grid.spacing) for m in self._pad]
-        xi = np.meshgrid(*[2 * np.pi * np.fft.fftfreq(m, d=grid.spacing) + s
-                           for m, s in zip(self._pad, shifts)],
+    def __init__(self, grid: Grid, rho: np.ndarray,
+                 source: Grid | None = None, target: Grid | None = None):
+        self.rho = np.asarray(rho, dtype=complex)
+        self.domain = grid   # the grid whose 2n lattice defines the symbol
+        super().__init__(grid, source, target)
+
+    def _kernel(self, grid: Grid, offsets: list) -> np.ndarray:
+        lattice = [2 * s for s in grid.shape]
+        xi = np.meshgrid(*[2 * np.pi * np.fft.fftfreq(m, d=grid.spacing)
+                           + np.pi / (m * grid.spacing) for m in lattice],
                          indexing="ij", sparse=True)
         symbol = (-sum(x ** 2 for x in xi)
-                  + 2j * sum(r * x for r, x in zip(rho, xi)))
+                  + 2j * sum(r * x for r, x in zip(self.rho, xi)))
         self.min_abs = float(np.min(np.abs(symbol)))
         if self.min_abs < 1e-8:
-            tau = float(np.linalg.norm(np.real(rho)))
-            dq = 2 * np.pi / (self._pad[0] * grid.spacing)
+            tau = float(np.linalg.norm(np.real(self.rho)))
+            dq = 2 * np.pi / (lattice[0] * grid.spacing)
             raise MultiplierSingularity(self.min_abs, tau + dq)
-        self._symbol = 1.0 / symbol
-        phases = np.meshgrid(*[s * (np.arange(m) * grid.spacing)
-                               for m, s in zip(self._pad, shifts)],
-                             indexing="ij", sparse=True)
-        self._mod = np.exp(-1j * sum(phases))
-
-    def restrict(self, box: Grid) -> FaddeevGreen:
-        """This operator between the points of a box of the grid, exactly.
-
-        Between grid points j and l the operator convolves with
-        kappa(d) = K[d mod 2n] e^(i s.h d) of the offset d = j - l, where
-        K = ifftn(symbol) and s is the half-quantum shift (s h = pi / 2n
-        per axis).  The offsets |d| < b of a box of b points per axis fold
-        onto a lattice of 2b points, where index b, never reached between
-        box points, holds 0; so the restriction needs no modulation.  It
-        is a compression of G_rho and keeps the bound 1/min_abs."""
-        kernel = np.fft.ifftn(self._symbol)
-        offsets, phases = [], []
-        for b, m in zip(box.shape, self._pad):
-            d = np.concatenate([np.arange(b), [0], np.arange(1 - b, 0)])
-            phase = np.exp(1j * np.pi * d / m)
-            phase[b] = 0.0
-            offsets.append(d % m)
-            phases.append(phase)
-        folded = kernel[np.ix_(*offsets)] * math.prod(np.ix_(*phases))
-        op = copy.copy(self)   # a FaddeevGreen: its applies trace as such
-        PaddedFFTMultiplier.__init__(op, box)
-        op._symbol = np.fft.fftn(folded)
-        op._mod = None
-        return op
+        kernel = np.fft.ifftn(1.0 / symbol)
+        phase = sum(np.ix_(*[d / m for d, m in zip(offsets, lattice)]))
+        return (kernel[np.ix_(*[d % m for d, m in zip(offsets, lattice)])]
+                * np.exp(1j * np.pi * phase))
 
 
 def contraction_estimate(green: FaddeevGreen, q: np.ndarray) -> float:
@@ -270,11 +248,13 @@ def contraction_estimate(green: FaddeevGreen, q: np.ndarray) -> float:
     Every ratio ||G_rho(q x)|| / ||x|| is at most the certified bound
     ||q||_inf / min_abs.  When that bound is below CONTRACTION_LIMIT it is
     returned and no operator is applied.  Otherwise a six-step power
-    iteration on the full grid estimates the factor; the estimate never
+    iteration with G_rho from the whole grid to itself, whatever boxes
+    `green` maps between, estimates the factor; the estimate never
     exceeds the bound, so the gate decides as the estimate alone would."""
     bound = float(np.max(np.abs(q))) / green.min_abs
     if bound < CONTRACTION_LIMIT:
         return bound
+    green = FaddeevGreen(green.domain, green.rho)
     rng = np.random.default_rng(0)
     x = rng.standard_normal(green.grid.shape) \
         + 1j * rng.standard_normal(green.grid.shape)
@@ -293,11 +273,11 @@ def solve_faddeev(q: np.ndarray, f: np.ndarray, rho: np.ndarray,
                   grid: Grid) -> WaveField:
     """Solve (Lap + 2 rho.grad + q) psi = f as psi = G_rho(f - q psi).
 
-    Only psi on supp q enters the equation, so GMRES solves
-    psi + G(q psi) = G f on the bounding box of supp q, with G restricted
-    to the box exactly (`FaddeevGreen.restrict`).  psi on the grid is then
-    G f - G(q psi_box), with the box solution pasted back: two full-grid
-    applies in all.  A zero q gives psi = G f.
+    Only f and psi on supp q enter the equation, so it is solved on the
+    bounding box B of supp q and supp f: GMRES solves psi + G(q psi) = G f
+    with G from B to B, and psi on the grid is G(f - q psi) from B to the
+    grid, with the box solution pasted back.  A zero q gives psi = G f by
+    that one apply.
 
     Rejects directions whose fixed-point map is not an observable
     contraction (factor >= 0.9), standing in for the non-computable
@@ -307,24 +287,24 @@ def solve_faddeev(q: np.ndarray, f: np.ndarray, rho: np.ndarray,
     """
     q = np.asarray(q, dtype=complex)
     f = np.asarray(f, dtype=complex)
-    green = FaddeevGreen(grid, rho)
-    psi = green.apply(f)
-    if np.any(q != 0):
+    support, box = support_box((q != 0) | (f != 0), grid)
+    src, qb = f[support], q[support]
+    psi_box = None
+    if np.any(qb != 0):
+        green = FaddeevGreen(grid, rho, box, box)
         rate = contraction_estimate(green, q)
         if rate >= CONTRACTION_LIMIT:
             raise CgoError(f"fixed-point contraction factor {rate:.3f} >= "
                            f"{CONTRACTION_LIMIT}; |Im rho| too small for this "
                            "contrast")
-        support, box = support_box(q, grid)
         try:
             psi_box, _, _ = solve_volume_equation(
-                green.restrict(box), q[support], psi[support], REMAINDER_TOL,
-                REMAINDER_MAXITER)
+                green, qb, green.apply(src), REMAINDER_TOL, REMAINDER_MAXITER)
         except SolverError as exc:
             raise CgoError(f"remainder solve: {exc}") from exc
-        src = np.zeros(grid.shape, dtype=complex)
-        src[support] = q[support] * psi_box
-        psi = psi - green.apply(src)
+        src = src - qb * psi_box
+    psi = FaddeevGreen(grid, rho, box, grid).apply(src)
+    if psi_box is not None:
         psi[support] = psi_box
     # A rho of 0 never reaches here (multiplier singularity), so k is moot.
     return WaveField(grid, psi, k=0.0)

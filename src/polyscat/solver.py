@@ -3,10 +3,11 @@
 The total field solves u = u^i + k^2 Phi_k * (V u) with the outgoing
 fundamental solution Phi_k (2D: (i/4) H_0^(1)(k|x|), 3D: e^(ik|x|)/(4 pi |x|)).
 Only u on supp V enters the equation, so it is solved on the bounding box
-of supp V.  The volume convolution is applied with FFTs on the box
-zero-padded to twice its shape; the singular cell is replaced by the
-analytic average of Phi_k over an equal-measure disc/ball, and the linear
-system is solved with restarted GMRES.  The radiation condition is exact by
+of supp V.  The volume convolution maps a source box to a target box (box
+to box in the solve, box to grid when the grid is read) by FFTs on one
+circulant embedding of their offsets; the singular cell is replaced by
+the analytic average of Phi_k over an equal-measure disc/ball, and the
+linear system is solved with restarted GMRES.  The radiation condition is exact by
 construction of the kernel.  The far field is summed over the bounding box
 of supp V u, where the phase e^(-ik theta.y) splits into one factor per
 grid axis.
@@ -19,6 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.fft import next_fast_len
 from scipy.sparse.linalg import LinearOperator, gmres
 from scipy.special import hankel1, jv
 
@@ -69,53 +71,64 @@ def far_field_constant(k: float, dim: int) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# Volume equations x + G(m x) = rhs with a zero-padded Fourier multiplier G
+# Volume equations x + G(m x) = rhs with a convolution G between two boxes
 # ---------------------------------------------------------------------------
 
 class PaddedFFTMultiplier:
-    """x -> crop(F^-1[symbol F[mod pad(x)]] conj(mod)) on the grid
-    zero-padded to twice its shape per axis.  Subclasses build `_symbol`
-    and, to shift the frequency lattice, the modulation `_mod`."""
+    """x -> sum_s kappa(t - s) x(s) from the points s of a source box to
+    the points t of a target box of one grid lattice; `grid` is the source
+    box, and both boxes default to the grid.  Subclasses give `_kernel`,
+    kappa on the tensor product of per-axis integer offsets.
 
-    _mod = None
+    With b source and w target points per axis the offsets span
+    b + w - 1 values, laid once on a cyclic lattice of next_fast_len(b + w)
+    points: index i holds the offset i (i < w) or i - m, plus the offset
+    of the target from the source.  x enters zero-padded, so the indices
+    no pair of points reaches never contribute."""
 
-    def __init__(self, grid: Grid):
-        self.grid = grid
-        self._pad = tuple(2 * s for s in grid.shape)
+    def __init__(self, grid: Grid, source: Grid | None = None,
+                 target: Grid | None = None):
+        self.grid = grid if source is None else source
+        self.target = grid if target is None else target
+        shift = np.rint((self.target.origin - self.grid.origin)
+                        / grid.spacing).astype(int)
+        self._pad = tuple(next_fast_len(b + w) for b, w in
+                          zip(self.grid.shape, self.target.shape))
+        offsets = []
+        for c, m, w in zip(shift, self._pad, self.target.shape):
+            i = np.arange(m)
+            offsets.append(c + np.where(i < w, i, i - m))
+        self._symbol = np.fft.fftn(self._kernel(grid, offsets))
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        crop = tuple(slice(0, s) for s in self.grid.shape)
-        buf = np.zeros(self._pad, dtype=complex)
-        buf[crop] = x
-        if self._mod is not None:
-            buf *= self._mod
-        out = np.fft.ifftn(np.fft.fftn(buf) * self._symbol)
-        if self._mod is not None:
-            out *= np.conj(self._mod)
-        return out[crop]
+        axes = tuple(range(x.ndim))
+        out = np.fft.ifftn(np.fft.fftn(x, self._pad, axes) * self._symbol)
+        return out[tuple(map(slice, self.target.shape))]
 
 
 class GreenConvolution(PaddedFFTMultiplier):
-    """Circulant embedding of x -> (Phi_k * x) h^n on a uniform grid.
+    """The volume potential x -> (Phi_k * x) h^n on a uniform grid.
 
     The kernel depends on each offset only through its size per axis, so
-    Phi_k is evaluated once on the first orthant of offsets 0..s and
-    folded onto the padded lattice of m = 2s points, where index a holds
-    the offset of size min(a, m - a)."""
+    Phi_k is evaluated once on the first orthant of offset sizes and read
+    at |d| per axis; the singular cell d = 0 takes the analytic average."""
 
-    def __init__(self, grid: Grid, k: float):
-        super().__init__(grid)
+    def __init__(self, grid: Grid, k: float, source: Grid | None = None,
+                 target: Grid | None = None):
+        self.k = k
+        super().__init__(grid, source, target)
+
+    def _kernel(self, grid: Grid, offsets: list) -> np.ndarray:
         h = grid.spacing
-        offsets = np.meshgrid(*[np.arange(s + 1) * h for s in grid.shape],
-                              indexing="ij", sparse=True)
-        r = np.sqrt(sum(o ** 2 for o in offsets))
+        sizes = [np.abs(d) for d in offsets]
+        axes = np.meshgrid(*[np.arange(s.max() + 1) * h for s in sizes],
+                           indexing="ij", sparse=True)
+        r = np.sqrt(sum(a ** 2 for a in axes))
         origin = (0,) * grid.dim
         r[origin] = h   # keeps r = 0 out of Phi_k; the cell is set below
-        orthant = fundamental_solution(k, r, grid.dim) * grid.cell_volume
-        orthant[origin] = singular_cell_integral(k, h, grid.dim)
-        fold = np.ix_(*[np.minimum(np.arange(m), m - np.arange(m))
-                        for m in self._pad])
-        self._symbol = np.fft.fftn(orthant[fold])
+        orthant = fundamental_solution(self.k, r, grid.dim) * grid.cell_volume
+        orthant[origin] = singular_cell_integral(self.k, h, grid.dim)
+        return orthant[np.ix_(*sizes)]
 
 
 def solve_volume_equation(op: PaddedFFTMultiplier, m: np.ndarray,
@@ -240,7 +253,8 @@ class ScatteringSolution:
     """A forward solve.  The solve computes the total field only on `box`,
     the bounding box of supp V (index slices `support` of `grid`), where
     `box_contrast` holds V.  The full-grid `total` and `scattered` fields
-    are rebuilt from it on first read by one convolution over the grid."""
+    are rebuilt from it on first read by one convolution from the box to
+    the grid."""
     contrast: ContrastField
     grid: Grid
     omega: np.ndarray
@@ -258,9 +272,8 @@ class ScatteringSolution:
         k, g = self.box.k, self.grid
         u = plane_wave(k, self.omega, g).values
         if self.box.values.size:
-            src = np.zeros(g.shape, dtype=complex)
-            src[self.support] = -k ** 2 * self.box_contrast * self.box.values
-            u = u - GreenConvolution(g, k).apply(src)
+            src = -k ** 2 * self.box_contrast * self.box.values
+            u = u - GreenConvolution(g, k, self.box.grid, g).apply(src)
             u[self.support] = self.box.values
         return WaveField(g, u, k)
 
@@ -286,8 +299,8 @@ def solve_forward(V: ContrastField, k: float, omega, grid: Grid,
     Vbox = Vvals[support]
     if Vbox.size:
         u, iterations, res = solve_volume_equation(
-            GreenConvolution(box, k), -k ** 2 * Vbox, ui.values, tol,
-            GMRES_MAXITER)
+            GreenConvolution(grid, k, box, box), -k ** 2 * Vbox, ui.values,
+            tol, GMRES_MAXITER)
     else:
         u, iterations, res = ui.values, 0, 0.0
     field = WaveField(box, u, k)

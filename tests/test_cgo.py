@@ -224,15 +224,17 @@ def test_contraction_gate_rejects_large_contrast():
 # The remainder solve on the support box, and the certified gate
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("dim, n, lo, hi", [
-    (2, 48, (7, 21), (30, 33)),
-    (3, 20, (2, 5, 9), (10, 16, 14)),
-], ids=["2d-off-centre", "3d"])
-def test_restricted_green_matches_full_operator(dim, n, lo, hi):
+@pytest.mark.parametrize("dim, n, lo, hi, to_grid", [
+    (2, 48, (7, 21), (30, 33), False),
+    (3, 20, (2, 5, 9), (10, 16, 14), False),
+    (2, 48, (7, 21), (30, 33), True),
+], ids=["2d-off-centre", "3d", "2d-off-centre-to-grid"])
+def test_restricted_green_matches_full_operator(dim, n, lo, hi, to_grid):
     g = fields.centered_grid(1.0, n, dim=dim)
     axis = np.ones(dim) / np.sqrt(dim)
     K = geom.PolyCone(np.zeros(dim), axis[None], "spherical", half_angle=0.9)
-    green = cgo.FaddeevGreen(g, cgo.build_direction(K, 2.0, 7.3).rho)
+    rho = cgo.build_direction(K, 2.0, 7.3).rho
+    green = cgo.FaddeevGreen(g, rho)
     mask = np.zeros(g.shape)
     mask[tuple(slice(a, b) for a, b in zip(lo, hi))] = 1.0
     support, box = solver.support_box(mask, g)
@@ -241,9 +243,26 @@ def test_restricted_green_matches_full_operator(dim, n, lo, hi):
     x = rng.standard_normal(box.shape) + 1j * rng.standard_normal(box.shape)
     embedded = np.zeros(g.shape, dtype=complex)
     embedded[support] = x
-    ref = green.apply(embedded)[support]
-    got = green.restrict(box).apply(x)
+    ref = green.apply(embedded)
+    ref = ref if to_grid else ref[support]
+    got = cgo.FaddeevGreen(g, rho, box, g if to_grid else box).apply(x)
     assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+def test_multiplier_singularity_on_the_doubled_lattice():
+    # rho puts a zero of -|xi|^2 + 2i rho.xi on the half-shifted lattice
+    # of 2n points per axis: Re rho.xi = 0 and |xi|^2 + 2 Im rho.xi = 0 at
+    # xi = (a, a), a = 7 pi / (2n h); the boxes do not move the lattice
+    n, tau = 32, 3.0
+    g = fields.centered_grid(1.0, n, dim=2)
+    a = 7 * np.pi / (2 * n * g.spacing)
+    rho = tau * np.array([1.0, -1.0]) / np.sqrt(2) - 0.5j * a * np.ones(2)
+    box = solver.support_box(_disc_q(g, 0.3, 1.0), g)[1]
+    for source, target in ((None, None), (box, box), (box, g)):
+        with pytest.raises(cgo.MultiplierSingularity) as err:
+            cgo.FaddeevGreen(g, rho, source, target)
+        assert err.value.suggested_tau == pytest.approx(
+            tau + 2 * np.pi / (2 * n * g.spacing), rel=1e-12)
 
 
 def _cuboid_3d():

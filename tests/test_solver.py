@@ -37,25 +37,39 @@ def test_singular_cell_integral_3d_against_quadrature():
     assert abs(got - (re + 1j * im)) < 1e-12
 
 
-@pytest.mark.parametrize("g", [
-    fields.centered_grid(0.5, 12, dim=2),
-    # odd and unequal axes: the folded kernel reads offset min(a, 2s - a)
-    fields.Grid(np.array([-0.6, -0.4]), 0.09, (11, 14)),
-    fields.Grid(np.array([-0.3, -0.2, -0.35]), 0.1, (5, 6, 7)),
-], ids=["2d-12x12", "2d-11x14", "3d-5x6x7"])
-def test_green_convolution_matches_direct_sum(g):
+GRID_11x14 = fields.Grid(np.array([-0.6, -0.4]), 0.09, (11, 14))
+# the points 2..6 x 5..11 of that grid
+BOX_11x14 = fields.Grid(GRID_11x14.origin + 0.09 * np.array([2, 5]), 0.09,
+                        (5, 7))
+
+
+@pytest.mark.parametrize("g, source, target", [
+    (fields.centered_grid(0.5, 12, dim=2), None, None),
+    # odd and unequal axes: the kernel reads offset |d| per axis
+    (GRID_11x14, None, None),
+    (fields.Grid(np.array([-0.3, -0.2, -0.35]), 0.1, (5, 6, 7)), None, None),
+    # an off-origin box with unequal axes, to the grid and to itself
+    (GRID_11x14, BOX_11x14, GRID_11x14),
+    (GRID_11x14, BOX_11x14, BOX_11x14),
+], ids=["2d-12x12", "2d-11x14", "3d-5x6x7", "2d-box-to-grid",
+        "2d-box-to-box"])
+def test_green_convolution_matches_direct_sum(g, source, target):
     k = 2.0
+    source = g if source is None else source
+    target = g if target is None else target
     rng = np.random.default_rng(0)
-    x = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
-    conv = solver.GreenConvolution(g, k)
+    x = rng.standard_normal(source.shape) \
+        + 1j * rng.standard_normal(source.shape)
+    conv = solver.GreenConvolution(g, k, source, target)
     got = conv.apply(x)
-    pts = g.points().reshape(-1, g.dim)
-    diff = np.linalg.norm(pts[:, None] - pts[None], axis=-1)
+    pts = source.points().reshape(-1, g.dim)
+    out = target.points().reshape(-1, g.dim)
+    diff = np.linalg.norm(out[:, None] - pts[None], axis=-1)
     kernel = np.zeros(diff.shape, dtype=complex)
-    nz = diff > 0
+    nz = diff > g.spacing / 2   # a box's points are the grid's to rounding
     kernel[nz] = solver.fundamental_solution(k, diff[nz], g.dim) * g.cell_volume
     kernel[~nz] = solver.singular_cell_integral(k, g.spacing, g.dim)
-    direct = (kernel @ x.ravel()).reshape(g.shape)
+    direct = (kernel @ x.ravel()).reshape(target.shape)
     assert np.max(np.abs(got - direct)) < 1e-10 * np.max(np.abs(direct))
 
 
@@ -160,18 +174,19 @@ def test_support_box_builds_one_kernel_until_the_grid_is_read(monkeypatch):
     shapes = []
     init = solver.GreenConvolution.__init__
 
-    def counting(self, grid, k):
-        shapes.append(grid.shape)
-        init(self, grid, k)
+    def counting(self, grid, k, source=None, target=None):
+        shapes.append((source.shape, target.shape))
+        init(self, grid, k, source, target)
 
     monkeypatch.setattr(solver.GreenConvolution, "__init__", counting)
     V, omega = support_box_scene(2)
     g = fields.centered_grid(1.0, 128, dim=2)
     sol = solver.solve_forward(V, 2.5, omega, g)
     solver.scattered_at_points(sol, circle(0.9, 32))
-    assert shapes == [sol.box.grid.shape]
+    box = sol.box.grid.shape
+    assert shapes == [(box, box)]
     assert sol.total.grid is g and sol.scattered.grid is g
-    assert shapes == [sol.box.grid.shape, g.shape]
+    assert shapes == [(box, box), (box, g.shape)]
 
 
 def test_gmres_non_convergence_is_a_typed_error(monkeypatch):
