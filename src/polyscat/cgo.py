@@ -3,11 +3,11 @@
 Builds the admissible complex direction curve rho(tau) with
 rho.rho + k^2 = 0 attached to a spherical cone, evaluates the closed-form
 Laplace transform of e^(rho.(x-x_c)) over convex polyhedral cones, and
-solves the conjugated remainder equation (Lap + 2 rho.grad + q) psi = f by
-a Fourier-multiplier Green operator on the grid's doubled periodic
+solves the conjugated remainder equation (Lap + 2 rho.grad + q) psi = -q
+by a Fourier-multiplier Green operator on the grid's doubled periodic
 lattice, applied between boxes of the grid: GMRES on the bounding box of
-supp q and supp f, then one apply from that box to the grid, giving the
-special solution u0 = e^(rho.(x-x_c)) (1 + psi).
+supp q, then one apply from that box to the grid, giving the special
+solution u0 = e^(rho.(x-x_c)) (1 + psi).
 """
 
 from __future__ import annotations
@@ -119,8 +119,7 @@ def _cone_rotation_2d(cone: PolyCone):
     alpha = _angle_between(g_lo, g_hi)
     th = np.arctan2(g_lo[1], g_lo[0])
     rot = np.array([[np.cos(th), np.sin(th)], [-np.sin(th), np.cos(th)]])
-    a = 1.0 / np.tan(alpha)
-    return rot, a, alpha
+    return rot, 1.0 / np.tan(alpha)
 
 
 def cone_laplace(cone: PolyCone, vec: np.ndarray) -> ConeTransform:
@@ -131,7 +130,7 @@ def cone_laplace(cone: PolyCone, vec: np.ndarray) -> ConeTransform:
     if cone.kind != "polyhedral":
         raise CgoError("Laplace transform requires a polyhedral cone")
     if cone.dim == 2:
-        rot, a, _ = _cone_rotation_2d(cone)
+        rot, a = _cone_rotation_2d(cone)
         xi = rot @ vec
         if not (np.real(xi[0]) < 0 and np.real(xi[1] + a * xi[0]) < 0):
             raise CgoError("convergence condition violated for this "
@@ -269,15 +268,14 @@ def contraction_estimate(green: FaddeevGreen, q: np.ndarray) -> float:
     return float(rate)
 
 
-def solve_faddeev(q: np.ndarray, f: np.ndarray, rho: np.ndarray,
-                  grid: Grid) -> WaveField:
-    """Solve (Lap + 2 rho.grad + q) psi = f as psi = G_rho(f - q psi).
+def solve_faddeev(q: np.ndarray, rho: np.ndarray, grid: Grid) -> WaveField:
+    """Solve (Lap + 2 rho.grad + q) psi = -q as psi = -G_rho(q (1 + psi)).
 
-    Only f and psi on supp q enter the equation, so it is solved on the
-    bounding box B of supp q and supp f: GMRES solves psi + G(q psi) = G f
-    with G from B to B, and psi on the grid is G(f - q psi) from B to the
-    grid, with the box solution pasted back.  A zero q gives psi = G f by
-    that one apply.
+    Only psi on supp q enters the equation, so it is solved on the
+    bounding box B of supp q: GMRES solves psi + G(q psi) = -G q with G
+    from B to B, and psi on the grid is -G(q (1 + psi)) from B to the
+    grid, with the box solution pasted back.  A zero q gives psi = 0 and
+    builds no operator.
 
     Rejects directions whose fixed-point map is not an observable
     contraction (factor >= 0.9), standing in for the non-computable
@@ -286,27 +284,24 @@ def solve_faddeev(q: np.ndarray, f: np.ndarray, rho: np.ndarray,
     ||q||_inf / min_abs before it iterates.
     """
     q = np.asarray(q, dtype=complex)
-    f = np.asarray(f, dtype=complex)
-    support, box = support_box((q != 0) | (f != 0), grid)
-    src, qb = f[support], q[support]
-    psi_box = None
-    if np.any(qb != 0):
-        green = FaddeevGreen(grid, rho, box, box)
-        rate = contraction_estimate(green, q)
-        if rate >= CONTRACTION_LIMIT:
-            raise CgoError(f"fixed-point contraction factor {rate:.3f} >= "
-                           f"{CONTRACTION_LIMIT}; |Im rho| too small for this "
-                           "contrast")
-        try:
-            psi_box, _, _ = solve_volume_equation(
-                green, qb, green.apply(src), REMAINDER_TOL, REMAINDER_MAXITER)
-        except SolverError as exc:
-            raise CgoError(f"remainder solve: {exc}") from exc
-        src = src - qb * psi_box
-    psi = FaddeevGreen(grid, rho, box, grid).apply(src)
-    if psi_box is not None:
-        psi[support] = psi_box
-    # A rho of 0 never reaches here (multiplier singularity), so k is moot.
+    # psi solves no Helmholtz equation: the WaveField's k is moot
+    if not np.any(q):
+        return WaveField(grid, np.zeros(grid.shape, dtype=complex), k=0.0)
+    support, box = support_box(q != 0, grid)
+    qb = q[support]
+    green = FaddeevGreen(grid, rho, box, box)
+    rate = contraction_estimate(green, q)
+    if rate >= CONTRACTION_LIMIT:
+        raise CgoError(f"fixed-point contraction factor {rate:.3f} >= "
+                       f"{CONTRACTION_LIMIT}; |Im rho| too small for this "
+                       "contrast")
+    try:
+        psi_box, _, _ = solve_volume_equation(
+            green, qb, green.apply(-qb), REMAINDER_TOL, REMAINDER_MAXITER)
+    except SolverError as exc:
+        raise CgoError(f"remainder solve: {exc}") from exc
+    psi = FaddeevGreen(grid, rho, box, grid).apply(-qb - qb * psi_box)
+    psi[support] = psi_box
     return WaveField(grid, psi, k=0.0)
 
 
@@ -350,9 +345,8 @@ def faddeev_decay_case(n: int, s: float = DEFAULT_S,
 def build_cgo(V: ContrastField, k: float, direction: CgoDirection,
               grid: Grid) -> tuple[WaveField, WaveField]:
     """u0 = e^(rho.(x - x_c)) (1 + psi) with psi solving the remainder
-    equation for q = k^2 V, f = -k^2 V.  Returns (u0, psi)."""
-    q = k ** 2 * V.evaluate(grid)
-    psi = solve_faddeev(q, -q, direction.rho, grid)
+    equation for q = k^2 V.  Returns (u0, psi)."""
+    psi = solve_faddeev(k ** 2 * V.evaluate(grid), direction.rho, grid)
     phase = np.tensordot(grid.points() - direction.vertex, direction.rho, axes=1)
     u0 = np.exp(phase) * (1.0 + psi.values)
     return WaveField(grid, u0, k), psi

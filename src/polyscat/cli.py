@@ -124,6 +124,14 @@ def write_text(path: str, text: str, force: bool) -> None:
         f.write(text)
 
 
+def write_json(args, name: str, payload: dict, mhash: str) -> None:
+    """Write payload, stamped with the manifest hash, to --out/name."""
+    payload["manifest_hash"] = mhash
+    write_text(os.path.join(args.out, name),
+               json.dumps(payload, indent=2, sort_keys=True) + "\n",
+               args.force)
+
+
 def far_field_csv(ff: solver.FarFieldPattern, mhash: str) -> str:
     lines = [f"# manifest_hash: {mhash}"]
     if ff.dim == 2:
@@ -162,20 +170,15 @@ def cmd_solve(args) -> int:
     for i, scene in enumerate(manifest["scenes"]):
         V, k, omega, grid, R = build_scene(scene)
         sol = solver.solve_forward(V, k, omega, grid, tol=tol)
-        base = os.path.join(args.out, f"scene{i:03d}")
-        write_text(base + "_farfield.csv",
+        write_text(os.path.join(args.out, f"scene{i:03d}_farfield.csv"),
                    far_field_csv(sol.far_field, mhash), args.force)
-        report = {
-            "manifest_hash": mhash,
+        write_json(args, f"scene{i:03d}_solve.json", {
             "scene_index": i,
             "k": k,
             "iterations": sol.iterations,
             "residual": sol.residual,
             "far_field_l2": sol.far_field.l2_norm(),
-        }
-        write_text(base + "_solve.json", json.dumps(report, indent=2,
-                                                    sort_keys=True) + "\n",
-                   args.force)
+        }, mhash)
     return 0
 
 
@@ -186,17 +189,10 @@ def cmd_calibrate(args) -> int:
     cal = rellich.calibrate(k, dim=grid.dim,
                             trials=int(manifest.get("trials", 100)),
                             seed=int(manifest["seed"]))
-    payload = json.loads(cal.to_json())
-    payload["manifest_hash"] = mhash
-    write_text(os.path.join(args.out, "calibration.json"),
-               json.dumps(payload, indent=2, sort_keys=True) + "\n",
-               args.force)
+    write_json(args, "calibration.json", json.loads(cal.to_json()), mhash)
     cert = certify_hankel_bounds(k * R, 4 * k * R, nu_max=40)
-    cert_payload = json.loads(cert.to_json())
-    cert_payload["manifest_hash"] = mhash
-    write_text(os.path.join(args.out, "hankel_certificate.json"),
-               json.dumps(cert_payload, indent=2, sort_keys=True) + "\n",
-               args.force)
+    write_json(args, "hankel_certificate.json", json.loads(cert.to_json()),
+               mhash)
     return 0
 
 
@@ -246,10 +242,8 @@ def cmd_verify(args) -> int:
                    "mismatch": rep.mismatch})
 
     ok = all(c["passed"] for c in checks)
-    report = {"manifest_hash": mhash, "all_passed": ok, "checks": checks}
-    write_text(os.path.join(args.out, "verify.json"),
-               json.dumps(report, indent=2, sort_keys=True) + "\n",
-               args.force)
+    write_json(args, "verify.json", {"all_passed": ok, "checks": checks},
+               mhash)
     return 0 if ok else 1
 
 
@@ -325,8 +319,8 @@ def cmd_stability(args) -> int:
         pairs.append((V0, _shrunk_contrast(V0, t)))
     records = stability.run_support_stability_experiment(
         pairs, k, omega, grid, cal, tol=float(manifest.get("tol", 1e-8)))
-    write_text(os.path.join(args.out, "support_stability.json"),
-               _records_json(records, mhash, seed), args.force)
+    write_json(args, "support_stability.json", _records_payload(records, seed),
+               mhash)
     write_text(os.path.join(args.out, "support_stability.csv"),
                f"# manifest_hash: {mhash}\n"
                + stability.records_to_csv(records), args.force)
@@ -335,8 +329,8 @@ def cmd_stability(args) -> int:
     scenes = [constant_contrast(V0.polytope, c) for c in ladder]
     corner = stability.run_corner_lower_bound_experiment(
         scenes, k, omega, grid, tol=float(manifest.get("tol", 1e-8)))
-    write_text(os.path.join(args.out, "corner_lower_bound.json"),
-               _records_json(corner, mhash, seed), args.force)
+    write_json(args, "corner_lower_bound.json", _records_payload(corner, seed),
+               mhash)
     write_text(os.path.join(args.out, "corner_lower_bound.csv"),
                f"# manifest_hash: {mhash}\n"
                + stability.records_to_csv(corner), args.force)
@@ -354,10 +348,8 @@ def _shrunk_contrast(V: ContrastField, t: float) -> ContrastField:
     return ContrastField(Pp, V.phi, V.alpha, V.M, V.mu)
 
 
-def _records_json(records, mhash: str, seed: int) -> str:
-    return json.dumps({"manifest_hash": mhash, "seed": seed,
-                       "records": [r.to_dict() for r in records]},
-                      indent=2, sort_keys=True) + "\n"
+def _records_payload(records, seed: int) -> dict:
+    return {"seed": seed, "records": [r.to_dict() for r in records]}
 
 
 def _gnuplot_script(mhash: str) -> str:

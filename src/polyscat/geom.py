@@ -405,7 +405,6 @@ def _ball_from_boundary(boundary):
 @dataclass(frozen=True)
 class QAngleReport:
     vertex_ok: bool
-    angle_bound: float
     angle_actual: float
     degenerate: bool = False
     detail: str = ""
@@ -427,21 +426,21 @@ def check_q_angle(P: Polytope, Q: Polytope) -> QAngleReport:
     if d_pq[index] <= ANGLE_TOL:
         # Degenerate P' = P style case: the hull cone equals P's own cone.
         alpha = polygon_vertex_angle(P, index) if P.dim == 2 else np.pi / 2
-        return QAngleReport(True, (alpha + np.pi) / 2 if P.dim == 2 else np.pi / 2,
-                            alpha, degenerate=True, detail="zero Hausdorff distance")
+        return QAngleReport(True, alpha, degenerate=True,
+                            detail="zero Hausdorff distance")
     try:
         cone = convex_hull_cone(P, Q, P.vertices[index])
     except GeometryError as exc:
-        return QAngleReport(False, np.nan, np.nan, detail=str(exc))
+        return QAngleReport(False, np.nan, detail=str(exc))
     if P.dim == 2:
         alpha = polygon_vertex_angle(P, index)
         bound = (alpha + np.pi) / 2
         actual = cone.opening_angle()
         degenerate = abs(actual - bound) <= ANGLE_TOL
-        return QAngleReport(actual <= bound + ANGLE_TOL, bound, actual,
+        return QAngleReport(actual <= bound + ANGLE_TOL, actual,
                             degenerate=degenerate)
     _, half = minimal_enclosing_cone(cone.generators)
-    return QAngleReport(half < np.pi / 2, np.pi / 2, half)
+    return QAngleReport(half < np.pi / 2, half)
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +451,6 @@ def check_q_angle(P: Polytope, Q: Polytope) -> QAngleReport:
 class AdmissibilityReport:
     ell: float
     alpha_min: float
-    alpha_max: float
     ok: bool
     violations: tuple = ()
     n_boundary_planes: int = 0
@@ -473,7 +471,6 @@ def admissibility_report(P: Polytope, R: float | None = None) -> AdmissibilityRe
         ell = np.min(d)
         angles = np.array([polygon_vertex_angle(P, i) for i in range(m)])
         alpha_min = float(angles.min() / 2)
-        alpha_max = float(angles.max() / 2)
         if angles.min() <= 0:
             violations.append("vanishing interior angle")
         if angles.max() >= np.pi:
@@ -482,12 +479,12 @@ def admissibility_report(P: Polytope, R: float | None = None) -> AdmissibilityRe
     else:
         _, _, half = P.frame
         ell = float(2 * np.min(half))  # vertex to opposite face pair
-        alpha_min = alpha_max = np.pi / 4
+        alpha_min = np.pi / 4
         if np.min(half) <= 0:
             violations.append("degenerate cuboid extent")
         planes = 6
     ell = float(min(ell, 1.0))
     if R is not None and not P.contained_in_ball(R):
         violations.append(f"not contained in the ball of radius {R}")
-    return AdmissibilityReport(ell, alpha_min, alpha_max, not violations,
+    return AdmissibilityReport(ell, alpha_min, not violations,
                                tuple(violations), planes)

@@ -369,7 +369,6 @@ class PropagationPath:
 @dataclass(frozen=True)
 class ChainResult:
     bound: float
-    measured_start: float
     measured_end: float
     K: int
 
@@ -396,8 +395,8 @@ def propagate_chain(field, path: PropagationPath, T: float,
     if m1 > 1 + 1e-9:
         raise RellichError("chain start norm exceeds 1")
     if path.K == 1:
-        return ChainResult(m1, m1, mK, 1)
-    return ChainResult(cal.chain_bound(T, m1, path.K - 1), m1, mK, path.K)
+        return ChainResult(m1, mK, 1)
+    return ChainResult(cal.chain_bound(T, m1, path.K - 1), mK, path.K)
 
 
 def propagate_outside_hull(field, Q: Polytope, query, r: float,
@@ -432,13 +431,12 @@ def propagate_outside_hull(field, Q: Polytope, query, r: float,
             centers = end + np.outer(1 - ts, query - end)
             path = PropagationPath(centers, r)
             rng = np.random.default_rng(0)
-            m_first = ball_sup(field, centers[0], r, rng)
-            if m_first > delta * (1 + 1e-6):
+            if ball_sup(field, centers[0], r, rng) > delta * (1 + 1e-6):
                 raise RellichError("annulus smallness assumption fails at the "
                                    "chain start")
             m_end = ball_sup(field, query, r, rng)
             return ChainResult(cal.chain_bound(T, delta, path.K - 1),
-                               m_first, m_end, path.K)
+                               m_end, path.K)
     raise RellichError("no radial escape ray clears B(Q, 4r)")
 
 
@@ -468,7 +466,6 @@ def _segment_clear(a, b, Q: Polytope, margin: float) -> bool:
 class CrossingResult:
     r_delta: float
     bound: float
-    log_delta_max: float
     delta_ok: bool
 
 
@@ -494,7 +491,7 @@ def cross_into_boundary(log_delta: float, alpha: float, T: float, A: float,
     r_delta = A * R * log_c2 / ((1 - alpha) * lnln)
     numer = (8 * A * R * log_c2 / (1 - alpha)) ** alpha + cal.C / cal.c2 ** 2
     bound = numer / lnln ** alpha * T
-    return CrossingResult(float(r_delta), float(bound), log_delta_max,
+    return CrossingResult(float(r_delta), float(bound),
                           bool(log_delta < log_delta_max))
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, asdict
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
+from scipy.interpolate import NdBSpline, make_interp_spline
 
 from . import cgo, rellich
 from .cgo import CgoDirection, faddeev_decay_case
@@ -24,6 +24,13 @@ from .geom import (PolyCone, admissibility_report, cone_mask,
                    hausdorff_distance)
 from .rellich import Calibration, float_view, quantitative_rellich
 from .solver import SolverError, solve_forward
+
+
+# The far-field level below which a corner record's far field counts as
+# noise.  The far field of V = 0 is exactly 0, so this roundoff-scale
+# constant is the floor; item 5 of ROADMAP.md replaces it with a measured
+# discretisation floor.
+NOISE_FLOOR = 1e-12
 
 
 class StabilityError(RuntimeError):
@@ -35,21 +42,30 @@ class StabilityError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 def field_interpolator(*fields: WaveField):
-    """One cubic interpolant of one or more fields on one grid, callable on
-    (..., dim) points: shape pts.shape[:-1] for one field and
-    pts.shape[:-1] + (m,) for m fields."""
+    """One exact not-a-knot cubic spline of one or more fields on one grid
+    (a banded direct solve per axis), callable on (..., dim) points in the
+    grid: shape pts.shape[:-1] for one field and pts.shape[:-1] + (m,) for
+    m fields.  A point outside the grid raises ValueError."""
     if len({(w.grid.shape, w.grid.spacing, tuple(w.grid.origin))
             for w in fields}) > 1:
         raise StabilityError("interpolated fields must share one grid")
     grid = fields[0].grid
-    values = np.stack([w.values for w in fields], axis=-1)
-    interp = RegularGridInterpolator(tuple(grid.axes()), values,
-                                     method="cubic", bounds_error=True)
+    axes = grid.axes()
+    lo, hi = np.array([a[[0, -1]] for a in axes]).T
+    coef = np.stack([w.values for w in fields], axis=-1)
+    knots = []
+    for i, a in enumerate(axes):
+        spl = make_interp_spline(a, coef, k=3, axis=i)
+        knots.append(spl.t)
+        coef = np.moveaxis(spl.c, 0, i)
+    spline = NdBSpline(tuple(knots), coef, 3)
     tail = (len(fields),) if len(fields) > 1 else ()
 
     def f(pts):
         pts = np.asarray(pts, dtype=float)
-        return interp(pts.reshape(-1, grid.dim)).reshape(pts.shape[:-1] + tail)
+        if not np.all((lo <= pts) & (pts <= hi)):
+            raise ValueError("interpolation point outside the grid")
+        return spline(pts).reshape(pts.shape[:-1] + tail)
 
     return f
 
@@ -251,7 +267,6 @@ def assemble_budget(V: ContrastField, x_c, h: float,
 class TauChoice:
     tau_e: float
     clamped: bool
-    floor: float
 
 
 def optimize_tau(h: float, delta_eps: float, m: float, n: int,
@@ -266,8 +281,8 @@ def optimize_tau(h: float, delta_eps: float, m: float, n: int,
     tau_e = (1.0 / (h ** (n + 5) * delta_eps)) ** (1.0 / (m + n + 5))
     floor = max(1.0, k)
     if tau_e < floor:
-        return TauChoice(float(floor), True, float(floor))
-    return TauChoice(float(tau_e), False, float(floor))
+        return TauChoice(float(floor), True)
+    return TauChoice(float(tau_e), False)
 
 
 # ---------------------------------------------------------------------------
@@ -304,28 +319,29 @@ def run_support_stability_experiment(scene_pairs, k: float, omega, grid,
     """For each (V, V') pair: solve both scattering problems, measure the
     far-field difference and the Hausdorff distance of the supports, and
     evaluate the pipeline bound C (ln ln S/eps)^(-gamma).  Each distinct
-    contrast object is solved once, however many pairs share it."""
+    contrast object is solved, and its H^2 surrogate taken, once, however
+    many pairs share it."""
     records = []
     n = grid.dim
+    beta = faddeev_decay_case(n).beta
     scene_pairs = list(scene_pairs)  # keeps every object alive: ids stay unique
-    solutions = {}
+    solved = {}   # id of a contrast -> (far field, H^2 surrogate)
     for V, Vp in scene_pairs:
         try:
             for W in (V, Vp):
-                if id(W) not in solutions:
-                    solutions[id(W)] = solve_forward(
-                        W, k, omega, grid, tol=tol, n_directions=n_directions)
+                if id(W) not in solved:
+                    sol = solve_forward(W, k, omega, grid, tol=tol,
+                                        n_directions=n_directions)
+                    solved[id(W)] = (sol.far_field, h2_surrogate(sol.scattered))
         except SolverError as exc:
             records.append(StabilityRecord(np.nan, np.nan, np.nan, np.nan,
                                            f"solver-error: {exc}"))
             continue
-        solA, solB = solutions[id(V)], solutions[id(Vp)]
-        eps = float(np.sqrt(np.sum(
-            np.abs(solA.far_field.values - solB.far_field.values) ** 2)
-            * solA.far_field.quad_weight))
+        (ffA, sA), (ffB, sB) = solved[id(V)], solved[id(Vp)]
+        eps = float(np.sqrt(np.sum(np.abs(ffA.values - ffB.values) ** 2)
+                            * ffA.quad_weight))
         hh = hausdorff_distance(V.polytope, Vp.polytope)
-        S = max(1.0, h2_surrogate(solA.scattered), h2_surrogate(solB.scattered))
-        beta = faddeev_decay_case(n).beta
+        S = max(1.0, sA, sB)
         m = min(1.0, V.alpha, beta)
         gamma = support_stability_gamma(m, n)
         pipeline = quantitative_rellich(eps, S, k, cal_R(grid), cal, T=S)
@@ -373,26 +389,12 @@ class CornerRecord:
         return asdict(self)
 
 
-def estimate_noise_floor(k: float, omega, grid, n_directions: int = 256
-                         ) -> float:
-    """Spurious far-field level of the discrete pipeline on a V = 0 scene,
-    floored at a roundoff-scale constant."""
-    from .fields import plane_wave
-    from .solver import far_field_from_volume, default_directions
-    inc = plane_wave(k, omega, grid)
-    dirs = default_directions(grid.dim, n_directions)
-    ff = far_field_from_volume(np.zeros(grid.shape, dtype=complex),
-                               inc, k, dirs)
-    return max(ff.l2_norm(), 1e-12)
-
-
 def run_corner_lower_bound_experiment(scenes, k: float, omega, grid,
                                       n_directions: int = 256,
                                       tol: float = 1e-8) -> list:
     """Solve each corner scene, record the far-field norm against the
     double-exponential lower-bound expression and the noise floor.  Each
     support must be admissible inside the grid's ball B(0, cal_R(grid))."""
-    noise = estimate_noise_floor(k, omega, grid, n_directions)
     n = grid.dim
     beta = faddeev_decay_case(n).beta
     out = []
@@ -416,8 +418,8 @@ def run_corner_lower_bound_experiment(scenes, k: float, omega, grid,
                     - (2 + 2 / ((n + 5) * g)) * np.log(abs(phi_xc)))
         bound = float_view(np.log(S) - float_view(lnln))
         out.append(CornerRecord(ff_norm, float(bound), float(ell),
-                                phi_xc.real, phi_xc.imag, noise,
-                                ff_norm / noise, float(lnln)))
+                                phi_xc.real, phi_xc.imag, NOISE_FLOOR,
+                                ff_norm / NOISE_FLOOR, float(lnln)))
     return out
 
 

@@ -191,7 +191,7 @@ def test_decay_case_table():
 def test_faddeev_zero_data():
     g = fields.centered_grid(1.0, 32, dim=2)
     rho = cgo.build_direction(spherical_cone_2d(), 2.0, 5.0).rho
-    psi = cgo.solve_faddeev(np.zeros(g.shape), np.zeros(g.shape), rho, g)
+    psi = cgo.solve_faddeev(np.zeros(g.shape), rho, g)
     assert np.max(np.abs(psi.values)) == 0.0
 
 
@@ -203,7 +203,7 @@ def test_faddeev_green_residual():
     pts = g.points()
     r2 = np.sum(pts ** 2, axis=-1)
     f = np.exp(-40 * r2).astype(complex)
-    psi = cgo.solve_faddeev(np.zeros(g.shape), f, rho, g).values
+    psi = cgo.FaddeevGreen(g, rho).apply(f)
     lap = fields.laplacian_stencil(psi, h)
     grads = np.gradient(psi, h)
     core = (slice(2, -2),) * 2
@@ -217,7 +217,7 @@ def test_contraction_gate_rejects_large_contrast():
     rho = cgo.build_direction(spherical_cone_2d(), 2.0, 0.5).rho
     q = np.full(g.shape, 200.0, dtype=complex)
     with pytest.raises(cgo.CgoError):
-        cgo.solve_faddeev(q, -q, rho, g)
+        cgo.solve_faddeev(q, rho, g)
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +289,7 @@ def test_box_remainder_solve_matches_full_grid(make, n, tau):
     K = geom.PolyCone(np.zeros(dim), axis[None], "spherical", half_angle=0.9)
     rho = cgo.build_direction(K, k, tau).rho
     q = k ** 2 * V.evaluate(g)
-    psi = cgo.solve_faddeev(q, -q, rho, g).values
+    psi = cgo.solve_faddeev(q, rho, g).values
     # full-grid reference: GMRES on every grid point
     green = cgo.FaddeevGreen(g, rho)
     ref, _, _ = solver.solve_volume_equation(
@@ -347,7 +347,7 @@ def test_contraction_gate_rejects_compact_contrast():
     q = _disc_q(g, 0.2, 60.0)
     assert 0.9 <= _power_estimate(cgo.FaddeevGreen(g, rho), q) < 0.95
     with pytest.raises(cgo.CgoError, match="contraction factor"):
-        cgo.solve_faddeev(q, -q, rho, g)
+        cgo.solve_faddeev(q, rho, g)
 
 
 def test_certified_build_cgo_skips_power_iteration(monkeypatch):
@@ -376,12 +376,22 @@ def test_certified_build_cgo_skips_power_iteration(monkeypatch):
     assert len(shapes) > 2   # the GMRES applies run on the box
 
 
-def test_build_cgo_zero_contrast():
+def test_build_cgo_zero_contrast(monkeypatch):
+    # psi = 0 for every rho: no Faddeev operator is built
+    builds = []
+    init = cgo.FaddeevGreen.__init__
+
+    def counted_init(self, *args, **kwargs):
+        builds.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cgo.FaddeevGreen, "__init__", counted_init)
     P = geom.convex_polygon([[-0.3, -0.3], [0.3, -0.3], [0.0, 0.3]])
     V = fields.constant_contrast(P, 0.0)
     g = fields.centered_grid(1.0, 32, dim=2)
     d = cgo.build_direction(spherical_cone_2d(vertex=(0.0, 0.3)), 2.0, 5.0)
     u0, psi = cgo.build_cgo(V, 2.0, d, g)
+    assert builds == []
     assert np.max(np.abs(psi.values)) == 0.0
     phase = np.tensordot(g.points() - d.vertex, d.rho, axes=1)
     np.testing.assert_allclose(u0.values, np.exp(phase), rtol=1e-12)

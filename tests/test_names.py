@@ -1,0 +1,53 @@
+"""Every public name of the package has a reader outside the unit tests.
+
+A public module-level function or class of `src/polyscat` must be
+referenced from the package itself, a demo, the benchmark harness or the
+acceptance tests.  Unit tests alone do not keep a name alive.  The
+exceptions are listed with the item of ROADMAP.md that will call them.
+"""
+
+import ast
+import pathlib
+
+ROOT = pathlib.Path(__file__).parent.parent
+PACKAGE = ROOT / "src" / "polyscat"
+READERS = (sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
+           + sorted((ROOT / "perfbench").glob("*.py"))
+           + [ROOT / "tests" / "test_acceptance.py"])
+
+ALLOWED = {
+    "sphere_norm_from_decomposition": "ROADMAP item 2",
+    "propagate_outside_hull": "ROADMAP item 2",
+}
+
+
+def _defined(path):
+    return {node.name for node in ast.parse(path.read_text()).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")}
+
+
+def _referenced(path):
+    """Names, attributes and imported names in a file, apart from each
+    top-level definition's references to itself."""
+    names = set()
+    for stmt in ast.parse(path.read_text()).body:
+        own = getattr(stmt, "name", None)
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name):
+                found = node.id
+            elif isinstance(node, ast.Attribute):
+                found = node.attr
+            elif isinstance(node, ast.alias):
+                found = node.name.rsplit(".", 1)[-1]
+            else:
+                continue
+            if found != own:
+                names.add(found)
+    return names
+
+
+def test_every_public_name_has_a_reader():
+    defined = set().union(*(_defined(p) for p in sorted(PACKAGE.glob("*.py"))))
+    referenced = set().union(*(_referenced(p) for p in READERS))
+    assert sorted(defined - referenced) == sorted(ALLOWED)

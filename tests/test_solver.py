@@ -201,7 +201,7 @@ def test_gmres_non_convergence_is_a_typed_error(monkeypatch):
     q = 4.0 * V.evaluate(g)
     rho = np.array([0.0, -4.0]) + 1j * np.sqrt(20.0) * np.array([1.0, 0.0])
     with pytest.raises(cgo.CgoError, match="residual="):
-        cgo.solve_faddeev(q, -q, rho, g)
+        cgo.solve_faddeev(q, rho, g)
 
 
 def test_born_regime_agreement():

@@ -144,7 +144,7 @@ def test_orthogonality_one_interpolant_one_pass(monkeypatch):
     # the three fields share one interpolant, evaluated once on the volume
     # points, the boundary points and both normal shifts together
     counts = {"built": 0, "calls": 0}
-    base = stability.RegularGridInterpolator
+    base = stability.NdBSpline
 
     class Counting(base):
         def __init__(self, *args, **kwargs):
@@ -155,7 +155,7 @@ def test_orthogonality_one_interpolant_one_pass(monkeypatch):
             counts["calls"] += 1
             return super().__call__(*args, **kwargs)
 
-    monkeypatch.setattr(stability, "RegularGridInterpolator", Counting)
+    monkeypatch.setattr(stability, "NdBSpline", Counting)
     V = square_contrast(0.4)
     k = 2.0
     g = fields.centered_grid(1.0, 64, dim=2)
@@ -321,9 +321,9 @@ def test_stability_records_serialize():
     assert stability.records_to_csv([]) == ""
 
 
-def test_noise_floor_is_roundoff():
-    g = fields.centered_grid(1.0, 48, dim=2)
-    assert stability.estimate_noise_floor(2.0, [1.0, 0.0], g) == 1e-12
+def test_noise_floor_is_roundoff(born_ladder_records):
+    for r in born_ladder_records:
+        assert r.noise_floor == stability.NOISE_FLOOR == 1e-12
 
 
 def test_corner_experiment_born_monotone():
@@ -395,8 +395,33 @@ def test_field_interpolator_roundtrip():
     pts = np.array([[0.1, 0.2], [-0.3, 0.4]])
     exact = np.exp(2j * pts[:, 0])
     assert np.max(np.abs(f(pts) - exact)) < 1e-6
-    with pytest.raises(ValueError):
-        f(np.array([[5.0, 0.0]]))
+    # the grid's end points lie half a spacing inside its half-width
+    lo, hi = g.axes()[0][[0, -1]]
+    assert np.isfinite(f(np.array([[lo, hi], [hi, lo]]))).all()
+    for bad in ([5.0, 0.0], [1.0, 0.0], [hi + 1e-9, 0.0], [0.0, lo - 1e-9]):
+        with pytest.raises(ValueError):
+            f(np.array([[0.0, 0.0], bad]))
+
+
+def test_field_interpolator_is_the_exact_spline():
+    # criterion 6's tau = 20 CGO field spans many decades near the vertex;
+    # the interpolant must be the not-a-knot spline that a direct sparse
+    # solve of the whole collocation system gives
+    from scipy.interpolate import RegularGridInterpolator
+    from scipy.sparse.linalg import spsolve
+    k, vertex = 2.0, np.array([-0.35, 0.35])
+    V = square_contrast(0.4)
+    _, q_cone = top_vertex_cones(V.polytope, vertex)
+    g = fields.centered_grid(1.0, 96, dim=2)
+    u0, _ = cgo.build_cgo(V, k, cgo.build_direction(q_cone, k, 20.0), g)
+    rng = np.random.default_rng(6)
+    r = 0.1 * np.sqrt(rng.uniform(size=400))
+    theta = rng.uniform(0, 2 * np.pi, 400)
+    pts = vertex + r[:, None] * np.stack([np.cos(theta), np.sin(theta)], 1)
+    ref = RegularGridInterpolator(tuple(g.axes()), u0.values, method="cubic",
+                                  solver=spsolve)(pts)
+    got = stability.field_interpolator(u0)(pts)
+    assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 def test_field_interpolator_stacks_fields():
