@@ -12,6 +12,7 @@ solution u0 = e^(rho.(x-x_c)) (1 + psi).
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -213,30 +214,37 @@ class FaddeevGreen(PaddedFFTMultiplier):
     to retry with.  Otherwise `min_abs`, the smallest |symbol| on that
     lattice, gives the bound ||G_rho|| <= 1/min_abs, which every
     compression to boxes keeps.  The kernel at offset d is
-    K[d mod 2n] e^(i pi d / 2n) per axis, K the inverse FFT of 1/symbol.
+    K[d mod 2n] e^(i pi d / 2n) per axis, K the inverse FFT of 1/symbol,
+    computed once per direction; `between` re-embeds it for other boxes.
     """
 
     def __init__(self, grid: Grid, rho: np.ndarray,
                  source: Grid | None = None, target: Grid | None = None):
-        self.rho = np.asarray(rho, dtype=complex)
         self.domain = grid   # the grid whose 2n lattice defines the symbol
-        super().__init__(grid, source, target)
-
-    def _kernel(self, grid: Grid, offsets: list) -> np.ndarray:
         lattice = [2 * s for s in grid.shape]
         xi = np.meshgrid(*[2 * np.pi * np.fft.fftfreq(m, d=grid.spacing)
                            + np.pi / (m * grid.spacing) for m in lattice],
                          indexing="ij", sparse=True)
         symbol = (-sum(x ** 2 for x in xi)
-                  + 2j * sum(r * x for r, x in zip(self.rho, xi)))
+                  + 2j * sum(r * x for r, x in zip(rho, xi)))
         self.min_abs = float(np.min(np.abs(symbol)))
         if self.min_abs < 1e-8:
-            tau = float(np.linalg.norm(np.real(self.rho)))
+            tau = float(np.linalg.norm(np.real(rho)))
             dq = 2 * np.pi / (lattice[0] * grid.spacing)
             raise MultiplierSingularity(self.min_abs, tau + dq)
-        kernel = np.fft.ifftn(1.0 / symbol)
+        self._table = np.fft.ifftn(1.0 / symbol)
+        super().__init__(grid, source, target)
+
+    def between(self, source: Grid, target: Grid) -> FaddeevGreen:
+        """G_rho from the box `source` to the box `target` of the domain."""
+        op = copy.copy(self)
+        PaddedFFTMultiplier.__init__(op, self.domain, source, target)
+        return op
+
+    def _kernel(self, grid: Grid, offsets: list) -> np.ndarray:
+        lattice = self._table.shape
         phase = sum(np.ix_(*[d / m for d, m in zip(offsets, lattice)]))
-        return (kernel[np.ix_(*[d % m for d, m in zip(offsets, lattice)])]
+        return (self._table[np.ix_(*[d % m for d, m in zip(offsets, lattice)])]
                 * np.exp(1j * np.pi * phase))
 
 
@@ -247,13 +255,13 @@ def contraction_estimate(green: FaddeevGreen, q: np.ndarray) -> float:
     Every ratio ||G_rho(q x)|| / ||x|| is at most the certified bound
     ||q||_inf / min_abs.  When that bound is below CONTRACTION_LIMIT it is
     returned and no operator is applied.  Otherwise a six-step power
-    iteration with G_rho from the whole grid to itself, whatever boxes
-    `green` maps between, estimates the factor; the estimate never
-    exceeds the bound, so the gate decides as the estimate alone would."""
+    iteration with G_rho from the whole grid to itself, re-embedded from
+    `green`'s kernel, estimates the factor; the estimate never exceeds
+    the bound, so the gate decides as the estimate alone would."""
     bound = float(np.max(np.abs(q))) / green.min_abs
     if bound < CONTRACTION_LIMIT:
         return bound
-    green = FaddeevGreen(green.domain, green.rho)
+    green = green.between(green.domain, green.domain)
     rng = np.random.default_rng(0)
     x = rng.standard_normal(green.grid.shape) \
         + 1j * rng.standard_normal(green.grid.shape)
@@ -273,9 +281,9 @@ def solve_faddeev(q: np.ndarray, rho: np.ndarray, grid: Grid) -> WaveField:
 
     Only psi on supp q enters the equation, so it is solved on the
     bounding box B of supp q: GMRES solves psi + G(q psi) = -G q with G
-    from B to B, and psi on the grid is -G(q (1 + psi)) from B to the
-    grid, with the box solution pasted back.  A zero q gives psi = 0 and
-    builds no operator.
+    from B to B, and psi on the grid is -G(q (1 + psi)) with G re-embedded
+    from B to the grid, the box solution pasted back.  The lattice kernel
+    is computed once; a zero q gives psi = 0 and builds no operator.
 
     Rejects directions whose fixed-point map is not an observable
     contraction (factor >= 0.9), standing in for the non-computable
@@ -300,7 +308,7 @@ def solve_faddeev(q: np.ndarray, rho: np.ndarray, grid: Grid) -> WaveField:
             green, qb, green.apply(-qb), REMAINDER_TOL, REMAINDER_MAXITER)
     except SolverError as exc:
         raise CgoError(f"remainder solve: {exc}") from exc
-    psi = FaddeevGreen(grid, rho, box, grid).apply(-qb - qb * psi_box)
+    psi = green.between(box, grid).apply(-qb - qb * psi_box)
     psi[support] = psi_box
     return WaveField(grid, psi, k=0.0)
 

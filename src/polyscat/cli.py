@@ -68,7 +68,10 @@ def build_scene(d: dict):
     V = contrast_from_dict(P, d["contrast"])
     k = float(d["k"])
     omega = np.asarray(d["omega"], dtype=float)
-    omega = omega / np.linalg.norm(omega)
+    norm = np.linalg.norm(omega)
+    if omega.shape != (P.dim,) or not 0 < norm < np.inf:
+        raise CliError(f"omega must be a finite nonzero {P.dim}-vector")
+    omega = omega / norm
     g = d["grid"]
     grid = centered_grid(float(g["half_width"]), int(g["n"]), P.dim,
                          g.get("center"))

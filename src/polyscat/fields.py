@@ -92,7 +92,7 @@ class WaveField:
 def plane_wave(k: float, omega, grid: Grid) -> WaveField:
     """Incident plane wave exp(i k omega . x) sampled on the grid."""
     omega = np.asarray(omega, dtype=float)
-    if abs(np.linalg.norm(omega) - 1.0) > 1e-12:
+    if not abs(np.linalg.norm(omega) - 1.0) <= 1e-12:
         raise FieldError("direction must be a unit vector")
     phase = np.tensordot(grid.points(), omega, axes=1)
     return WaveField(grid, np.exp(1j * k * phase), k)

@@ -23,7 +23,7 @@ from .fields import ContrastField, WaveField, h2_surrogate, polytope_mask
 from .geom import (PolyCone, admissibility_report, cone_mask,
                    hausdorff_distance)
 from .rellich import Calibration, float_view, quantitative_rellich
-from .solver import SolverError, solve_forward
+from .solver import solve_forward
 
 
 # The far-field level below which a corner record's far field counts as
@@ -296,9 +296,9 @@ class StabilityRecord:
     tau_used: float
     bound_value: float
     regime: str
-    gamma: float = np.nan
-    m: float = np.nan
-    S: float = np.nan
+    gamma: float
+    m: float
+    S: float
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -327,16 +327,11 @@ def run_support_stability_experiment(scene_pairs, k: float, omega, grid,
     scene_pairs = list(scene_pairs)  # keeps every object alive: ids stay unique
     solved = {}   # id of a contrast -> (far field, H^2 surrogate)
     for V, Vp in scene_pairs:
-        try:
-            for W in (V, Vp):
-                if id(W) not in solved:
-                    sol = solve_forward(W, k, omega, grid, tol=tol,
-                                        n_directions=n_directions)
-                    solved[id(W)] = (sol.far_field, h2_surrogate(sol.scattered))
-        except SolverError as exc:
-            records.append(StabilityRecord(np.nan, np.nan, np.nan, np.nan,
-                                           f"solver-error: {exc}"))
-            continue
+        for W in (V, Vp):
+            if id(W) not in solved:
+                sol = solve_forward(W, k, omega, grid, tol=tol,
+                                    n_directions=n_directions)
+                solved[id(W)] = (sol.far_field, h2_surrogate(sol.scattered))
         (ffA, sA), (ffB, sB) = solved[id(V)], solved[id(Vp)]
         eps = float(np.sqrt(np.sum(np.abs(ffA.values - ffB.values) ** 2)
                             * ffA.quad_weight))

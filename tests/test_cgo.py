@@ -224,12 +224,16 @@ def test_contraction_gate_rejects_large_contrast():
 # The remainder solve on the support box, and the certified gate
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("dim, n, lo, hi, to_grid", [
-    (2, 48, (7, 21), (30, 33), False),
-    (3, 20, (2, 5, 9), (10, 16, 14), False),
-    (2, 48, (7, 21), (30, 33), True),
-], ids=["2d-off-centre", "3d", "2d-off-centre-to-grid"])
-def test_restricted_green_matches_full_operator(dim, n, lo, hi, to_grid):
+@pytest.mark.parametrize("dim, n, lo, hi, to_grid, derived", [
+    (2, 48, (7, 21), (30, 33), False, False),
+    (3, 20, (2, 5, 9), (10, 16, 14), False, False),
+    (2, 48, (7, 21), (30, 33), True, False),
+    (2, 48, (7, 21), (30, 33), True, True),
+    (3, 20, (2, 5, 9), (10, 16, 14), True, True),
+], ids=["2d-off-centre", "3d", "2d-off-centre-to-grid",
+        "2d-between-to-grid", "3d-between-to-grid"])
+def test_restricted_green_matches_full_operator(dim, n, lo, hi, to_grid,
+                                                derived):
     g = fields.centered_grid(1.0, n, dim=dim)
     axis = np.ones(dim) / np.sqrt(dim)
     K = geom.PolyCone(np.zeros(dim), axis[None], "spherical", half_angle=0.9)
@@ -245,7 +249,16 @@ def test_restricted_green_matches_full_operator(dim, n, lo, hi, to_grid):
     embedded[support] = x
     ref = green.apply(embedded)
     ref = ref if to_grid else ref[support]
-    got = cgo.FaddeevGreen(g, rho, box, g if to_grid else box).apply(x)
+    target = g if to_grid else box
+    op = cgo.FaddeevGreen(g, rho, box, target)
+    if derived:
+        # re-embedding the box -> box operator's kernel is the direct build
+        boxed = cgo.FaddeevGreen(g, rho, box, box)
+        assert np.array_equal(boxed.between(g, g)._symbol, green._symbol)
+        derived_op = boxed.between(box, target)
+        assert np.array_equal(derived_op._symbol, op._symbol)
+        op = derived_op
+    got = op.apply(x)
     assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
@@ -320,9 +333,11 @@ def test_contraction_gate_decides_as_full_grid_estimate():
     g = fields.centered_grid(1.0, 32, dim=2)
     decisions = set()
     for tau in (0.5, 2.0, 8.0, 32.0):
-        green = cgo.FaddeevGreen(
-            g, cgo.build_direction(spherical_cone_2d(), 2.0, tau).rho)
+        rho = cgo.build_direction(spherical_cone_2d(), 2.0, tau).rho
+        green = cgo.FaddeevGreen(g, rho)
         for radius in (0.2, 0.35):
+            box = solver.support_box(_disc_q(g, radius, 1.0), g)[1]
+            boxed = cgo.FaddeevGreen(g, rho, box, box)
             for value in (1.0, 5.0, 20.0, 60.0):
                 q = _disc_q(g, radius, value)
                 ref = _power_estimate(green, q)
@@ -333,6 +348,8 @@ def test_contraction_gate_decides_as_full_grid_estimate():
                     assert got == bound and ref <= bound
                 else:
                     assert got == ref
+                    # a box -> box operator iterates on the whole grid too
+                    assert cgo.contraction_estimate(boxed, q) == ref
                 rejected = ref >= cgo.CONTRACTION_LIMIT
                 assert (got >= cgo.CONTRACTION_LIMIT) == rejected
                 decisions.add((certified, rejected))
@@ -374,6 +391,29 @@ def test_certified_build_cgo_skips_power_iteration(monkeypatch):
     assert len(rates) == 1 and rates[0][0] == rates[0][1] < 0.9
     assert shapes.count(g.shape) <= 2
     assert len(shapes) > 2   # the GMRES applies run on the box
+
+
+@pytest.mark.parametrize("tau, certified", [(32.0, True), (8.0, False)],
+                         ids=["certified", "iterated"])
+def test_solve_faddeev_builds_one_kernel(monkeypatch, tau, certified):
+    # the box -> grid operator and the gate's grid -> grid operator are
+    # re-embedded from the box -> box operator's lattice kernel
+    g = fields.centered_grid(1.0, 32, dim=2)
+    rho = cgo.build_direction(spherical_cone_2d(), 2.0, tau).rho
+    q = _disc_q(g, 0.2, 20.0)
+    bound = 20.0 / cgo.FaddeevGreen(g, rho).min_abs
+    assert (bound < cgo.CONTRACTION_LIMIT) == certified
+    builds = []
+    init = cgo.FaddeevGreen.__init__
+
+    def counted_init(self, *args, **kwargs):
+        builds.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cgo.FaddeevGreen, "__init__", counted_init)
+    psi = cgo.solve_faddeev(q, rho, g)
+    assert len(builds) == 1
+    assert np.all(np.isfinite(psi.values)) and np.any(psi.values)
 
 
 def test_build_cgo_zero_contrast(monkeypatch):

@@ -55,6 +55,17 @@ def test_build_scene_normalizes_direction():
     np.testing.assert_allclose(omega, [0.6, 0.8])
 
 
+@pytest.mark.parametrize("omega", [[0.0, 0.0], [1.0, 0.0, 0.0],
+                                   [float("nan"), 1.0], [float("inf"), 0.0]],
+                         ids=["zero", "wrong-length", "nan", "inf"])
+def test_build_scene_rejects_bad_direction(omega):
+    d = scene_dict()
+    d["omega"] = omega
+    with pytest.raises(cli.CliError, match="omega must be a finite nonzero "
+                                           "2-vector"):
+        cli.build_scene(d)
+
+
 def test_build_scene_ball_guard():
     d = scene_dict()
     d["R"] = 0.2
@@ -213,6 +224,22 @@ def test_stability_outputs_and_determinism(tmp_path):
     assert len(recs["records"]) == 5
     for r in recs["records"]:
         assert r["epsilon"] > 0 and r["hausdorff"] > 0
+
+
+def test_stability_stops_on_a_failed_solve(tmp_path, capsys):
+    # a triangle in the grid's outer cell layer: the first solve fails, and
+    # no support-stability record is written
+    d = scene_dict(n=64)
+    d["polytope"]["vertices"] = [[0.5, 0.0], [0.999, -0.04], [0.999, 0.04]]
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps(d))
+    out = tmp_path / "o"
+    rc = cli.main(["stability", "--scene", str(scene), "--seed", "4",
+                   "--out", str(out), "--calibration", small_cal_file(tmp_path)])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "SolverError" and err["command"] == "stability"
+    assert not (out / "support_stability.csv").exists()
 
 
 def test_error_reporting_is_json(tmp_path, capsys):

@@ -33,6 +33,8 @@ def test_plane_wave_unimodular_and_direction_check():
     np.testing.assert_allclose(np.abs(u.values), 1.0, atol=1e-14)
     with pytest.raises(fields.FieldError):
         fields.plane_wave(3.0, [1.0, 1.0], g)
+    with pytest.raises(fields.FieldError, match="unit vector"):
+        fields.plane_wave(3.0, [np.nan, 0.0], g)
 
 
 def test_plane_wave_residual_second_order():

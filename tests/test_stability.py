@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from polyscat import cgo, fields, geom, rellich, stability
+from polyscat.solver import SolverError
 
 
 def square_contrast(value=0.5, side=0.7, center=(0.0, 0.0)):
@@ -312,6 +313,22 @@ def test_support_stability_experiment_smoke():
     assert np.isfinite(C) and C > 0
     for r in recs:
         assert r.hausdorff <= C * r.bound_value * (1 + 1e-12)
+
+
+def _outer_layer_triangle():
+    # an edge at x = 0.999 lies in the last cell layer of a half-width-1 grid
+    P = geom.convex_polygon([[0.5, 0.0], [0.999, -0.04], [0.999, 0.04]])
+    return fields.constant_contrast(P, 0.4)
+
+
+def test_support_experiment_raises_on_a_failed_solve():
+    cal = rellich.Calibration(k=2.0, R_m=1.0, C=2.0, c1=0.8, c2=0.2,
+                              seed=0, trials=10)
+    g = fields.centered_grid(1.0, 192, dim=2)
+    pairs = [(square_contrast(0.4), _outer_layer_triangle())]
+    with pytest.raises(SolverError, match="grid interior"):
+        stability.run_support_stability_experiment(pairs, 2.0, [1.0, 0.0],
+                                                   g, cal, n_directions=64)
 
 
 def test_stability_records_serialize():
