@@ -23,7 +23,7 @@ def main():
 
     recs = stability.run_corner_lower_bound_experiment(scenes, k, [1.0, 0.0],
                                                        grid,
-                                                       n_directions=64)
+                                                       n_directions=64, R=1.0)
     print(f"V = 0 noise floor: {recs[0].noise_floor:.1e}\n")
     # the bound S exp(-e^L) underflows to 0, so its double log L is shown
     print(f"{'contrast':>12} {'||A||_L2':>10} {'ln ln(S/bound)':>15} "

@@ -36,7 +36,7 @@ def main():
     t0 = time.perf_counter()
     recs = stability.run_support_stability_experiment(pairs, k, [1.0, 0.0],
                                                       grid, cal,
-                                                      n_directions=64)
+                                                      n_directions=64, R=1.0)
     print(f"sweep of {len(recs)} pairs in {time.perf_counter() - t0:.0f} s\n")
 
     print(f"{'offset':>7} {'eps':>10} {'hausdorff':>10} {'tau':>8} "

@@ -16,6 +16,7 @@ import copy
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import fft
 
 from .fields import ContrastField, Grid, WaveField
 from .geom import GeometryError, PolyCone, _angle_between
@@ -232,7 +233,7 @@ class FaddeevGreen(PaddedFFTMultiplier):
             tau = float(np.linalg.norm(np.real(rho)))
             dq = 2 * np.pi / (lattice[0] * grid.spacing)
             raise MultiplierSingularity(self.min_abs, tau + dq)
-        self._table = np.fft.ifftn(1.0 / symbol)
+        self._table = fft.ifftn(1.0 / symbol, overwrite_x=True)
         super().__init__(grid, source, target)
 
     def between(self, source: Grid, target: Grid) -> FaddeevGreen:

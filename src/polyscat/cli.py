@@ -17,6 +17,7 @@ import os
 import sys
 
 import numpy as np
+from scipy.special import roots_legendre
 
 from . import cgo, geom, rellich, solver, stability
 from .fields import (ContrastField, affine_contrast, centered_grid,
@@ -285,7 +286,7 @@ def _cone_quadrature(cone, zeta) -> complex:
     closed form: the radial integral is exact, leaving a smooth angular
     integrand 1/(omega(theta).zeta)^2 handled by 400-node Gauss-Legendre."""
     zeta = np.asarray(zeta, dtype=complex)
-    nodes, weights = np.polynomial.legendre.leggauss(400)
+    nodes, weights = roots_legendre(400)
     g1, g2 = cone.generators
     t1, t2 = np.arctan2(g1[1], g1[0]), np.arctan2(g2[1], g2[0])
     t2 = t1 + (t2 - t1) % (2 * np.pi)
@@ -320,8 +321,9 @@ def cmd_stability(args) -> int:
     pairs = []
     for t in offsets:
         pairs.append((V0, _shrunk_contrast(V0, t)))
+    tol = float(manifest.get("tol", 1e-8))
     records = stability.run_support_stability_experiment(
-        pairs, k, omega, grid, cal, tol=float(manifest.get("tol", 1e-8)))
+        pairs, k, omega, grid, cal, tol=tol, R=R)
     write_json(args, "support_stability.json", _records_payload(records, seed),
                mhash)
     write_text(os.path.join(args.out, "support_stability.csv"),
@@ -331,7 +333,7 @@ def cmd_stability(args) -> int:
     ladder = manifest.get("contrasts", [0.02, 0.05, 0.1, 0.2])
     scenes = [constant_contrast(V0.polytope, c) for c in ladder]
     corner = stability.run_corner_lower_bound_experiment(
-        scenes, k, omega, grid, tol=float(manifest.get("tol", 1e-8)))
+        scenes, k, omega, grid, tol=tol, R=R)
     write_json(args, "corner_lower_bound.json", _records_payload(corner, seed),
                mhash)
     write_text(os.path.join(args.out, "corner_lower_bound.csv"),

@@ -5,9 +5,10 @@ fundamental solution Phi_k (2D: (i/4) H_0^(1)(k|x|), 3D: e^(ik|x|)/(4 pi |x|)).
 Only u on supp V enters the equation, so it is solved on the bounding box
 of supp V.  The volume convolution maps a source box to a target box (box
 to box in the solve, box to grid when the grid is read) by FFTs on one
-circulant embedding of their offsets; the singular cell is replaced by
-the analytic average of Phi_k over an equal-measure disc/ball, and the
-linear system is solved with restarted GMRES.  The radiation condition is exact by
+circulant embedding of their offsets, run per axis over only the lines
+that hold data; the singular cell is replaced by the analytic average of
+Phi_k over an equal-measure disc/ball, and the linear system is solved
+with restarted GMRES.  The radiation condition is exact by
 construction of the kernel.  The far field is summed over the bounding box
 of supp V u, where the phase e^(-ik theta.y) splits into one factor per
 grid axis.
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.fft import next_fast_len
+from scipy import fft
 from scipy.sparse.linalg import LinearOperator, gmres
 from scipy.special import hankel1, jv
 
@@ -84,7 +85,14 @@ class PaddedFFTMultiplier:
     b + w - 1 values, laid once on a cyclic lattice of next_fast_len(b + w)
     points: index i holds the offset i (i < w) or i - m, plus the offset
     of the target from the source.  x enters zero-padded, so the indices
-    no pair of points reaches never contribute."""
+    no pair of points reaches never contribute.
+
+    `apply` runs one axis at a time over only the lines that can hold
+    data: the forward passes, last axis first, each zero-pad their own
+    axis, and each inverse pass crops its axis to the target at once.
+    With an m^d lattice and a target of width w per axis, the inverse
+    runs m^2 + w m + w^2 lines in 3D instead of 3 m^2, and m + w instead
+    of 2 m in 2D."""
 
     def __init__(self, grid: Grid, source: Grid | None = None,
                  target: Grid | None = None):
@@ -92,18 +100,24 @@ class PaddedFFTMultiplier:
         self.target = grid if target is None else target
         shift = np.rint((self.target.origin - self.grid.origin)
                         / grid.spacing).astype(int)
-        self._pad = tuple(next_fast_len(b + w) for b, w in
+        self._pad = tuple(fft.next_fast_len(b + w) for b, w in
                           zip(self.grid.shape, self.target.shape))
         offsets = []
         for c, m, w in zip(shift, self._pad, self.target.shape):
             i = np.arange(m)
             offsets.append(c + np.where(i < w, i, i - m))
-        self._symbol = np.fft.fftn(self._kernel(grid, offsets))
+        self._symbol = fft.fftn(self._kernel(grid, offsets), overwrite_x=True)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        axes = tuple(range(x.ndim))
-        out = np.fft.ifftn(np.fft.fftn(x, self._pad, axes) * self._symbol)
-        return out[tuple(map(slice, self.target.shape))]
+        y = x
+        for a in reversed(range(x.ndim)):
+            # the first pass pads into a new array, so x is never written
+            y = fft.fft(y, self._pad[a], axis=a, overwrite_x=y is not x)
+        y *= self._symbol
+        for a, w in enumerate(self.target.shape):
+            y = fft.ifft(y, axis=a, overwrite_x=True)
+            y = y[(slice(None),) * a + (slice(w),)]
+        return y
 
 
 class GreenConvolution(PaddedFFTMultiplier):
@@ -111,7 +125,9 @@ class GreenConvolution(PaddedFFTMultiplier):
 
     The kernel depends on each offset only through its size per axis, so
     Phi_k is evaluated once on the first orthant of offset sizes and read
-    at |d| per axis; the singular cell d = 0 takes the analytic average."""
+    at |d| per axis; the singular cell d = 0 takes the analytic average.
+    In 2D one Hankel call serves each distinct radius (about two cells in
+    five); in 3D the sort costs more than the exponential it saves."""
 
     def __init__(self, grid: Grid, k: float, source: Grid | None = None,
                  target: Grid | None = None):
@@ -126,7 +142,12 @@ class GreenConvolution(PaddedFFTMultiplier):
         r = np.sqrt(sum(a ** 2 for a in axes))
         origin = (0,) * grid.dim
         r[origin] = h   # keeps r = 0 out of Phi_k; the cell is set below
-        orthant = fundamental_solution(self.k, r, grid.dim) * grid.cell_volume
+        if grid.dim == 2:
+            radii, at = np.unique(r, return_inverse=True)
+            orthant = (fundamental_solution(self.k, radii, 2)
+                       * grid.cell_volume)[at.reshape(r.shape)]
+        else:
+            orthant = fundamental_solution(self.k, r, 3) * grid.cell_volume
         orthant[origin] = singular_cell_integral(self.k, h, grid.dim)
         return orthant[np.ix_(*sizes)]
 

@@ -315,10 +315,12 @@ def corner_gamma(m: float, n: int) -> float:
 def run_support_stability_experiment(scene_pairs, k: float, omega, grid,
                                      cal: Calibration,
                                      n_directions: int = 256,
-                                     tol: float = 1e-8) -> list:
+                                     tol: float = 1e-8,
+                                     R: float = 1.0) -> list:
     """For each (V, V') pair: solve both scattering problems, measure the
     far-field difference and the Hausdorff distance of the supports, and
-    evaluate the pipeline bound C (ln ln S/eps)^(-gamma).  Each distinct
+    evaluate the pipeline bound C (ln ln S/eps)^(-gamma), with the Rellich
+    pipeline run on the ball B(0, R) that holds the supports.  Each distinct
     contrast object is solved, and its H^2 surrogate taken, once, however
     many pairs share it."""
     records = []
@@ -339,7 +341,7 @@ def run_support_stability_experiment(scene_pairs, k: float, omega, grid,
         S = max(1.0, sA, sB)
         m = min(1.0, V.alpha, beta)
         gamma = support_stability_gamma(m, n)
-        pipeline = quantitative_rellich(eps, S, k, cal_R(grid), cal, T=S)
+        pipeline = quantitative_rellich(eps, S, k, R, cal, T=S)
         if eps > 0 and np.log(S / eps) > 1:
             bound = np.log(np.log(S / eps)) ** (-gamma)
             tau = optimize_tau(min(1.0, max(hh, grid.spacing)),
@@ -350,12 +352,6 @@ def run_support_stability_experiment(scene_pairs, k: float, omega, grid,
         records.append(StabilityRecord(eps, float(hh), float(tau),
                                        float(bound), regime, gamma, m, S))
     return records
-
-
-def cal_R(grid) -> float:
-    """Enclosing-ball radius implied by a centered grid."""
-    half = grid.spacing * max(grid.shape) / 2
-    return float(max(1.0, half))
 
 
 def fit_stability_constant(records) -> float:
@@ -386,15 +382,16 @@ class CornerRecord:
 
 def run_corner_lower_bound_experiment(scenes, k: float, omega, grid,
                                       n_directions: int = 256,
-                                      tol: float = 1e-8) -> list:
+                                      tol: float = 1e-8,
+                                      R: float = 1.0) -> list:
     """Solve each corner scene, record the far-field norm against the
     double-exponential lower-bound expression and the noise floor.  Each
-    support must be admissible inside the grid's ball B(0, cal_R(grid))."""
+    support must be admissible inside the ball B(0, R)."""
     n = grid.dim
     beta = faddeev_decay_case(n).beta
     out = []
     for V in scenes:
-        rep = admissibility_report(V.polytope, cal_R(grid))
+        rep = admissibility_report(V.polytope, R)
         if not rep.ok:
             raise StabilityError(f"inadmissible scene: {rep.violations}")
         sol = solve_forward(V, k, omega, grid, tol=tol,

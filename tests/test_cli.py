@@ -226,6 +226,35 @@ def test_stability_outputs_and_determinism(tmp_path):
         assert r["epsilon"] > 0 and r["hausdorff"] > 0
 
 
+def test_stability_runs_at_the_scene_radius(tmp_path, monkeypatch):
+    # a scene ball of radius 0.8 inside a grid of half-width 1: both the
+    # Rellich pipeline and the corner admissibility ball take R = 0.8
+    radii = {"rellich": [], "admissibility": []}
+    rellich_fn = cli.stability.quantitative_rellich
+    admissibility_fn = cli.stability.admissibility_report
+
+    def rellich_spy(eps, S, k, R, *args, **kw):
+        radii["rellich"].append(R)
+        return rellich_fn(eps, S, k, R, *args, **kw)
+
+    def admissibility_spy(P, R):
+        radii["admissibility"].append(R)
+        return admissibility_fn(P, R)
+
+    monkeypatch.setattr(cli.stability, "quantitative_rellich", rellich_spy)
+    monkeypatch.setattr(cli.stability, "admissibility_report",
+                        admissibility_spy)
+    d = scene_dict(n=64)
+    d["R"] = 0.8
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps(d))
+    rc = cli.main(["stability", "--scene", str(scene), "--seed", "4",
+                   "--out", str(tmp_path / "out"),
+                   "--calibration", small_cal_file(tmp_path)])
+    assert rc == 0
+    assert radii == {"rellich": [0.8] * 5, "admissibility": [0.8] * 4}
+
+
 def test_stability_stops_on_a_failed_solve(tmp_path, capsys):
     # a triangle in the grid's outer cell layer: the first solve fails, and
     # no support-stability record is written

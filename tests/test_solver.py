@@ -41,6 +41,10 @@ GRID_11x14 = fields.Grid(np.array([-0.6, -0.4]), 0.09, (11, 14))
 # the points 2..6 x 5..11 of that grid
 BOX_11x14 = fields.Grid(GRID_11x14.origin + 0.09 * np.array([2, 5]), 0.09,
                         (5, 7))
+GRID_9x7x10 = fields.Grid(np.array([-0.4, -0.3, -0.45]), 0.1, (9, 7, 10))
+# the points 1..4 x 3..5 x 2..8 of that grid
+BOX_9x7x10 = fields.Grid(GRID_9x7x10.origin + 0.1 * np.array([1, 3, 2]),
+                         0.1, (4, 3, 7))
 
 
 @pytest.mark.parametrize("g, source, target", [
@@ -51,8 +55,10 @@ BOX_11x14 = fields.Grid(GRID_11x14.origin + 0.09 * np.array([2, 5]), 0.09,
     # an off-origin box with unequal axes, to the grid and to itself
     (GRID_11x14, BOX_11x14, GRID_11x14),
     (GRID_11x14, BOX_11x14, BOX_11x14),
+    (GRID_9x7x10, BOX_9x7x10, GRID_9x7x10),
+    (GRID_9x7x10, BOX_9x7x10, BOX_9x7x10),
 ], ids=["2d-12x12", "2d-11x14", "3d-5x6x7", "2d-box-to-grid",
-        "2d-box-to-box"])
+        "2d-box-to-box", "3d-box-to-grid", "3d-box-to-box"])
 def test_green_convolution_matches_direct_sum(g, source, target):
     k = 2.0
     source = g if source is None else source
@@ -60,8 +66,12 @@ def test_green_convolution_matches_direct_sum(g, source, target):
     rng = np.random.default_rng(0)
     x = rng.standard_normal(source.shape) \
         + 1j * rng.standard_normal(source.shape)
+    x0 = x.copy()
     conv = solver.GreenConvolution(g, k, source, target)
     got = conv.apply(x)
+    # the pruned passes multiply in place, but never into the caller's x
+    assert got.shape == target.shape
+    assert np.array_equal(x, x0)
     pts = source.points().reshape(-1, g.dim)
     out = target.points().reshape(-1, g.dim)
     diff = np.linalg.norm(out[:, None] - pts[None], axis=-1)
@@ -71,6 +81,30 @@ def test_green_convolution_matches_direct_sum(g, source, target):
     kernel[~nz] = solver.singular_cell_integral(k, g.spacing, g.dim)
     direct = (kernel @ x.ravel()).reshape(target.shape)
     assert np.max(np.abs(got - direct)) < 1e-10 * np.max(np.abs(direct))
+
+
+def test_2d_kernel_is_phi_on_every_orthant_cell():
+    # one Hankel call per distinct radius gives the same floats as one per
+    # cell: the radii are the same, and so is every evaluation
+    k = 3.0
+    g = fields.centered_grid(1.0, 192, dim=2)
+    box = fields.Grid(g.origin + g.spacing * np.array([40, 57]), g.spacing,
+                      (70, 81))
+    conv = solver.GreenConvolution(g, k, box, g)
+    offsets = []
+    for c, m, w in zip((-40, -57), conv._pad, g.shape):
+        i = np.arange(m)
+        offsets.append(c + np.where(i < w, i, i - m))
+    got = conv._kernel(g, offsets)
+    h = g.spacing
+    sizes = [np.abs(d) for d in offsets]
+    x, y = np.meshgrid(*[np.arange(s.max() + 1) * h for s in sizes],
+                       indexing="ij", sparse=True)
+    r = np.sqrt(x ** 2 + y ** 2)
+    r[0, 0] = h
+    orthant = solver.fundamental_solution(k, r, 2) * g.cell_volume
+    orthant[0, 0] = solver.singular_cell_integral(k, h, 2)
+    assert np.array_equal(got, orthant[np.ix_(*sizes)])
 
 
 def test_default_directions_unit_and_uniform():
@@ -531,6 +565,27 @@ def test_ball_solve_memory_stays_on_the_support_box():
         tracemalloc.stop()
     assert peak < 100e6
     assert np.all(np.isfinite(sol.far_field.values))
+
+
+def test_ball_rebuild_memory_stays_on_the_target_lines():
+    # the full-grid rebuild of a radius-0.34 ball at n = 64 convolves the
+    # 22^3 support box onto the 64^3 grid on an 88^3 lattice; inverse
+    # passes over the whole lattice before the crop peaked near 48 MB,
+    # cropping each axis after its pass near 29 MB
+    import tracemalloc
+    mie3d = load_mie3d()
+    g = fields.centered_grid(1.0, 64, dim=3)
+    sol = solver.solve_forward(mie3d.BallContrast(0.34, 0.4), 2.5,
+                               [0.0, 0.6, 0.8], g)
+    tracemalloc.start()
+    try:
+        u = sol.total
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
+    assert u.values.shape == g.shape
+    assert np.all(np.isfinite(u.values))
 
 
 def far_field_case(name):

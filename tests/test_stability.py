@@ -302,7 +302,7 @@ def test_support_stability_experiment_smoke():
              (square_contrast(0.4), square_contrast(0.4, side=0.74))]
     recs = stability.run_support_stability_experiment(pairs, k, [1.0, 0.0],
                                                       g, cal,
-                                                      n_directions=64)
+                                                      n_directions=64, R=1.0)
     assert len(recs) == 2
     for r in recs:
         assert r.epsilon > 0
