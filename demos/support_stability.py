@@ -30,8 +30,9 @@ def main():
 
     grid = fields.centered_grid(1.0, 192, dim=2)
     offsets = [0.02, 0.05, 0.1, 0.15, 0.2]
-    pairs = [(square_contrast(0.6), square_contrast(0.6 * (1 - t)))
-             for t in offsets]
+    # one reference object, so the sweep solves it once for all pairs
+    ref = square_contrast(0.6)
+    pairs = [(ref, square_contrast(0.6 * (1 - t))) for t in offsets]
 
     t0 = time.perf_counter()
     recs = stability.run_support_stability_experiment(pairs, k, [1.0, 0.0],

@@ -15,6 +15,7 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 from scipy.special import roots_legendre
@@ -155,12 +156,28 @@ def far_field_csv(ff: solver.FarFieldPattern, mhash: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+def write_records(args, stem: str, seed: int, mhash: str, records) -> None:
+    """Write a list of records to --out/stem.json and --out/stem.csv."""
+    write_json(args, f"{stem}.json",
+               {"seed": seed, "records": [asdict(r) for r in records]}, mhash)
+    write_text(os.path.join(args.out, f"{stem}.csv"),
+               f"# manifest_hash: {mhash}\n"
+               + stability.records_to_csv(records), args.force)
+
+
+def _calibrate(manifest: dict, k: float, dim: int) -> Calibration:
+    return rellich.calibrate(k, dim=dim,
+                             trials=int(manifest.get("trials", 100)),
+                             seed=int(manifest["seed"]))
+
+
 def load_calibration(manifest: dict, k: float, dim: int) -> Calibration:
+    """The --calibration file if given, else a fresh calibration made as
+    `calibrate` makes it."""
     path = manifest.get("calibration")
     if path:
         return Calibration.load(path)
-    return rellich.calibrate(k, dim=dim, trials=40,
-                             seed=int(manifest["seed"]))
+    return _calibrate(manifest, k, dim)
 
 
 # ---------------------------------------------------------------------------
@@ -190,9 +207,7 @@ def cmd_calibrate(args) -> int:
     manifest = load_manifest(args)
     mhash = manifest_hash(manifest)
     _, k, _, grid, R = build_scene(manifest["scenes"][0])
-    cal = rellich.calibrate(k, dim=grid.dim,
-                            trials=int(manifest.get("trials", 100)),
-                            seed=int(manifest["seed"]))
+    cal = _calibrate(manifest, k, grid.dim)
     write_json(args, "calibration.json", json.loads(cal.to_json()), mhash)
     cert = certify_hankel_bounds(k * R, 4 * k * R, nu_max=40)
     write_json(args, "hankel_certificate.json", json.loads(cert.to_json()),
@@ -324,21 +339,13 @@ def cmd_stability(args) -> int:
     tol = float(manifest.get("tol", 1e-8))
     records = stability.run_support_stability_experiment(
         pairs, k, omega, grid, cal, tol=tol, R=R)
-    write_json(args, "support_stability.json", _records_payload(records, seed),
-               mhash)
-    write_text(os.path.join(args.out, "support_stability.csv"),
-               f"# manifest_hash: {mhash}\n"
-               + stability.records_to_csv(records), args.force)
+    write_records(args, "support_stability", seed, mhash, records)
 
     ladder = manifest.get("contrasts", [0.02, 0.05, 0.1, 0.2])
     scenes = [constant_contrast(V0.polytope, c) for c in ladder]
     corner = stability.run_corner_lower_bound_experiment(
         scenes, k, omega, grid, tol=tol, R=R)
-    write_json(args, "corner_lower_bound.json", _records_payload(corner, seed),
-               mhash)
-    write_text(os.path.join(args.out, "corner_lower_bound.csv"),
-               f"# manifest_hash: {mhash}\n"
-               + stability.records_to_csv(corner), args.force)
+    write_records(args, "corner_lower_bound", seed, mhash, corner)
 
     write_text(os.path.join(args.out, "plots.gp"),
                _gnuplot_script(mhash), args.force)
@@ -351,10 +358,6 @@ def _shrunk_contrast(V: ContrastField, t: float) -> ContrastField:
     Pp = convex_polygon(c + (1 - t) * (P.vertices - c)) if P.dim == 2 \
         else Polytope(P.dim, c + (1 - t) * (P.vertices - c), P.kind)
     return ContrastField(Pp, V.phi, V.alpha, V.M, V.mu)
-
-
-def _records_payload(records, seed: int) -> dict:
-    return {"seed": seed, "records": [r.to_dict() for r in records]}
 
 
 def _gnuplot_script(mhash: str) -> str:

@@ -317,32 +317,26 @@ def polygon_vertex_angle(P: Polytope, index: int) -> float:
 
 
 def convex_hull_cone(P: Polytope, Q: Polytope, x_c) -> PolyCone:
-    """Polyhedral cone at x_c generated by the convex hull of P union Q."""
+    """Polyhedral cone at x_c generated by the convex hull of P union Q,
+    read off the hull's adjacency: the generators point from x_c to the
+    hull vertices beside it (2D) or sharing a facet with it (3D).  Every
+    other point of P and Q lies in the cone these span."""
     x_c = np.asarray(x_c, dtype=float)
     pts = np.vstack([P.vertices, Q.vertices])
     hull = ConvexHull(pts)
-    hull_pts = pts[hull.vertices]
-    on_hull = np.min(np.linalg.norm(hull_pts - x_c, axis=1)) < 1e-9
-    if not on_hull:
+    dist = np.linalg.norm(pts[hull.vertices] - x_c, axis=1)
+    j = int(np.argmin(dist))
+    if dist[j] >= 1e-9:
         raise GeometryError("x_c is not a vertex of the convex hull of P and Q")
-    dirs = pts - x_c
-    norms = np.linalg.norm(dirs, axis=1)
-    dirs = dirs[norms > 1e-12] / norms[norms > 1e-12, None]
     if P.dim == 2:
-        return _two_generator_cone(x_c, dirs)
-    return PolyCone(x_c, dirs, "polyhedral")
-
-
-def _two_generator_cone(x_c, dirs: np.ndarray) -> PolyCone:
-    """Reduce a 2D direction fan to its two extreme generators."""
-    mean = dirs.sum(axis=0)
-    mean = mean / np.linalg.norm(mean)
-    ang = np.arctan2(_cross2(mean, dirs), dirs @ mean)
-    lo, hi = int(np.argmin(ang)), int(np.argmax(ang))
-    spread = float(ang[hi] - ang[lo])
-    if spread >= np.pi:
-        raise GeometryError("direction fan spans a half-plane or more")
-    return PolyCone(x_c, np.vstack([dirs[lo], dirs[hi]]), "polyhedral")
+        # qhull lists a 2D hull's vertices counterclockwise
+        nbrs = hull.vertices[[j - 1, (j + 1) % len(hull.vertices)]]
+    else:
+        # scipy runs qhull with Qt, so every facet is a triangle
+        v = hull.vertices[j]
+        faces = hull.simplices[np.any(hull.simplices == v, axis=1)]
+        nbrs = np.setdiff1d(faces, v)
+    return PolyCone(x_c, pts[nbrs] - x_c, "polyhedral")
 
 
 # ---------------------------------------------------------------------------

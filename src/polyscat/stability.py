@@ -300,9 +300,6 @@ class StabilityRecord:
     m: float
     S: float
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def support_stability_gamma(m: float, n: int) -> float:
     return m / (2 * (n + 5) ** 2)
@@ -376,9 +373,6 @@ class CornerRecord:
     separation: float
     lnln_ratio: float    # ln ln(S/bound): finite where bound underflows to 0
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def run_corner_lower_bound_experiment(scenes, k: float, omega, grid,
                                       n_directions: int = 256,
@@ -418,9 +412,8 @@ def run_corner_lower_bound_experiment(scenes, k: float, omega, grid,
 def records_to_csv(records) -> str:
     if not records:
         return ""
-    keys = list(records[0].to_dict().keys())
+    rows = [asdict(r) for r in records]
+    keys = list(rows[0])
     lines = [",".join(keys)]
-    for r in records:
-        d = r.to_dict()
-        lines.append(",".join(str(d[k]) for k in keys))
+    lines += [",".join(str(d[k]) for k in keys) for d in rows]
     return "\n".join(lines) + "\n"

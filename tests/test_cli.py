@@ -204,6 +204,25 @@ def test_verify_calibrates_at_the_scene_wavenumber(tmp_path, monkeypatch):
     assert calls == [(3.0, 2)]
 
 
+def test_verify_calibrates_with_the_manifest_trials(tmp_path, monkeypatch):
+    # without --calibration, verify calibrates as calibrate does: on the
+    # manifest's trials
+    trials = []
+
+    def fake_calibrate(k, dim, **kw):
+        trials.append(kw["trials"])
+        return Calibration(k=k, R_m=1.0, C=2.0, c1=0.8, c2=0.2, seed=0,
+                           trials=kw["trials"])
+
+    monkeypatch.setattr(cli.rellich, "calibrate", fake_calibrate)
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"scenes": [scene_dict()], "trials": 7}))
+    rc = cli.main(["verify", "--scene", str(manifest), "--seed", "2",
+                   "--out", str(tmp_path / "out")])
+    assert rc == 0
+    assert trials == [7]
+
+
 def test_stability_outputs_and_determinism(tmp_path):
     scene = write_scene(tmp_path, n=64)
     cal = small_cal_file(tmp_path)

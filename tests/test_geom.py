@@ -321,6 +321,59 @@ def test_convex_hull_cone_requires_hull_vertex():
         geom.convex_hull_cone(P, Q, [0.0, 0.0])  # interior point
 
 
+def test_convex_hull_cone_skips_points_on_a_hull_edge():
+    # P's corner (1, 0) and Q's corner (2, 0) lie on the hull edge from
+    # x_c = (0, 0) to (3, 0): the generators are the two hull neighbours
+    P = geom.convex_polygon([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    Q = geom.convex_polygon([[2.0, 0.0], [3.0, 0.0], [3.0, 1.0]])
+    cone = geom.convex_hull_cone(P, Q, [0.0, 0.0])
+    assert len(cone.generators) == 2
+    np.testing.assert_array_equal(cone.generators, [[1.0, 0.0], [0.0, 1.0]])
+
+
+def _random_polygon(rng, scale=1.0):
+    from scipy.spatial import ConvexHull
+    while True:
+        pts = rng.uniform(-1, 1, (8, 2)) * scale
+        try:
+            return geom.convex_polygon(pts[ConvexHull(pts).vertices])
+        except geom.GeometryError:
+            continue
+
+
+def test_convex_hull_cone_2d_opens_to_the_widest_pair():
+    # reference without the hull: at a hull vertex x_c the cone's opening
+    # angle is the largest angle between two directions from x_c
+    rng = np.random.default_rng(21)
+    for _ in range(200):
+        P = _random_polygon(rng)
+        Q = _random_polygon(rng, rng.uniform(0.3, 1.0))
+        pts = np.vstack([P.vertices, Q.vertices])
+        i = int(np.argmax(pts @ rng.standard_normal(2)))
+        d = np.delete(pts, i, axis=0) - pts[i]
+        d /= np.linalg.norm(d, axis=1)[:, None]
+        widest = np.max(np.arccos(np.clip(d @ d.T, -1.0, 1.0)))
+        cone = geom.convex_hull_cone(P, Q, pts[i])
+        assert abs(cone.opening_angle() - widest) <= 1e-12
+
+
+def test_convex_hull_cone_3d_has_one_generator_per_hull_neighbour():
+    from scipy.spatial import ConvexHull
+    rng = np.random.default_rng(13)
+    for _ in range(20):
+        boxes = [geom.cuboid(rng.uniform(-0.3, 0.3, 3),
+                             rng.uniform(0.1, 0.4, 3),
+                             rotation=np.linalg.qr(
+                                 rng.standard_normal((3, 3)))[0])
+                 for _ in range(2)]
+        pts = np.vstack([b.vertices for b in boxes])
+        i = int(np.argmax(pts @ rng.standard_normal(3)))
+        simplices = ConvexHull(pts).simplices
+        around = simplices[np.any(simplices == i, axis=1)]
+        K = geom.convex_hull_cone(boxes[0], boxes[1], pts[i])
+        assert len(K.generators) == len(np.unique(around)) - 1
+
+
 def test_minimal_enclosing_cone():
     dirs = np.array([[1.0, 0.0, 0.1], [1.0, 0.1, 0.0],
                      [1.0, -0.1, 0.0], [1.0, 0.0, -0.1]])

@@ -1,9 +1,11 @@
-"""Every public name of the package has a reader outside the unit tests.
+"""Every module-level name of the package has a reader.
 
 A public module-level function or class of `src/polyscat` must be
 referenced from the package itself, a demo, the benchmark harness or the
 acceptance tests.  Unit tests alone do not keep a name alive.  The
 exceptions are listed with the item of ROADMAP.md that will call them.
+A private one must be referenced somewhere outside its own definition:
+in the package, a demo, the benchmark harness or any test.
 """
 
 import ast
@@ -11,9 +13,10 @@ import pathlib
 
 ROOT = pathlib.Path(__file__).parent.parent
 PACKAGE = ROOT / "src" / "polyscat"
-READERS = (sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
-           + sorted((ROOT / "perfbench").glob("*.py"))
-           + [ROOT / "tests" / "test_acceptance.py"])
+SOURCES = (sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
+           + sorted((ROOT / "perfbench").glob("*.py")))
+READERS = SOURCES + [ROOT / "tests" / "test_acceptance.py"]
+PRIVATE_READERS = SOURCES + sorted((ROOT / "tests").glob("*.py"))
 
 ALLOWED = {
     "sphere_norm_from_decomposition": "ROADMAP item 2",
@@ -21,10 +24,10 @@ ALLOWED = {
 }
 
 
-def _defined(path):
+def _defined(path, private=False):
     return {node.name for node in ast.parse(path.read_text()).body
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and not node.name.startswith("_")}
+            and node.name.startswith("_") == private}
 
 
 def _referenced(path):
@@ -51,3 +54,10 @@ def test_every_public_name_has_a_reader():
     defined = set().union(*(_defined(p) for p in sorted(PACKAGE.glob("*.py"))))
     referenced = set().union(*(_referenced(p) for p in READERS))
     assert sorted(defined - referenced) == sorted(ALLOWED)
+
+
+def test_every_private_name_has_a_reader():
+    defined = set().union(*(_defined(p, private=True)
+                            for p in sorted(PACKAGE.glob("*.py"))))
+    referenced = set().union(*(_referenced(p) for p in PRIVATE_READERS))
+    assert sorted(defined - referenced) == []
