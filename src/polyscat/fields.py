@@ -53,12 +53,19 @@ class Grid:
 
     def points(self) -> np.ndarray:
         """All grid points, shape (*self.shape, dim)."""
-        mesh = np.meshgrid(*self.axes(), indexing="ij")
-        return np.stack(mesh, axis=-1)
+        return _tensor_points(self.axes())
 
     @property
     def cell_volume(self) -> float:
         return self.spacing ** self.dim
+
+
+def _tensor_points(axes: list[np.ndarray]) -> np.ndarray:
+    """The tensor-product points of per-axis coordinates, (*lengths, dim)."""
+    pts = np.empty(tuple(len(x) for x in axes) + (len(axes),))
+    for a, x in enumerate(axes):
+        pts[..., a] = x.reshape((-1,) + (1,) * (len(axes) - 1 - a))
+    return pts
 
 
 def centered_grid(half_width: float, n: int, dim: int = 2,
@@ -154,15 +161,22 @@ class ContrastField:
             raise FieldError("Hoelder exponent too small for this dimension")
 
     def evaluate(self, grid: Grid) -> np.ndarray:
-        """V sampled at cell centers: phi where the center lies in P, else 0."""
+        """V sampled at cell centers: phi where the center lies in P, else 0.
+        Only the reach box, the cells within P's vertex bounds widened by
+        one per side and clipped, is sampled, at points of grid.axes()."""
         key = (grid.shape, grid.spacing, tuple(grid.origin))
         if key in self._cache:
             return self._cache[key]
-        pts = grid.points()
+        axes = grid.axes()
+        v = self.polytope.vertices
+        reach = tuple(slice(max(np.searchsorted(x, a) - 1, 0),
+                            np.searchsorted(x, b, side="right") + 1)
+                      for x, a, b in zip(axes, v.min(axis=0), v.max(axis=0)))
+        pts = _tensor_points([x[s] for x, s in zip(axes, reach)])
         inside = polytope_mask(self.polytope, pts)
         vals = np.zeros(grid.shape, dtype=complex)
         if np.any(inside):
-            vals[inside] = self.phi(pts[inside])
+            vals[reach][inside] = self.phi(pts[inside])
         self._cache.clear()   # one grid at a time: the cache stays bounded
         self._cache[key] = vals
         return vals

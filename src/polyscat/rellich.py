@@ -90,12 +90,8 @@ def decompose_far_field(ff: FarFieldPattern, J: int | None = None
             b[j] = np.sqrt(2 * np.pi * (np.abs(c[j]) ** 2 + np.abs(c[-j]) ** 2))
     else:
         # one fit over every (degree, order) pair up to j_max
-        x, y, z = ff.directions.T
-        phi = np.arctan2(y, x)
-        theta = np.arccos(np.clip(z, -1, 1))
-        deg, m = np.array([(j, mj) for j in range(j_max + 1)
-                           for mj in range(-j, j + 1)]).T
-        ylm = special.sph_harm_y(deg[:, None], m[:, None], theta, phi)
+        deg = np.repeat(np.arange(j_max + 1), 2 * np.arange(j_max + 1) + 1)
+        ylm = _spherical_harmonics(j_max, ff.directions)
         c = np.linalg.lstsq(ylm.T, ff.values, rcond=None)[0]
         b = np.sqrt(np.bincount(deg, np.abs(c) ** 2))
     if J is None:
@@ -103,6 +99,31 @@ def decompose_far_field(ff: FarFieldPattern, J: int | None = None
             b > (j_max + 1) * np.finfo(float).eps * np.linalg.norm(b))
         J = int(above[-1]) if len(above) else 0
     return HarmonicDecomposition(ff.k, ff.dim, b[:J + 1], J)
+
+
+def _spherical_harmonics(j_max: int, directions: np.ndarray) -> np.ndarray:
+    """Y_j^m (scipy's phase) at unit directions as rows j^2 + j + m, by
+    Y_m^m = -sqrt((2m+1)/2m) sin theta e^(i phi) Y_(m-1)^(m-1), then the
+    orthonormal Legendre three-term recurrence in z = cos theta along
+    each order (Colton & Kress, ch. 2); Y_j^-m = (-1)^m conj(Y_j^m)."""
+    x, y, z = directions.T
+    z = np.clip(z, -1, 1)
+    step = -np.sqrt(1 - z ** 2) * np.exp(1j * np.arctan2(y, x))
+    out = np.empty(((j_max + 1) ** 2, len(z)), dtype=complex)
+    top = np.full(len(z), 1 / np.sqrt(4 * np.pi), dtype=complex)
+    for m in range(j_max + 1):
+        if m:
+            top = np.sqrt((2 * m + 1) / (2 * m)) * step * top
+        prev, p = 0, top
+        for j in range(m, j_max + 1):
+            if j > m:
+                a = np.sqrt((4 * j * j - 1) / (j * j - m * m))
+                b = np.sqrt(((j - 1) ** 2 - m * m) * (2 * j + 1)
+                            / ((2 * j - 3) * (j * j - m * m)))
+                prev, p = p, a * z * p - b * prev
+            out[j * j + j + m] = p
+            out[j * j + j - m] = (-1) ** m * np.conj(p)
+    return out
 
 
 def sphere_norm_from_decomposition(dec: HarmonicDecomposition,

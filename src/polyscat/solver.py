@@ -312,9 +312,10 @@ def solve_forward(V: ContrastField, k: float, omega, grid: Grid,
     field from the box field.  A zero contrast has an empty box and the
     solution u = u^i."""
     Vvals = V.evaluate(grid)
-    if _support_touches_boundary(Vvals):
-        raise SolverError("potential support escapes the grid interior")
     support, box = support_box(Vvals, grid)
+    if box.shape[0] and any(s.start == 0 or s.stop == n
+                            for s, n in zip(support, grid.shape)):
+        raise SolverError("potential support escapes the grid interior")
     omega = np.asarray(omega, dtype=float)
     ui = plane_wave(k, omega, box)
     Vbox = Vvals[support]
@@ -333,20 +334,18 @@ def solve_forward(V: ContrastField, k: float, omega, grid: Grid,
 
 def support_box(values: np.ndarray, grid: Grid) -> tuple[tuple, Grid]:
     """Index slices of the bounding box of the nonzeros of `values` on
-    `grid`, and that box as a Grid; both are empty when all values are 0."""
-    nz = np.argwhere(values)
-    lo, hi = ((nz.min(axis=0), nz.max(axis=0) + 1) if len(nz)
-              else (np.zeros(grid.dim, dtype=int),) * 2)
+    `grid`, and that box as a Grid; both are empty when all values are 0.
+    Each axis's range is read off the projection of the nonzeros onto it."""
+    nz = values != 0
+    lo, hi = np.zeros((2, grid.dim), dtype=int)
+    dims = set(range(grid.dim))
+    for a in dims:
+        hit = np.flatnonzero(np.any(nz, axis=tuple(dims - {a})))
+        if len(hit):
+            lo[a], hi[a] = hit[0], hit[-1] + 1
     support = tuple(slice(a, b) for a, b in zip(lo, hi))
     return support, Grid(grid.origin + grid.spacing * lo, grid.spacing,
                          hi - lo)
-
-
-def _support_touches_boundary(Vvals: np.ndarray) -> bool:
-    """True when some nonzero lies on a face of the grid, i.e. outside its
-    interior (every index strictly between the first and the last)."""
-    interior = Vvals[(slice(1, -1),) * Vvals.ndim]
-    return np.count_nonzero(Vvals) != np.count_nonzero(interior)
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +410,8 @@ def _dense_potential(k: float, ys: np.ndarray, amps: np.ndarray,
     """sum_y Phi_k(x - y) amps(y), one block of points at a time."""
     out = np.empty(len(points), dtype=complex)
     for rows in _blocks(len(points), len(ys)):
-        r = np.linalg.norm(points[rows, None, :] - ys[None, :, :], axis=-1)
+        r = np.sqrt(sum((points[rows, a, None] - ys[:, a]) ** 2
+                        for a in range(ys.shape[1])))
         if np.any(r == 0):
             raise SolverError("evaluation point inside the support")
         out[rows] = fundamental_solution(k, r, ys.shape[1]) @ amps

@@ -116,6 +116,84 @@ def test_contrast_cache_holds_one_grid():
     assert len(V._cache) == 1
 
 
+def full_grid_contrast(V, g):
+    """V sampled on every grid point: polytope_mask over the whole grid,
+    phi at the inside points."""
+    pts = g.points()
+    inside = fields.polytope_mask(V.polytope, pts)
+    vals = np.zeros(g.shape, dtype=complex)
+    vals[inside] = V.phi(pts[inside])
+    return vals
+
+
+def rotated_cuboid():
+    rot, _ = np.linalg.qr(np.random.default_rng(4).standard_normal((3, 3)))
+    return geom.cuboid([0.05, -0.1, 0.08], [0.3, 0.2, 0.25], rotation=rot)
+
+
+@pytest.mark.parametrize("kind", ["constant", "affine", "hoelder"])
+def test_reach_box_matches_the_full_grid_on_a_rotated_cuboid(kind):
+    P = rotated_cuboid()
+    V = {"constant": lambda: fields.constant_contrast(P, 0.4 - 0.1j),
+         "affine": lambda: fields.affine_contrast(P, 0.3, [0.1, -0.2, 0.05]),
+         "hoelder": lambda: fields.hoelder_bump_contrast(P, P.vertices[0],
+                                                         0.6, 0.3)}[kind]()
+    g = fields.centered_grid(1.0, 40, dim=3)
+    vals = V.evaluate(g)
+    assert np.count_nonzero(vals) > 500
+    assert np.array_equal(vals, full_grid_contrast(V, g))
+
+
+def test_reach_box_matches_the_full_grid_off_centre():
+    # h = 2/90 is not dyadic, so a box grid of its own origin would not
+    # reproduce the grid's points bit for bit
+    P = geom.convex_polygon([[0.1, -0.3], [0.55, -0.2], [0.6, 0.3],
+                             [0.2, 0.45], [-0.1, 0.1]])
+    V = fields.hoelder_bump_contrast(P, P.vertices[2], 0.5, 0.4 + 0.2j)
+    g = fields.centered_grid(1.0, 90, dim=2, center=[0.13, -0.07])
+    vals = V.evaluate(g)
+    assert np.count_nonzero(vals) > 500
+    assert np.array_equal(vals, full_grid_contrast(V, g))
+
+
+def test_reach_box_is_clipped_to_the_grid():
+    # vertex bounds past the x = max face (2D) and the y = min face (3D):
+    # the reach box is cut at the grid's edge, and the cells on that face
+    # carry the contrast
+    g2 = fields.centered_grid(1.0, 48, dim=2)
+    P2 = geom.convex_polygon([[0.5, -0.2], [1.4, -0.1], [1.3, 0.3], [0.6, 0.2]])
+    g3 = fields.centered_grid(1.0, 24, dim=3)
+    P3 = geom.cuboid([0.1, -0.9, 0.0], [0.3, 0.4, 0.2])
+    for V, g, face in ((fields.affine_contrast(P2, 0.3, [0.1, 0.2]), g2,
+                        (slice(-1, None),)),
+                       (fields.constant_contrast(P3, 0.5), g3,
+                        (slice(None), slice(0, 1)))):
+        vals = V.evaluate(g)
+        assert np.any(vals[face] != 0)
+        assert np.array_equal(vals, full_grid_contrast(V, g))
+    # a polytope wholly off the grid gives zeros
+    far = geom.convex_polygon([[1.5, 1.5], [2.0, 1.5], [2.0, 2.0]])
+    vals = fields.constant_contrast(far, 1.0).evaluate(g2)
+    assert vals.shape == g2.shape and not np.any(vals)
+
+
+def test_reach_box_memory_scales_with_the_box():
+    # sampling all 128^3 points peaked near 157 MB; the reach box of this
+    # cuboid holds about a tenth of them, and the 34-MB output array is
+    # most of the peak
+    import tracemalloc
+    V = fields.constant_contrast(rotated_cuboid(), 0.4)
+    g = fields.centered_grid(1.0, 128, dim=3)
+    tracemalloc.start()
+    try:
+        vals = V.evaluate(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 45e6
+    assert np.count_nonzero(vals) > 0
+
+
 def test_affine_contrast_mu_and_values():
     P = geom.convex_polygon([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     V = fields.affine_contrast(P, 1.0, [0.5, 0.0])

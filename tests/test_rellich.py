@@ -141,6 +141,41 @@ def test_sphere_norm_matches_near_field_quadrature_3d(cuboid_solutions, k, r):
     assert abs(got - quad) < 1e-9 * quad
 
 
+def sph_harm_table(j_max, directions):
+    """Y_j^m rows in the order (0, 0), (1, -1), (1, 0), (1, 1), ... from
+    scipy, with theta and phi from the directions."""
+    from scipy.special import sph_harm_y
+    th = np.arccos(np.clip(directions[:, 2], -1, 1))
+    ph = np.arctan2(directions[:, 1], directions[:, 0])
+    deg, m = np.array([(j, mj) for j in range(j_max + 1)
+                       for mj in range(-j, j + 1)]).T
+    return deg, sph_harm_y(deg[:, None], m[:, None], th, ph)
+
+
+@pytest.mark.parametrize("n", [16, 64, 257, 1024])
+def test_spherical_harmonic_recurrence_matches_scipy(n):
+    # both poles and a direction at phi = pi ride along with the Fibonacci
+    # points
+    extra = [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [-0.6, 0.0, 0.8], [-1.0, 0.0, 0.0]]
+    dirs = np.vstack([default_directions(3, n), extra])
+    got = rellich._spherical_harmonics(16, dirs)
+    want = sph_harm_table(16, dirs)[1]
+    assert np.max(np.abs(got - want)) < 1e-13
+
+
+def test_decomposition_3d_matches_the_scipy_table(cuboid_solutions):
+    # a 256-direction cuboid pattern: the fit on the recurrence's table
+    # against the same least-squares fit on scipy's
+    for sol in cuboid_solutions.values():
+        ff = sol.far_field
+        dec = rellich.decompose_far_field(ff)
+        deg, ylm = sph_harm_table(8, ff.directions)
+        c = np.linalg.lstsq(ylm.T, ff.values, rcond=None)[0]
+        want = np.sqrt(np.bincount(deg, np.abs(c) ** 2))[:dec.J + 1]
+        assert len(ff.values) == 256 and dec.J >= 4
+        assert np.linalg.norm(dec.b - want) <= 1e-13 * np.linalg.norm(want)
+
+
 @pytest.mark.parametrize("r", [0.8, 1.2, 3.0])
 def test_sphere_norm_refuses_rounding_level_degrees(triangle_solutions, r):
     # at J = 127 (the highest unaliased degree on 256 angles), b_j sits at

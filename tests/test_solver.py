@@ -155,6 +155,92 @@ def test_support_must_stay_interior():
     assert np.all(np.isfinite(sol.far_field.values))
 
 
+def argwhere_support(values):
+    """Support slices by the extremes of np.argwhere: the rule support_box
+    followed before it read each axis off a projection."""
+    nz = np.argwhere(values)
+    if not len(nz):
+        return (slice(0, 0),) * values.ndim
+    return tuple(slice(a, b + 1) for a, b in zip(nz.min(axis=0), nz.max(axis=0)))
+
+
+@pytest.mark.parametrize("shape", [(40, 33), (17, 21, 12)],
+                         ids=["2d", "3d"])
+def test_support_box_matches_argwhere(shape):
+    rng = np.random.default_rng(7)
+    g = fields.Grid(np.full(len(shape), -0.3), 0.1, shape)
+    corner = np.zeros(shape, dtype=complex)
+    corner[(-1,) * len(shape)] = 2j
+    cases = [np.where(rng.random(shape) < density,
+                      rng.standard_normal(shape) + 1j, 0)
+             for density in (2e-3, 2e-2, 0.3)]
+    cases += [corner, corner != 0, np.zeros(shape)]
+    for values in cases:
+        support, box = solver.support_box(values, g)
+        assert support == argwhere_support(values)
+        lo = np.array([s.start for s in support])
+        assert box.shape == tuple(s.stop - s.start for s in support)
+        assert np.array_equal(box.origin, g.origin + g.spacing * lo)
+    assert solver.support_box(np.zeros(shape), g)[1].shape == (0,) * len(shape)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_support_on_any_face_is_refused(dim):
+    # a block of half-width 0.2 centred 0.9 out along one axis reaches the
+    # face cells (centres at +-0.9375) of a 16-point grid and no other face
+    g = fields.centered_grid(1.0, 16, dim=dim)
+    for axis in range(dim):
+        for side in (-1.0, 1.0):
+            c = np.zeros(dim)
+            c[axis] = 0.9 * side
+            if dim == 2:
+                P = geom.convex_polygon(c + 0.2 * np.array(
+                    [[-1, -1], [1, -1], [1, 1], [-1, 1]]))
+            else:
+                P = geom.cuboid(c, [0.2] * 3)
+            V = fields.constant_contrast(P, 0.5)
+            with pytest.raises(solver.SolverError, match="grid interior"):
+                solver.solve_forward(V, 2.0, np.eye(dim)[0], g)
+
+
+def test_zero_contrast_has_an_empty_box():
+    g = fields.centered_grid(1.0, 32, dim=3)
+    V = fields.constant_contrast(geom.cuboid([0.1, 0.0, 0.0], [0.3] * 3), 0.0)
+    omega = np.array([0.0, 0.6, 0.8])
+    sol = solver.solve_forward(V, 2.0, omega, g)
+    assert sol.support == (slice(0, 0),) * 3
+    assert sol.box.values.size == 0 and sol.iterations == 0
+    assert np.array_equal(sol.total.values,
+                          fields.plane_wave(2.0, omega, g).values)
+    assert not np.any(sol.far_field.values)
+
+
+def test_3d_solve_samples_and_scans_only_its_box(monkeypatch):
+    # at n = 96 the cuboid's reach box holds about 2 % of the grid; the
+    # solve scans the full grid once, for the support box, and never builds
+    # the full-grid field
+    masked, scanned = [], []
+    mask, box_of = fields.polytope_mask, solver.support_box
+
+    def counting_mask(P, pts, *args):
+        masked.append(int(np.prod(np.shape(pts)[:-1])))
+        return mask(P, pts, *args)
+
+    def recording_box(values, grid):
+        scanned.append(values.shape)
+        return box_of(values, grid)
+
+    monkeypatch.setattr(fields, "polytope_mask", counting_mask)
+    monkeypatch.setattr(solver, "support_box", recording_box)
+    V, omega = support_box_scene(3)
+    g = fields.centered_grid(1.0, 96, dim=3)
+    sol = solver.solve_forward(V, 2.5, omega, g)
+    assert 0 < sum(masked) < g.shape[0] ** 3 / 8
+    assert scanned == [g.shape, sol.box.grid.shape]
+    assert "total" not in vars(sol) and "scattered" not in vars(sol)
+    assert np.all(np.isfinite(sol.far_field.values))
+
+
 def support_box_scene(dim):
     """An off-centre contrast whose support box has unequal axes: a 2D
     quadrilateral, or a rotated 3D cuboid."""
