@@ -23,10 +23,10 @@ from functools import cached_property
 import numpy as np
 from scipy import fft
 from scipy.sparse.linalg import LinearOperator, gmres
-from scipy.special import hankel1, jv
+from scipy.special import hankel1, j0, j1, jv, y0, y1
 
 from .fields import ContrastField, FieldError, Grid, WaveField, plane_wave
-from .specfun import bessel_j_orders
+from .specfun import bessel_j_orders, hankel_h1_factors
 
 GMRES_RESTART = 50
 GMRES_MAXITER = 2000
@@ -47,10 +47,12 @@ class SolverError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 def fundamental_solution(k: float, r: np.ndarray, dim: int) -> np.ndarray:
-    """Outgoing fundamental solution Phi_k(r) for r > 0."""
+    """Outgoing fundamental solution Phi_k(r) for r > 0; in 2D
+    (i/4) H_0 = (i/4) J_0 - Y_0/4 from Cephes' j0 and y0."""
     r = np.asarray(r, dtype=float)
     if dim == 2:
-        return 0.25j * hankel1(0, k * r)
+        kr = k * r
+        return 0.25j * j0(kr) - 0.25 * y0(kr)
     return np.exp(1j * k * r) / (4 * np.pi * r)
 
 
@@ -59,7 +61,8 @@ def singular_cell_integral(k: float, h: float, dim: int) -> complex:
     the singular cell of an h-cube."""
     if dim == 2:
         a = h / np.sqrt(np.pi)
-        return complex(0.5j * np.pi * a / k * hankel1(1, k * a) - 1.0 / k ** 2)
+        h1 = j1(k * a) + 1j * y1(k * a)
+        return complex(0.5j * np.pi * a / k * h1 - 1.0 / k ** 2)
     a = h * (3.0 / (4 * np.pi)) ** (1.0 / 3.0)
     return complex((np.exp(1j * k * a) * (1j * k * a - 1) + 1) / (-k ** 2))
 
@@ -125,9 +128,7 @@ class GreenConvolution(PaddedFFTMultiplier):
 
     The kernel depends on each offset only through its size per axis, so
     Phi_k is evaluated once on the first orthant of offset sizes and read
-    at |d| per axis; the singular cell d = 0 takes the analytic average.
-    In 2D one Hankel call serves each distinct radius (about two cells in
-    five); in 3D the sort costs more than the exponential it saves."""
+    at |d| per axis; the singular cell d = 0 takes the analytic average."""
 
     def __init__(self, grid: Grid, k: float, source: Grid | None = None,
                  target: Grid | None = None):
@@ -142,12 +143,7 @@ class GreenConvolution(PaddedFFTMultiplier):
         r = np.sqrt(sum(a ** 2 for a in axes))
         origin = (0,) * grid.dim
         r[origin] = h   # keeps r = 0 out of Phi_k; the cell is set below
-        if grid.dim == 2:
-            radii, at = np.unique(r, return_inverse=True)
-            orthant = (fundamental_solution(self.k, radii, 2)
-                       * grid.cell_volume)[at.reshape(r.shape)]
-        else:
-            orthant = fundamental_solution(self.k, r, 3) * grid.cell_volume
+        orthant = fundamental_solution(self.k, r, grid.dim) * grid.cell_volume
         orthant[origin] = singular_cell_integral(self.k, h, grid.dim)
         return orthant[np.ix_(*sizes)]
 
@@ -365,9 +361,10 @@ def scattered_at_points(sol: ScatteringSolution,
     recurrence (specfun.bessel_j_orders, valid since k|y| <= k R_src <= N),
     and the phases e^(-in theta) at the cells and the points are the
     powers of one unit complex number each, so no Bessel or exp call is
-    made per (order, cell) pair; the Hankel functions take O(N)
-    evaluations per distinct evaluation radius.  Let b be the
-    nearest radius so evaluated.  For n >= k R_src, J_n(k|y|) <=
+    made per (order, cell) pair; H_0..H_N at each distinct evaluation
+    radius come from one J_0 + i Y_0, J_1 + i Y_1 start and the order
+    recurrence (specfun.hankel_h1_factors).  Let b be the nearest
+    radius so evaluated.  For n >= k R_src, J_n(k|y|) <=
     J_n(k R_src), and |H_n| falls with its argument, so at every |x| >= b
     the dropped orders add at most
         (1/2) k^2 h^2 ||V u||_1 sum_{n>N} J_n(k R_src) |H_n(k b)|.
@@ -376,7 +373,7 @@ def scattered_at_points(sol: ScatteringSolution,
     so the bound is about GRAF_TOL R_src / (b - R_src) times that
     prefactor.
 
-    The dense sum, one Hankel evaluation per (point, cell) pair, serves
+    The dense sum, one Phi_k evaluation per (point, cell) pair, serves
     every 3D point, every point with |x| <= R_src, and the points so close
     to R_src that J_n(k R_src) underflows or H_n(k b) overflows before the
     term falls below GRAF_TOL.
@@ -473,12 +470,11 @@ def _graf_potential(k: float, ys: np.ndarray, amps: np.ndarray,
     a *= 0.25j
     c *= 0.25j
     c[0] = 0
-    n = np.arange(order + 1)[:, None]
     out = np.empty(len(points), dtype=complex)
     for rows in _blocks(len(points), order + 1):
         p = points[rows]
         kr, at = np.unique(k * np.linalg.norm(p, axis=1), return_inverse=True)
-        h = hankel1(n, kr)[:, at]
+        h = np.cumprod(hankel_h1_factors(0, order, kr), axis=0)[:, at]
         e = _phase_powers(p, order)
         out[rows] = np.sum(
             h * (a[:, None] * e.conj() + c[:, None] * e), axis=0)

@@ -3,9 +3,9 @@ constants.
 
 The far-field to near-field machinery needs two-sided envelopes for
 |H^(1)_nu(z)| of the form C^2 (4/(pi e z)) (2 nu/(e z))^(2 nu - 1) on a
-compact z-interval, uniformly over half-integer orders.  The constant is
-never available in closed form, so we certify a working value by dense
-sampling and a 5% safety inflation.
+compact z-interval, uniformly over the orders 1/2, 1, 3/2, ...  The
+constant is never available in closed form, so we certify a working value
+by dense sampling and a 5% safety inflation.
 """
 
 from __future__ import annotations
@@ -90,6 +90,31 @@ def bessel_j_orders(order: int, x: np.ndarray) -> np.ndarray:
     return out
 
 
+def hankel_h1_factors(nu0: float, order: int, z: np.ndarray) -> np.ndarray:
+    """H^(1)_nu0(z) in row 0 and the ratios H_(nu0+n)/H_(nu0+n-1) in rows
+    n = 1..order, for nu0 = 0 or 1/2 and z > 0: the cumulative product
+    down the rows is the table H_nu0..H_(nu0+order), and the cumulative
+    sum of the log-moduli its log |H|, which never overflows.
+
+    The starts are Cephes' j0 + i y0 and j1 + i y1, or the closed forms
+    H_(1/2) = -i sqrt(2/(pi z)) e^(iz), H_(3/2)/H_(1/2) = 1/z - i
+    (DLMF 10.16.1); the ratios follow H_(nu+1) = (2 nu/z) H_nu - H_(nu-1)
+    (DLMF 10.6.1), which is stable upwards for H^(1)."""
+    z = np.asarray(z, dtype=float)
+    f = np.empty((order + 1, len(z)), dtype=complex)
+    if nu0 == 0:
+        f[0] = special.j0(z) + 1j * special.y0(z)
+        start = (special.j1(z) + 1j * special.y1(z)) / f[0]
+    else:
+        f[0] = -1j * np.sqrt(2 / (np.pi * z)) * np.exp(1j * z)
+        start = 1 / z - 1j
+    if order:
+        f[1] = start
+    for n in range(1, order):
+        f[n + 1] = 2 * (nu0 + n) / z - 1 / f[n]
+    return f
+
+
 # ---------------------------------------------------------------------------
 # Certified envelope constants
 # ---------------------------------------------------------------------------
@@ -97,7 +122,7 @@ def bessel_j_orders(order: int, x: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class HankelBoundCertificate:
     """Smallest sampled constant (times a 5% safety factor) such that on
-    z in [z1, z2] and half-integer nu <= nu_max:
+    z in [z1, z2] and nu in {1/2, 1, 3/2, ..., nu_max}:
 
         |H_0(z)|^2 <= C^2
         C^-2 E(nu,z) <= |H_nu(z)|^2 <= C^2 E(nu,z),
@@ -126,7 +151,10 @@ def _envelope_log(nu: np.ndarray, z: np.ndarray) -> np.ndarray:
 def certify_hankel_bounds(z1: float, z2: float, nu_max: float,
                           samples: int = 512) -> HankelBoundCertificate:
     """Certify the two-sided Hankel envelope constant on a sampled grid,
-    inflated by CERTIFICATE_SAFETY."""
+    inflated by CERTIFICATE_SAFETY.  |H_nu| at every sample comes from
+    the two order recurrences of hankel_h1_factors (nu = 0, 1, ... and
+    nu = 1/2, 3/2, ...), so every sampled value is exact, also where
+    |H_nu| itself would overflow."""
     if not (0 < z1 <= z2):
         raise SpecfunError("need 0 < z1 <= z2")
     if nu_max < 0.5:
@@ -135,10 +163,14 @@ def certify_hankel_bounds(z1: float, z2: float, nu_max: float,
         zgrid = np.array([z1])
     else:
         zgrid = np.linspace(z1, z2, samples)
-    log_c = np.log(np.abs(special.hankel1(0, zgrid))).max()  # |H_0| <= C
-    nus = 0.5 * np.arange(1, int(2 * nu_max + 2e-12) + 1)[:, None]
-    log_h2 = 2 * hankel_h1_log_abs(nus, zgrid)
-    dev = 0.5 * np.max(np.abs(log_h2 - _envelope_log(nus, zgrid)))
+    m = int(2 * nu_max + 2e-12)   # the orders 1/2, 1, 3/2, ..., m/2
+    log_h = np.empty((m + 1, len(zgrid)))   # row j: log |H_(j/2)|
+    for nu0 in (0, 0.5):   # the integer and half-integer chains
+        f = hankel_h1_factors(nu0, int(m / 2 - nu0), zgrid)
+        log_h[int(2 * nu0)::2] = np.cumsum(np.log(np.abs(f)), axis=0)
+    log_c = log_h[0].max()  # |H_0| <= C
+    nus = 0.5 * np.arange(1, m + 1)[:, None]
+    dev = 0.5 * np.max(np.abs(2 * log_h[1:] - _envelope_log(nus, zgrid)))
     log_c = max(log_c, dev)
     C = float(np.exp(log_c) * CERTIFICATE_SAFETY)
     if C < 1.0:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from polyscat import cgo, fields, geom, solver
+from polyscat import cgo, fields, geom, solver, specfun
 
 
 def small_square_contrast(value=0.5, side=0.8):
@@ -84,8 +84,8 @@ def test_green_convolution_matches_direct_sum(g, source, target):
 
 
 def test_2d_kernel_is_phi_on_every_orthant_cell():
-    # one Hankel call per distinct radius gives the same floats as one per
-    # cell: the radii are the same, and so is every evaluation
+    # both dimensions evaluate Phi_k on every cell of the orthant, so the
+    # kernel is fundamental_solution cell by cell, float for float
     k = 3.0
     g = fields.centered_grid(1.0, 192, dim=2)
     box = fields.Grid(g.origin + g.spacing * np.array([40, 57]), g.spacing,
@@ -105,6 +105,39 @@ def test_2d_kernel_is_phi_on_every_orthant_cell():
     orthant = solver.fundamental_solution(k, r, 2) * g.cell_volume
     orthant[0, 0] = solver.singular_cell_integral(k, h, 2)
     assert np.array_equal(got, orthant[np.ix_(*sizes)])
+
+
+def test_2d_fundamental_solution_matches_scipy_hankel():
+    from scipy.special import jn_zeros, yn_zeros
+    kr = np.concatenate([np.geomspace(1e-4, 60.0, 4001),
+                         jn_zeros(0, 8), yn_zeros(0, 8)])
+    for k in (1.0, 3.0):
+        got = solver.fundamental_solution(k, kr / k, 2)
+        ref = 0.25j * solver.hankel1(0, kr)
+        assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref))
+
+
+def test_2d_paths_make_no_amos_hankel_call(monkeypatch):
+    # every 2D Hankel table comes from j0/y0, j1/y1 and the order
+    # recurrence; only the Graf truncation certificate still calls hankel1
+    def amos(*args):
+        raise AssertionError("scipy.special.hankel1 called")
+
+    monkeypatch.setattr(solver, "hankel1", amos)
+    monkeypatch.setattr(specfun.special, "hankel1", amos)
+    g = fields.centered_grid(1.0, 64, dim=2)
+    box = fields.Grid(g.origin + g.spacing * np.array([20, 25]), g.spacing,
+                      (18, 13))
+    solver.GreenConvolution(g, 3.0, box, box)
+    solver.GreenConvolution(g, 3.0, box, g)
+    rng = np.random.default_rng(3)
+    ys = rng.uniform(-0.3, 0.3, (50, 2))
+    amps = rng.standard_normal(50) + 1j * rng.standard_normal(50)
+    pts = circle(1.0, 40)
+    dense = solver._dense_potential(3.0, ys, amps, pts)
+    graf = solver._graf_potential(3.0, ys, amps, pts, 60)
+    assert np.linalg.norm(graf - dense) <= 1e-10 * np.linalg.norm(dense)
+    specfun.certify_hankel_bounds(1.5, 6.0, 40)
 
 
 def test_default_directions_unit_and_uniform():

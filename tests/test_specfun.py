@@ -141,6 +141,70 @@ def test_bessel_j_orders_against_mpmath(order):
         specfun.bessel_j_orders(order, [order + 0.5])
 
 
+def hankel_log_table(nu0, order, z):
+    f = specfun.hankel_h1_factors(nu0, order, np.asarray(z, dtype=float))
+    return np.cumsum(np.log(np.abs(f)), axis=0)
+
+
+@pytest.mark.parametrize("nu0", [0, 0.5])
+def test_hankel_factors_log_abs_against_mpmath(nu0):
+    # orders up to 200, far past where scipy's hankel1 overflows
+    from oracles import mp_log_abs_hankel1
+    zs = np.array([0.5, 1.5, 6.0, 20.0, 40.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = hankel_log_table(nu0, 200, zs)
+    for n in sorted({0, 1, 2, 3, 200, *range(5, 200, 15)}):
+        for z, ours in zip(zs, got[n]):
+            ref = mp_log_abs_hankel1(nu0 + n, z)
+            assert abs(ours - ref) <= 1e-13 * max(1.0, abs(ref))
+    # the pairs of test_hankel_log_abs_against_mpmath in this chain, and
+    # one where scipy's hankel1 gives no finite value
+    for nu, z in ((60.5, 0.5), (150.0, 2.0), (170.5, 0.5), (200.0, 0.5)):
+        if nu % 1 != nu0:
+            continue
+        ours = hankel_log_table(nu0, int(nu), [z])[-1, 0]
+        ref = mp_log_abs_hankel1(nu, z)
+        assert abs(ours - ref) <= 1e-13 * abs(ref)
+        if nu > 160:
+            assert not np.isfinite(hankel1(nu, z))
+
+
+def test_hankel_factors_table_matches_scipy():
+    z = np.linspace(0.5, 30.0, 240)
+    n = np.arange(121)[:, None]
+    got = np.cumprod(specfun.hankel_h1_factors(0, 120, z), axis=0)
+    ref = hankel1(n, z)
+    finite = np.isfinite(ref)
+    assert finite.sum() > 0.8 * ref.size
+    err = np.abs(got - ref)[finite]
+    assert np.all(err <= 1e-12 * np.abs(ref)[finite])
+    # the half-integer chain starts on the closed form
+    half = np.cumprod(specfun.hankel_h1_factors(0.5, 30, z), axis=0)
+    ref = hankel1(n[:31] + 0.5, z)
+    assert np.all(np.abs(half - ref) <= 1e-12 * np.abs(ref))
+
+
+def pointwise_certificate_constant(z1, z2, nu_max, samples=512):
+    # the sampled constant taken point by point: hankel1(0, .) for the H_0
+    # bound and hankel_h1_log_abs on the whole (nu, z) table
+    z = np.linspace(z1, z2, samples)
+    log_c = np.log(np.abs(hankel1(0, z))).max()
+    nus = 0.5 * np.arange(1, int(2 * nu_max + 2e-12) + 1)[:, None]
+    log_h2 = 2 * specfun.hankel_h1_log_abs(nus, z)
+    dev = 0.5 * np.max(np.abs(log_h2 - specfun._envelope_log(nus, z)))
+    return max(1.0, float(np.exp(max(log_c, dev))
+                          * specfun.CERTIFICATE_SAFETY))
+
+
+@pytest.mark.parametrize("kR, nu_max", [(0.5, 40), (1.5, 40), (2.6, 40),
+                                        (5.0, 40), (0.5, 200)])
+def test_certificate_matches_the_pointwise_constant(kR, nu_max):
+    cert = specfun.certify_hankel_bounds(kR, 4 * kR, nu_max)
+    ref = pointwise_certificate_constant(kR, 4 * kR, nu_max)
+    assert abs(cert.C - ref) <= 1e-13 * ref
+
+
 def test_incomplete_gamma_closed_form():
     # gamma(1, x) = 1 - e^-x
     val = specfun.lower_incomplete_gamma(1.0, 2.0)
