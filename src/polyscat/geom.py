@@ -13,7 +13,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import ConvexHull
 
 MEMBERSHIP_TOL = 1e-12   # closed-set slack of point-in-polytope tests
 ANGLE_TOL = 1e-9         # slack of the enclosing-angle checks
@@ -320,7 +319,12 @@ def convex_hull_cone(P: Polytope, Q: Polytope, x_c) -> PolyCone:
     """Polyhedral cone at x_c generated by the convex hull of P union Q,
     read off the hull's adjacency: the generators point from x_c to the
     hull vertices beside it (2D) or sharing a facet with it (3D).  Every
-    other point of P and Q lies in the cone these span."""
+    other point of P and Q lies in the cone these span.
+
+    scipy.spatial is imported here, on first call, so that building
+    polytopes and solving on them does not load it."""
+    from scipy.spatial import ConvexHull
+
     x_c = np.asarray(x_c, dtype=float)
     pts = np.vstack([P.vertices, Q.vertices])
     hull = ConvexHull(pts)

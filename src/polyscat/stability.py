@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, asdict
 
 import numpy as np
-from scipy.interpolate import NdBSpline, make_interp_spline
 
 from . import cgo, rellich
 from .cgo import CgoDirection, faddeev_decay_case
@@ -45,7 +44,12 @@ def field_interpolator(*fields: WaveField):
     """One exact not-a-knot cubic spline of one or more fields on one grid
     (a banded direct solve per axis), callable on (..., dim) points in the
     grid: shape pts.shape[:-1] for one field and pts.shape[:-1] + (m,) for
-    m fields.  A point outside the grid raises ValueError."""
+    m fields.  A point outside the grid raises ValueError.
+
+    scipy.interpolate is imported here, on first call: the forward solve
+    and the Rellich chain never load it."""
+    from scipy.interpolate import NdBSpline, make_interp_spline
+
     if len({(w.grid.shape, w.grid.spacing, tuple(w.grid.origin))
             for w in fields}) > 1:
         raise StabilityError("interpolated fields must share one grid")

@@ -1,3 +1,4 @@
+import os
 import warnings
 
 import numpy as np
@@ -355,6 +356,126 @@ def test_gmres_non_convergence_is_a_typed_error(monkeypatch):
     rho = np.array([0.0, -4.0]) + 1j * np.sqrt(20.0) * np.array([1.0, 0.0])
     with pytest.raises(cgo.CgoError, match="residual="):
         cgo.solve_faddeev(q, rho, g)
+
+
+def non_normal_system(seed, n=200):
+    """I + A with A complex, seeded and non-normal: a Gaussian part of
+    spectral radius about 0.6 plus a strictly upper triangular part."""
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((2, n, n)) + 1j * rng.standard_normal((2, n, n))
+    a = 0.6 * g[0] / np.sqrt(2 * n) + np.triu(0.3 * g[1] / np.sqrt(2 * n), 1)
+    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return np.eye(n) + a, b
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_gmres_matches_scipy(seed):
+    from scipy.sparse.linalg import gmres
+    A, b = non_normal_system(seed)
+    x, iterations, r = solver.gmres(lambda v: A @ v, b, 1e-10, 50, 20)
+    steps = []
+    want, info = gmres(A, b, rtol=1e-10, atol=0.0, restart=50, maxiter=20,
+                       callback=steps.append, callback_type="pr_norm")
+    assert info == 0 and 10 < iterations < 50
+    assert iterations == len(steps)
+    assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
+    assert np.array_equal(r, b - A @ x)
+    assert np.linalg.norm(r) <= 1e-10 * np.linalg.norm(b)
+
+
+def test_gmres_restarts_to_the_tolerance():
+    A, b = non_normal_system(3)
+    calls = []
+
+    def matvec(v):
+        calls.append(1)
+        return A @ v
+
+    x, iterations, r = solver.gmres(matvec, b, 1e-10, 5, 200)
+    cycles = len(calls) - iterations
+    assert cycles > 2 and iterations > 5 * (cycles - 1)
+    assert np.linalg.norm(r) <= 1e-10 * np.linalg.norm(b)
+    want = np.linalg.solve(A, b)
+    assert np.linalg.norm(x - want) <= 1e-8 * np.linalg.norm(want)
+
+
+def test_gmres_zero_rhs_and_identity():
+    b = np.zeros(200, dtype=complex)
+    x, iterations, r = solver.gmres(lambda v: v + 1.0, b, 1e-8, 50, 10)
+    assert iterations == 0 and not np.any(x) and np.linalg.norm(r) == 0
+    # the identity breaks down at once: A v_0 = v_0 leaves nothing after
+    # Gram-Schmidt, and that one step holds the exact solution
+    b = non_normal_system(4)[1]
+    x, iterations, r = solver.gmres(lambda v: v, b, 1e-14, 50, 10)
+    assert iterations == 1
+    assert np.linalg.norm(x - b) <= 1e-15 * np.linalg.norm(b)
+    # a swap has a zero first Hessenberg diagonal (the rotation with
+    # f = 0) and is solved in its second step
+    b = np.array([1.0, 0.0])
+    x, iterations, r = solver.gmres(lambda v: v[::-1], b, 1e-14, 50, 10)
+    assert iterations == 2 and np.allclose(x, [0, 1], rtol=0, atol=1e-15)
+    # the zero operator leaves a zero pivot: x stays 0 on every cycle
+    x, iterations, r = solver.gmres(lambda v: 0 * v, b, 1e-8, 50, 3)
+    assert iterations == 3 and not np.any(x) and np.array_equal(r, b)
+
+
+@pytest.mark.parametrize("dim, n", [(2, 64), (3, 24)])
+def test_solve_takes_one_residual_matvec(dim, n, monkeypatch):
+    # GMRES converges in one cycle here, whose true residual is the only
+    # matvec besides the iterations'
+    shapes = []
+    apply = solver.GreenConvolution.apply
+
+    def counting(self, x):
+        shapes.append((self.grid.shape, self.target.shape))
+        return apply(self, x)
+
+    monkeypatch.setattr(solver.GreenConvolution, "apply", counting)
+    V, omega = support_box_scene(dim)
+    sol = solver.solve_forward(V, 2.5, omega,
+                               fields.centered_grid(1.0, n, dim=dim))
+    box = sol.box.grid.shape
+    assert 0 < sol.iterations < solver.GMRES_RESTART
+    assert shapes == [(box, box)] * (sol.iterations + 1)
+
+
+def test_forward_chain_loads_no_sparse_interpolate_or_spatial():
+    # a fresh interpreter: the solve, near field, far-field decomposition
+    # and calibration load none of these; the hull cone and the field
+    # interpolator import theirs on first call
+    import pathlib
+    import subprocess
+    import sys
+    script = """
+import sys
+import numpy as np
+import polyscat
+from polyscat import fields, geom, rellich, solver, stability
+P = geom.convex_polygon([[0.1, -0.2], [0.6, -0.1], [0.5, 0.15], [0.2, 0.1]])
+sol = solver.solve_forward(fields.constant_contrast(P, 0.4), 2.5, [0.6, 0.8],
+                           fields.centered_grid(1.0, 64, dim=2))
+assert np.all(np.isfinite(solver.scattered_at_points(sol, [[0.9, 0.0]])))
+rellich.decompose_far_field(sol.far_field)
+C = geom.cuboid([0.1, 0.0, 0.0], [0.2, 0.15, 0.1])
+sol3 = solver.solve_forward(fields.constant_contrast(C, 0.4), 2.0,
+                            [0.0, 0.6, 0.8], fields.centered_grid(1.0, 24, 3))
+solver.scattered_at_points(sol3, [[0.9, 0.0, 0.0]])
+rellich.decompose_far_field(sol3.far_field)
+rellich.calibrate(2.5, dim=2, trials=4, seed=0)
+heavy = ("scipy.sparse", "scipy.linalg", "scipy.interpolate", "scipy.spatial")
+print(sorted(m for m in heavy if m in sys.modules))
+Q = geom.convex_polygon([[0.1, -0.2], [0.7, -0.1], [0.5, 0.15], [0.2, 0.1]])
+print(geom.check_q_angle(P, Q).vertex_ok, "scipy.spatial" in sys.modules)
+f = stability.field_interpolator(sol.total)
+x = sol.total.grid.points()[32, 48]
+print(abs(f(x) - sol.total.values[32, 48]) < 1e-12,
+      "scipy.interpolate" in sys.modules)
+"""
+    src = pathlib.Path(solver.__file__).parent.parent
+    out = subprocess.run([sys.executable, "-c", script], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.split("\n")[:3] == ["[]", "True True", "True True"]
 
 
 def test_born_regime_agreement():

@@ -28,7 +28,8 @@ def test_hankel_against_mpmath():
 
 def test_hankel_log_abs_against_mpmath():
     from oracles import mp_log_abs_hankel1
-    # includes the overflow regime nu >> z where hankel1 itself is inf
+    # nu >> z, but hankel1 is still finite at all four pairs (9.1e116 at
+    # (60.5, 0.5), 1.2e260 at (150, 2)); the Debye branch is tested below
     pairs = [(0.5, 1.0), (10.0, 3.0), (60.5, 0.5), (150.0, 2.0)]
     for nu, z in pairs:
         ours = specfun.hankel_h1_log_abs(nu, z)
@@ -39,6 +40,16 @@ def test_hankel_log_abs_against_mpmath():
     np.testing.assert_array_equal(specfun.hankel_h1_log_abs(nus, zs),
                                   [specfun.hankel_h1_log_abs(nu, z)
                                    for nu, z in pairs])
+
+
+@pytest.mark.parametrize("nu, z", [(133.0, 0.5), (170.0, 2.0), (300.0, 5.0)])
+def test_hankel_log_abs_where_hankel1_overflows(nu, z):
+    from oracles import mp_log_abs_hankel1
+    assert not np.isfinite(hankel1(nu, z))   # nan here
+    # the Debye/Stirling form drops a relative term of about
+    # (z^2/4 + 1/12)/nu: 1.1e-3, 6.4e-3 and 2.1e-2 at these pairs
+    gap = abs(specfun.hankel_h1_log_abs(nu, z) - mp_log_abs_hankel1(nu, z))
+    assert gap <= 1.2 * (z ** 2 / 4 + 1 / 12) / nu
 
 
 def test_hankel_small_argument_monotone_growth():

@@ -144,8 +144,10 @@ def test_orthogonality_mismatch_shrinks_under_refinement():
 def test_orthogonality_one_interpolant_one_pass(monkeypatch):
     # the three fields share one interpolant, evaluated once on the volume
     # points, the boundary points and both normal shifts together
+    # field_interpolator imports NdBSpline from scipy.interpolate per call
+    import scipy.interpolate
     counts = {"built": 0, "calls": 0}
-    base = stability.NdBSpline
+    base = scipy.interpolate.NdBSpline
 
     class Counting(base):
         def __init__(self, *args, **kwargs):
@@ -156,7 +158,7 @@ def test_orthogonality_one_interpolant_one_pass(monkeypatch):
             counts["calls"] += 1
             return super().__call__(*args, **kwargs)
 
-    monkeypatch.setattr(stability, "NdBSpline", Counting)
+    monkeypatch.setattr(scipy.interpolate, "NdBSpline", Counting)
     V = square_contrast(0.4)
     k = 2.0
     g = fields.centered_grid(1.0, 64, dim=2)
