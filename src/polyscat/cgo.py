@@ -1,13 +1,14 @@
 """Complex exponential solutions decaying in a cone.
 
 Builds the admissible complex direction curve rho(tau) with
-rho.rho + k^2 = 0 attached to a spherical cone, evaluates the closed-form
-Laplace transform of e^(rho.(x-x_c)) over convex polyhedral cones, and
-solves the conjugated remainder equation (Lap + 2 rho.grad + q) psi = -q
-by a Fourier-multiplier Green operator on the grid's doubled periodic
-lattice, applied between boxes of the grid: GMRES on the bounding box of
-supp q, then one apply from that box to the grid, giving the special
-solution u0 = e^(rho.(x-x_c)) (1 + psi).
+rho.rho + k^2 = 0 attached to a spherical cone, evaluates the Laplace
+transform of e^(rho.(x-x_c)) over a simplicial cone by one closed form
+for 2D wedges and 3D trihedra, and solves the conjugated remainder
+equation (Lap + 2 rho.grad + q) psi = -q by a Fourier-multiplier Green
+operator on the grid's doubled periodic lattice, applied between boxes
+of the grid: GMRES on the bounding box of supp q, then one apply from
+that box to the grid, giving the special solution
+u0 = e^(rho.(x-x_c)) (1 + psi).
 """
 
 from __future__ import annotations
@@ -110,43 +111,32 @@ def build_direction(q_cone: PolyCone, k: float, tau: float) -> CgoDirection:
 @dataclass(frozen=True)
 class ConeTransform:
     value: complex
-    xi: np.ndarray       # rotated argument
-    formula: str         # "wedge" (2D) or "orthant" (3D)
-    a: float = 0.0       # 2D wedge slope 1/tan(opening angle)
-
-
-def _cone_rotation_2d(cone: PolyCone):
-    """Rotation sending the wedge onto {y2 > 0, y1 > a y2} and its slope a."""
-    g_lo, g_hi = cone.generators
-    alpha = _angle_between(g_lo, g_hi)
-    th = np.arctan2(g_lo[1], g_lo[0])
-    rot = np.array([[np.cos(th), np.sin(th)], [-np.sin(th), np.cos(th)]])
-    return rot, 1.0 / np.tan(alpha)
+    a: float = 0.0       # 2D wedge slope cot(opening angle)
 
 
 def cone_laplace(cone: PolyCone, vec: np.ndarray) -> ConeTransform:
-    """Closed-form int_cone e^(vec.(x - x_c)) dx for a convex polyhedral
-    cone: 1/(xi1 (xi2 + a xi1)) in 2D, -1/(xi1 xi2 xi3) in 3D, where xi is
-    the rotated argument.  Raises if the convergence conditions fail."""
+    """Closed-form int_cone e^(vec.(x - x_c)) dx over a simplicial cone,
+    the same in 2D and 3D: |det G| / prod_i(-vec.g_i) for the generators
+    g_i, which converges when Re vec.g_i < 0 for every i.  In 2D `a` is
+    the wedge slope g_0.g_1 / |det G| = cot(alpha).  Raises if the
+    convergence condition fails, and for a cone with more generators
+    than its dimension, whose transform is the sum over a fan of
+    simplicial cones (ROADMAP item 17, step 2)."""
     vec = np.asarray(vec, dtype=complex)
     if cone.kind != "polyhedral":
         raise CgoError("Laplace transform requires a polyhedral cone")
-    if cone.dim == 2:
-        rot, a = _cone_rotation_2d(cone)
-        xi = rot @ vec
-        if not (np.real(xi[0]) < 0 and np.real(xi[1] + a * xi[0]) < 0):
-            raise CgoError("convergence condition violated for this "
-                           "(cone, direction) pairing")
-        return ConeTransform(complex(1.0 / (xi[0] * (xi[1] + a * xi[0]))),
-                             xi, "wedge", a=float(a))
-    if not cone.is_orthant:
-        raise CgoError("3D cone must be a rotated orthant "
-                       "(three orthonormal generators)")
-    xi = cone.generators @ vec  # the rows map the orthant onto the octant
+    g = cone.generators
+    if len(g) != cone.dim:
+        raise CgoError(f"cone with {len(g)} generators is not simplicial; "
+                       "its transform needs a fan of simplicial cones "
+                       "(ROADMAP item 17, step 2)")
+    xi = g @ vec
     if not np.all(np.real(xi) < 0):
         raise CgoError("convergence condition violated for this "
                        "(cone, direction) pairing")
-    return ConeTransform(complex(-1.0 / (xi[0] * xi[1] * xi[2])), xi, "orthant")
+    det = abs(np.linalg.det(g))
+    a = g[0] @ g[1] / det if cone.dim == 2 else 0.0
+    return ConeTransform(complex(det / np.prod(-xi)), float(a))
 
 
 def check_cone_geometry(p_cone: PolyCone, q_cone: PolyCone,

@@ -405,7 +405,6 @@ class QAngleReport:
     vertex_ok: bool
     angle_actual: float
     degenerate: bool = False
-    detail: str = ""
 
 
 def check_q_angle(P: Polytope, Q: Polytope) -> QAngleReport:
@@ -413,6 +412,11 @@ def check_q_angle(P: Polytope, Q: Polytope) -> QAngleReport:
     Hausdorff distance: in 2D the hull angle there is at most (alpha+pi)/2
     with alpha the angle of P at the vertex; in 3D the hull fits in a
     spherical cone of half-angle < pi/2.
+
+    The 3D branch holds at any vertex of the hull: the hull's cone there
+    is pointed, so the centre of the ball enclosing its generators has a
+    positive dot product with every generator.  Criterion 11's 3D half
+    is therefore a consistency check, not a test that can fail.
 
     The roles of P and Q are swapped when the other polytope realizes
     the Hausdorff distance, so that d(x_c, Q) always equals it."""
@@ -424,12 +428,11 @@ def check_q_angle(P: Polytope, Q: Polytope) -> QAngleReport:
     if d_pq[index] <= ANGLE_TOL:
         # Degenerate P' = P style case: the hull cone equals P's own cone.
         alpha = polygon_vertex_angle(P, index) if P.dim == 2 else np.pi / 2
-        return QAngleReport(True, alpha, degenerate=True,
-                            detail="zero Hausdorff distance")
+        return QAngleReport(True, alpha, degenerate=True)
     try:
         cone = convex_hull_cone(P, Q, P.vertices[index])
-    except GeometryError as exc:
-        return QAngleReport(False, np.nan, detail=str(exc))
+    except GeometryError:
+        return QAngleReport(False, np.nan)
     if P.dim == 2:
         alpha = polygon_vertex_angle(P, index)
         bound = (alpha + np.pi) / 2

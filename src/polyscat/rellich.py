@@ -553,6 +553,10 @@ def quantitative_rellich(epsilon: float | None, S: float, k: float, R: float,
     and the escape-segment length A_DEFAULT.  log_ratio = ln(S/epsilon)
     admits symbolically tiny far-field sizes.  Where the bridge does not
     apply (the saturated regime, or delta >= 1/e) the bound is T.
+
+    The annulus bound goes straight to `cross_into_boundary`: neither
+    `propagate_outside_hull` nor `Calibration.log_chain_constant` enters,
+    and the calibration enters only through c2, C/c2^2 and R_m.
     """
     if epsilon is not None and epsilon < 0:
         raise RellichError("epsilon must be nonnegative")

@@ -347,11 +347,11 @@ def run_support_stability_experiment(scene_pairs, k: float, omega, grid,
             bound = np.log(np.log(S / eps)) ** (-gamma)
             tau = optimize_tau(min(1.0, max(hh, grid.spacing)),
                                pipeline.capped_bound, m, n, k=k).tau_e
-            regime = pipeline.regime
         else:
-            bound, tau, regime = np.inf, np.nan, "saturated"
+            bound, tau = np.inf, np.nan
         records.append(StabilityRecord(eps, float(hh), float(tau),
-                                       float(bound), regime, gamma, m, S))
+                                       float(bound), pipeline.regime, gamma,
+                                       m, S))
     return records
 
 

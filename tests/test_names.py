@@ -1,11 +1,14 @@
-"""Every module-level name of the package has a reader.
+"""Every module-level name and every dataclass field of the package has a
+reader.
 
 A public module-level function or class of `src/polyscat` must be
 referenced from the package itself, a demo, the benchmark harness or the
 acceptance tests.  Unit tests alone do not keep a name alive.  The
 exceptions are listed with the item of ROADMAP.md that will call them.
 A private one must be referenced somewhere outside its own definition:
-in the package, a demo, the benchmark harness or any test.
+in the package, a demo, the benchmark harness or any test.  A dataclass
+field must be read as an attribute in one of those places, unless its
+class is written out whole by `asdict`.
 """
 
 import ast
@@ -61,3 +64,37 @@ def test_every_private_name_has_a_reader():
                             for p in sorted(PACKAGE.glob("*.py"))))
     referenced = set().union(*(_referenced(p) for p in PRIVATE_READERS))
     assert sorted(defined - referenced) == []
+
+
+# Dataclasses that `asdict` writes out whole: a field is read by being
+# written to a CSV or JSON row.
+WRITTEN_WHOLE = {
+    "StabilityRecord": "asdict writes each record to support_stability.csv",
+    "CornerRecord": "asdict writes each record to corner_lower_bound.csv",
+    "EstimateBudget": "to_dict writes every field with asdict",
+}
+
+
+def _dataclass_fields(path):
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, ast.ClassDef) or not any(
+                "dataclass" in ast.unparse(d) for d in node.decorator_list):
+            continue
+        for stmt in node.body:
+            if (isinstance(stmt, ast.AnnAssign)
+                    and isinstance(stmt.target, ast.Name)):
+                yield node.name, stmt.target.id
+
+
+def _attributes_read(path):
+    return {node.attr for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+
+
+def test_every_dataclass_field_is_read():
+    read = set().union(*(_attributes_read(p) for p in PRIVATE_READERS))
+    unread = [f"{cls}.{name}" for p in sorted(PACKAGE.glob("*.py"))
+              for cls, name in _dataclass_fields(p)
+              if cls not in WRITTEN_WHOLE and name not in read]
+    assert unread == []

@@ -317,6 +317,20 @@ def test_support_stability_experiment_smoke():
         assert r.hausdorff <= C * r.bound_value * (1 + 1e-12)
 
 
+def test_support_experiment_labels_a_zero_epsilon_record_zero():
+    # two distinct but identical squares give exactly eps = 0; the
+    # record carries the pipeline's "zero" regime, not "saturated"
+    cal = rellich.Calibration(k=2.0, R_m=1.0, C=2.0, c1=0.8, c2=0.2,
+                              seed=0, trials=10)
+    g = fields.centered_grid(1.0, 64, dim=2)
+    pairs = [(square_contrast(0.4), square_contrast(0.4))]
+    (r,) = stability.run_support_stability_experiment(pairs, 2.0, [1.0, 0.0],
+                                                      g, cal, n_directions=64)
+    assert r.epsilon == 0.0 and r.hausdorff == 0.0
+    assert r.regime == "zero"
+    assert r.bound_value == np.inf and np.isnan(r.tau_used)
+
+
 def _outer_layer_triangle():
     # an edge at x = 0.999 lies in the last cell layer of a half-width-1 grid
     P = geom.convex_polygon([[0.5, 0.0], [0.999, -0.04], [0.999, 0.04]])
