@@ -315,29 +315,56 @@ def polygon_vertex_angle(P: Polytope, index: int) -> float:
     return _angle_between(a / np.linalg.norm(a), b / np.linalg.norm(b))
 
 
+def _hull_2d(pts: np.ndarray) -> np.ndarray:
+    """Indices of the vertices of a 2D point set's convex hull,
+    counterclockwise, by Andrew's monotone chain.  Only strict left turns
+    are kept, so points on a hull edge and repeated points drop out, as
+    they do from qhull's hull."""
+    xy = pts.tolist()
+
+    def chain(order):
+        out = []
+        for i in order:
+            while len(out) >= 2:
+                (ox, oy), (ax, ay) = xy[out[-2]], xy[out[-1]]
+                bx, by = xy[i]
+                if (ax - ox) * (by - oy) - (ay - oy) * (bx - ox) > 0:
+                    break
+                out.pop()
+            out.append(i)
+        return out[:-1]
+
+    order = np.lexsort((pts[:, 1], pts[:, 0])).tolist()
+    return np.array(chain(order) + chain(order[::-1]), dtype=int)
+
+
 def convex_hull_cone(P: Polytope, Q: Polytope, x_c) -> PolyCone:
     """Polyhedral cone at x_c generated by the convex hull of P union Q,
     read off the hull's adjacency: the generators point from x_c to the
     hull vertices beside it (2D) or sharing a facet with it (3D).  Every
     other point of P and Q lies in the cone these span.
 
-    scipy.spatial is imported here, on first call, so that building
-    polytopes and solving on them does not load it."""
-    from scipy.spatial import ConvexHull
-
+    A 2D hull comes from `_hull_2d`; a 3D one from scipy.spatial's
+    ConvexHull, imported here on first 3D call, so that 2D checks and
+    polytopes in any dimension do not load it."""
     x_c = np.asarray(x_c, dtype=float)
     pts = np.vstack([P.vertices, Q.vertices])
-    hull = ConvexHull(pts)
-    dist = np.linalg.norm(pts[hull.vertices] - x_c, axis=1)
+    if P.dim == 2:
+        vertices = _hull_2d(pts)
+    else:
+        from scipy.spatial import ConvexHull
+        hull = ConvexHull(pts)
+        vertices = hull.vertices
+    dist = np.linalg.norm(pts[vertices] - x_c, axis=1)
     j = int(np.argmin(dist))
     if dist[j] >= 1e-9:
         raise GeometryError("x_c is not a vertex of the convex hull of P and Q")
     if P.dim == 2:
-        # qhull lists a 2D hull's vertices counterclockwise
-        nbrs = hull.vertices[[j - 1, (j + 1) % len(hull.vertices)]]
+        # the hull is counterclockwise: x_c's neighbours flank it
+        nbrs = vertices[[j - 1, (j + 1) % len(vertices)]]
     else:
         # scipy runs qhull with Qt, so every facet is a triangle
-        v = hull.vertices[j]
+        v = vertices[j]
         faces = hull.simplices[np.any(hull.simplices == v, axis=1)]
         nbrs = np.setdiff1d(faces, v)
     return PolyCone(x_c, pts[nbrs] - x_c, "polyhedral")

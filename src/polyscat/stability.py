@@ -13,6 +13,7 @@ sweeps and report the fit, never assert a numeric value.
 from __future__ import annotations
 
 from dataclasses import dataclass, asdict
+from functools import lru_cache
 
 import numpy as np
 
@@ -40,36 +41,97 @@ class StabilityError(RuntimeError):
 # Field sampling helpers
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _spline_slopes(n: int) -> np.ndarray:
+    """The (n, n) matrix taking the values at n uniformly spaced nodes to
+    the node slopes, times the spacing, of their not-a-knot cubic spline
+    (de Boor, A Practical Guide to Splines, ch. IV).  Rows 1..n-2 make the
+    spline C^2: s[i-1] + 4 s[i] + s[i+1] = 3 (y[i+1] - y[i-1]).  The end
+    rows s[0] + 2 s[1] = (-5 y[0] + 4 y[1] + y[2]) / 2 and its mirror make
+    the third derivative continuous at the second and last-but-one node."""
+    A, B = np.zeros((n, n)), np.zeros((n, n))
+    i = np.arange(1, n - 1)
+    A[i, i - 1] = A[i, i + 1] = 1.0
+    A[i, i] = 4.0
+    B[i, i - 1], B[i, i + 1] = -3.0, 3.0
+    A[0, :2], B[0, :3] = (1.0, 2.0), (-2.5, 2.0, 0.5)
+    A[-1, -2:], B[-1, -3:] = (2.0, 1.0), (-0.5, -2.0, 2.5)
+    S = np.linalg.solve(A, B)
+    S.flags.writeable = False
+    return S
+
+
+def _hermite_weights(t: np.ndarray) -> np.ndarray:
+    """Cubic Hermite basis at local cell coordinates t in [0, 1], (..., 4):
+    the weights of (y[i], h s[i], y[i+1], h s[i+1])."""
+    s = 1.0 - t
+    return np.stack([(1 + 2 * t) * s * s, t * s * s,
+                     t * t * (3 - 2 * t), -t * t * s], axis=-1)
+
+
 def field_interpolator(*fields: WaveField):
-    """One exact not-a-knot cubic spline of one or more fields on one grid
-    (a banded direct solve per axis), callable on (..., dim) points in the
-    grid: shape pts.shape[:-1] for one field and pts.shape[:-1] + (m,) for
-    m fields.  A point outside the grid raises ValueError.
+    """One exact not-a-knot cubic spline of one or more fields on one grid,
+    callable on (..., dim) points in the grid: shape pts.shape[:-1] for one
+    field and pts.shape[:-1] + (m,) for m fields.  A point outside the grid
+    raises ValueError.
 
-    scipy.interpolate is imported here, on first call: the forward solve
-    and the Rellich chain never load it."""
-    from scipy.interpolate import NdBSpline, make_interp_spline
-
+    On each cell the tensor-product spline is the tensor cubic Hermite
+    interpolant whose corner data are the node values and the per-axis
+    spline slopes, in every combination of axes.  Each call builds those
+    data only on the box of nodes its points reach: along each axis, an
+    operator of (value, slope) rows at the box's nodes, each slope row read
+    off the whole grid line, is applied to the field in turn.  The largest
+    intermediate array has one axis cut to the box, so a call never holds a
+    second full-grid array.  Each field is interpolated by the same
+    operations on its own array, so a stacked result equals the
+    single-field ones bit for bit."""
     if len({(w.grid.shape, w.grid.spacing, tuple(w.grid.origin))
             for w in fields}) > 1:
         raise StabilityError("interpolated fields must share one grid")
     grid = fields[0].grid
-    axes = grid.axes()
-    lo, hi = np.array([a[[0, -1]] for a in axes]).T
-    coef = np.stack([w.values for w in fields], axis=-1)
-    knots = []
-    for i, a in enumerate(axes):
-        spl = make_interp_spline(a, coef, k=3, axis=i)
-        knots.append(spl.t)
-        coef = np.moveaxis(spl.c, 0, i)
-    spline = NdBSpline(tuple(knots), coef, 3)
+    if min(grid.shape) < 4:
+        raise StabilityError("a cubic spline needs 4 points per axis")
+    shape = np.array(grid.shape)
+    lo, hi = np.array([a[[0, -1]] for a in grid.axes()]).T
+    slopes = [_spline_slopes(n) for n in grid.shape]
     tail = (len(fields),) if len(fields) > 1 else ()
+    dim = grid.dim
+    taps = np.arange(4)
 
     def f(pts):
         pts = np.asarray(pts, dtype=float)
         if not np.all((lo <= pts) & (pts <= hi)):
             raise ValueError("interpolation point outside the grid")
-        return spline(pts).reshape(pts.shape[:-1] + tail)
+        out_shape = pts.shape[:-1] + tail
+        x = (pts.reshape(-1, dim) - grid.origin) / grid.spacing
+        if len(x) == 0:
+            return np.zeros(out_shape, dtype=complex)
+        cell = np.clip(np.floor(x).astype(int), 0, shape - 2)
+        weights = _hermite_weights(x - cell)
+        first, last = cell.min(axis=0), cell.max(axis=0) + 1
+        ops, index, w = [], [], np.ones((len(x),))
+        for a, S in enumerate(slopes):
+            # rows (y, h s) at each node of the box, interleaved
+            nodes = np.arange(first[a], last[a] + 1)
+            E = np.zeros((2 * len(nodes), shape[a]))
+            E[0::2, nodes] = np.eye(len(nodes))
+            E[1::2] = S[nodes]
+            ops.append(E)
+            # each point's taps y[i], h s[i], y[i + 1], h s[i + 1]
+            lead = (-1,) + (1,) * a + (4,)
+            taps_a = (2 * (cell[:, a] - first[a]))[:, None] + taps
+            index.append(taps_a.reshape(lead + (1,) * (dim - 1 - a)))
+            w = w[..., None] * weights[:, a].reshape(lead)
+        index = tuple(index)
+        w = w.reshape(len(x), -1).astype(complex)
+        out = []
+        for field in fields:
+            table = field.values
+            for a, E in enumerate(ops):
+                table = np.moveaxis(E @ np.moveaxis(table, a, -2), -2, a)
+            out.append(np.einsum("pi,pi->p",
+                                 table[index].reshape(len(x), -1), w))
+        return np.stack(out, axis=-1).reshape(out_shape)
 
     return f
 

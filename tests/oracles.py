@@ -87,14 +87,22 @@ def mp_log_abs_hankel1(nu, z):
 # ---------------------------------------------------------------------------
 
 def cone_laplace_quadrature(cone, zeta, n=400):
-    """Cone Laplace transform int_cone exp(zeta . x) dx by quadrature.
+    """Cone Laplace transform int_cone exp(zeta . (x - vertex)) dx by
+    quadrature, independent of the closed form |det G| / prod(-zeta . g).
 
-    2D: radial integral done exactly, Gauss-Legendre in the angle.
-    3D (three generators): separable product of line integrals.
+    Both dimensions do the radial integral exactly, int_0^inf r^(d-1)
+    e^(r zeta . omega) dr = (d-1)! / (-zeta . omega)^d, and integrate it
+    over the directions omega of the cone.  2D: Gauss-Legendre in the
+    angle.  3D (three generators): the spherical triangle of directions,
+    reached by central projection omega = p / |p| of the flat triangle
+    p = g1 + u (g2 - g1) + v (g3 - g1), whose solid-angle element is
+    |det G| / |p|^3 du dv; a Duffy map takes the triangle to a square
+    with n // 8 Gauss-Legendre nodes per side, which already resolve the
+    analytic integrand to roundoff.
     """
     zeta = np.asarray(zeta, dtype=complex)
-    nodes, weights = np.polynomial.legendre.leggauss(n)
     if cone.dim == 2:
+        nodes, weights = np.polynomial.legendre.leggauss(n)
         if cone.kind == "spherical":
             ax = np.arctan2(cone.generators[0][1], cone.generators[0][0])
             t1, t2 = ax - cone.half_angle, ax + cone.half_angle
@@ -109,15 +117,18 @@ def cone_laplace_quadrature(cone, zeta, n=400):
         omega = np.stack([np.cos(th), np.sin(th)], axis=1)
         vals = 1.0 / (omega @ zeta) ** 2
         return complex(np.sum(weights * vals) * 0.5 * (t2 - t1))
-    det = abs(np.linalg.det(cone.generators))
-    out = complex(det)
-    for g in cone.generators:
-        c = complex(g @ zeta)
-        assert c.real < 0, "divergent quadrature direction"
-        L = 60.0 / abs(c.real)
-        s = 0.5 * L * (nodes + 1.0)
-        out *= complex(np.sum(weights * np.exp(c * s)) * 0.5 * L)
-    return out
+    G = cone.generators
+    assert len(G) == 3, "3D quadrature needs a trihedral cone"
+    nodes, weights = np.polynomial.legendre.leggauss(n // 8)
+    x, w = 0.5 * (nodes + 1.0), 0.5 * weights
+    s, t = np.meshgrid(x, x, indexing="ij")        # u = s (1 - t), v = s t
+    p = (G[0] + (s * (1 - t))[..., None] * (G[1] - G[0])
+         + (s * t)[..., None] * (G[2] - G[0]))
+    r = np.linalg.norm(p, axis=-1)
+    zeta_omega = (p @ zeta) / r
+    assert np.all(zeta_omega.real < 0), "divergent quadrature direction"
+    solid_angle = np.outer(w, w) * s * abs(np.linalg.det(G)) / r ** 3
+    return complex(np.sum(solid_angle * 2.0 / (-zeta_omega) ** 3))
 
 
 # ---------------------------------------------------------------------------

@@ -331,6 +331,30 @@ def test_convex_hull_cone_skips_points_on_a_hull_edge():
     np.testing.assert_array_equal(cone.generators, [[1.0, 0.0], [0.0, 1.0]])
 
 
+def test_hull_2d_matches_qhull_on_collinear_and_repeated_points():
+    # lattice points: many sets hold repeated points and points on a hull
+    # edge, which both hulls must drop; the neighbours of each hull vertex
+    # are compared by coordinates, since qhull keeps either of two repeats
+    from scipy.spatial import ConvexHull, QhullError
+    rng = np.random.default_rng(17)
+    compared = 0
+    for _ in range(500):
+        pts = 0.25 * rng.integers(-3, 4, (int(rng.integers(3, 13)), 2))
+        try:
+            ref = pts[ConvexHull(pts).vertices]
+        except QhullError:     # every point on one line
+            continue
+        got = pts[geom._hull_2d(pts)]
+        assert len(got) == len(ref)
+        for j, x in enumerate(ref):
+            i = int(np.flatnonzero(np.all(got == x, axis=1))[0])
+            np.testing.assert_array_equal(
+                got[[i - 1, (i + 1) % len(got)]],
+                ref[[j - 1, (j + 1) % len(ref)]])
+        compared += 1
+    assert compared > 450
+
+
 def _random_polygon(rng, scale=1.0):
     from scipy.spatial import ConvexHull
     while True:

@@ -440,9 +440,9 @@ def test_solve_takes_one_residual_matvec(dim, n, monkeypatch):
 
 
 def test_forward_chain_loads_no_sparse_interpolate_or_spatial():
-    # a fresh interpreter: the solve, near field, far-field decomposition
-    # and calibration load none of these; the hull cone and the field
-    # interpolator import theirs on first call
+    # a fresh interpreter: the 2D and 3D solves, near field, far-field
+    # decomposition, calibration, a 2D hull-cone check and the
+    # orthogonality check's field interpolant load none of these
     import pathlib
     import subprocess
     import sys
@@ -452,7 +452,8 @@ import numpy as np
 import polyscat
 from polyscat import fields, geom, rellich, solver, stability
 P = geom.convex_polygon([[0.1, -0.2], [0.6, -0.1], [0.5, 0.15], [0.2, 0.1]])
-sol = solver.solve_forward(fields.constant_contrast(P, 0.4), 2.5, [0.6, 0.8],
+V = fields.constant_contrast(P, 0.4)
+sol = solver.solve_forward(V, 2.5, [0.6, 0.8],
                            fields.centered_grid(1.0, 64, dim=2))
 assert np.all(np.isfinite(solver.scattered_at_points(sol, [[0.9, 0.0]])))
 rellich.decompose_far_field(sol.far_field)
@@ -462,20 +463,24 @@ sol3 = solver.solve_forward(fields.constant_contrast(C, 0.4), 2.0,
 solver.scattered_at_points(sol3, [[0.9, 0.0, 0.0]])
 rellich.decompose_far_field(sol3.far_field)
 rellich.calibrate(2.5, dim=2, trials=4, seed=0)
-heavy = ("scipy.sparse", "scipy.linalg", "scipy.interpolate", "scipy.spatial")
-print(sorted(m for m in heavy if m in sys.modules))
 Q = geom.convex_polygon([[0.1, -0.2], [0.7, -0.1], [0.5, 0.15], [0.2, 0.1]])
-print(geom.check_q_angle(P, Q).vertex_ok, "scipy.spatial" in sys.modules)
+print(geom.check_q_angle(P, Q).vertex_ok)
 f = stability.field_interpolator(sol.total)
 x = sol.total.grid.points()[32, 48]
-print(abs(f(x) - sol.total.values[32, 48]) < 1e-12,
-      "scipy.interpolate" in sys.modules)
+print(abs(f(x) - sol.total.values[32, 48]) < 1e-12)
+cone = geom.PolyCone(P.vertices[1], [[-1.0, -0.2], [-0.1, 1.0]], "polyhedral")
+rep = stability.check_orthogonality(V, sol.total, sol.total, sol.total, cone,
+                                    h=0.1, k=2.5, n_volume=32, n_boundary=64)
+print(rep.volume_term != 0 and np.isfinite(rep.mismatch))
+heavy = ("scipy.interpolate", "scipy.optimize", "scipy.sparse",
+         "scipy.linalg", "scipy.spatial")
+print(sorted(m for m in heavy if m in sys.modules))
 """
     src = pathlib.Path(solver.__file__).parent.parent
     out = subprocess.run([sys.executable, "-c", script], check=True,
                          capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": str(src)})
-    assert out.stdout.split("\n")[:3] == ["[]", "True True", "True True"]
+    assert out.stdout.split("\n")[:4] == ["True", "True", "True", "[]"]
 
 
 def test_born_regime_agreement():

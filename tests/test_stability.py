@@ -144,21 +144,19 @@ def test_orthogonality_mismatch_shrinks_under_refinement():
 def test_orthogonality_one_interpolant_one_pass(monkeypatch):
     # the three fields share one interpolant, evaluated once on the volume
     # points, the boundary points and both normal shifts together
-    # field_interpolator imports NdBSpline from scipy.interpolate per call
-    import scipy.interpolate
     counts = {"built": 0, "calls": 0}
-    base = scipy.interpolate.NdBSpline
+    base = stability.field_interpolator
 
-    class Counting(base):
-        def __init__(self, *args, **kwargs):
-            counts["built"] += 1
-            super().__init__(*args, **kwargs)
+    def counting(*ws):
+        counts["built"] += 1
+        f = base(*ws)
 
-        def __call__(self, *args, **kwargs):
+        def evaluate(pts):
             counts["calls"] += 1
-            return super().__call__(*args, **kwargs)
+            return f(pts)
+        return evaluate
 
-    monkeypatch.setattr(scipy.interpolate, "NdBSpline", Counting)
+    monkeypatch.setattr(stability, "field_interpolator", counting)
     V = square_contrast(0.4)
     k = 2.0
     g = fields.centered_grid(1.0, 64, dim=2)
@@ -436,25 +434,65 @@ def test_field_interpolator_roundtrip():
             f(np.array([[0.0, 0.0], bad]))
 
 
+def _ball_points(rng, center, radius, m):
+    d = rng.normal(size=(m, len(center)))
+    d /= np.linalg.norm(d, axis=1)[:, None]
+    return np.asarray(center) + radius * rng.uniform(size=(m, 1)) * d
+
+
 def test_field_interpolator_is_the_exact_spline():
-    # criterion 6's tau = 20 CGO field spans many decades near the vertex;
     # the interpolant must be the not-a-knot spline that a direct sparse
-    # solve of the whole collocation system gives
+    # solve of the whole tensor collocation system gives, on three fields:
+    # criterion 6's tau = 20 CGO field, which spans many decades near the
+    # vertex; a 3D harmonic exp(rho . x) that grows e^12 across its grid,
+    # as the 3D CGO solutions do; and a plane wave at points within one
+    # cell of each end of each axis, where the not-a-knot rows decide
     from scipy.interpolate import RegularGridInterpolator
     from scipy.sparse.linalg import spsolve
+    rng = np.random.default_rng(6)
     k, vertex = 2.0, np.array([-0.35, 0.35])
     V = square_contrast(0.4)
     _, q_cone = top_vertex_cones(V.polytope, vertex)
     g = fields.centered_grid(1.0, 96, dim=2)
     u0, _ = cgo.build_cgo(V, k, cgo.build_direction(q_cone, k, 20.0), g)
-    rng = np.random.default_rng(6)
-    r = 0.1 * np.sqrt(rng.uniform(size=400))
-    theta = rng.uniform(0, 2 * np.pi, 400)
-    pts = vertex + r[:, None] * np.stack([np.cos(theta), np.sin(theta)], 1)
-    ref = RegularGridInterpolator(tuple(g.axes()), u0.values, method="cubic",
-                                  solver=spsolve)(pts)
-    got = stability.field_interpolator(u0)(pts)
-    assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+    cases = [(u0, _ball_points(rng, vertex, 0.1, 400))]
+    g = fields.centered_grid(1.0, 16, dim=3)
+    rho = 6.0 * (np.array([0.6, 0.0, 0.8]) + 1j * np.array([0.0, 1.0, 0.0]))
+    harmonic = np.exp(np.tensordot(g.points(), rho, axes=1))
+    cases.append((fields.WaveField(g, harmonic, k),
+                  _ball_points(rng, [0.2, -0.1, 0.3], 0.3, 300)))
+    g = fields.centered_grid(1.0, 24, dim=2)
+    lo, hi = g.axes()[0][[0, -1]]
+    ends = np.concatenate([lo + g.spacing * rng.uniform(size=40),
+                           hi - g.spacing * rng.uniform(size=40)])
+    mid = rng.uniform(lo, hi, 80)
+    cases.append((fields.plane_wave(7.0, [0.6, 0.8], g),
+                  np.concatenate([np.stack([ends, mid], 1),
+                                  np.stack([mid, ends], 1),
+                                  np.stack([ends, rng.permutation(ends)], 1)])))
+    for w, pts in cases:
+        ref = RegularGridInterpolator(tuple(w.grid.axes()), w.values,
+                                      method="cubic", solver=spsolve)(pts)
+        got = stability.field_interpolator(w)(pts)
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_field_interpolator_allocates_less_than_one_field():
+    # the corner data are built on the box of nodes the points reach, so a
+    # window of radius 0.1 on a 64^3 grid never copies the field
+    import tracemalloc
+    g = fields.centered_grid(1.0, 64, dim=3)
+    w = fields.plane_wave(2.0, [0.0, 0.6, 0.8], g)
+    pts = _ball_points(np.random.default_rng(9), [0.2, -0.1, 0.3], 0.1, 500)
+    tracemalloc.start()
+    try:
+        vals = stability.field_interpolator(w)(pts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < w.values.nbytes
+    exact = np.exp(2j * pts @ np.array([0.0, 0.6, 0.8]))
+    assert np.max(np.abs(vals - exact)) < 1e-6
 
 
 def test_field_interpolator_stacks_fields():
