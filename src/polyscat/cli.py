@@ -18,7 +18,6 @@ import sys
 from dataclasses import asdict
 
 import numpy as np
-from scipy.special import roots_legendre
 
 from . import cgo, geom, rellich, solver, stability
 from .fields import (ContrastField, affine_contrast, centered_grid,
@@ -299,9 +298,10 @@ def _cone_transform_error() -> float:
 def _cone_quadrature(cone, zeta) -> complex:
     """Numerical Laplace transform of a 2D wedge, independent of the
     closed form: the radial integral is exact, leaving a smooth angular
-    integrand 1/(omega(theta).zeta)^2 handled by 400-node Gauss-Legendre."""
+    integrand 1/(omega(theta).zeta)^2 handled by 32-node Gauss-Legendre,
+    which resolves it to roundoff."""
     zeta = np.asarray(zeta, dtype=complex)
-    nodes, weights = roots_legendre(400)
+    nodes, weights = np.polynomial.legendre.leggauss(32)
     g1, g2 = cone.generators
     t1, t2 = np.arctan2(g1[1], g1[0]), np.arctan2(g2[1], g2[0])
     t2 = t1 + (t2 - t1) % (2 * np.pi)

@@ -84,10 +84,12 @@ def decompose_far_field(ff: FarFieldPattern, J: int | None = None
         theta = np.arctan2(ff.directions[:, 1], ff.directions[:, 0])
         order = np.argsort(theta)
         c = np.fft.fft(ff.values[order]) / n
-        b = np.zeros(j_max + 1)
+        b = np.empty(j_max + 1)
         b[0] = np.sqrt(2 * np.pi) * np.abs(c[0])
-        for j in range(1, j_max + 1):
-            b[j] = np.sqrt(2 * np.pi * (np.abs(c[j]) ** 2 + np.abs(c[-j]) ** 2))
+        # degree j pairs c[j] with c[-j].  float_power squares through pow
+        # like numpy's scalar **, where array ** 2 multiplies
+        sq = np.float_power(np.abs(c), 2)
+        b[1:] = np.sqrt(2 * np.pi * (sq[1:j_max + 1] + sq[:-j_max - 1:-1]))
     else:
         # one fit over every (degree, order) pair up to j_max
         deg = np.repeat(np.arange(j_max + 1), 2 * np.arange(j_max + 1) + 1)
@@ -143,8 +145,8 @@ def sphere_norm_from_decomposition(dec: HarmonicDecomposition,
     floor = (dec.J + 1) * np.finfo(float).eps * np.sqrt(dec.parseval_total())
     if floor == 0:
         return 0.0
-    nu = np.arange(dec.J + 1) + (dec.dim - 2) / 2
-    log_w = np.log(k * r) + 2 * hankel_h1_log_abs(nu, k * r)
+    log_h = hankel_h1_log_abs((dec.dim - 2) / 2, dec.J, [k * r])[:, 0]
+    log_w = np.log(k * r) + 2 * log_h
     resolved = dec.b > floor
     log_sum = special.logsumexp(2 * np.log(dec.b[resolved])
                                 + log_w[resolved])
@@ -172,10 +174,6 @@ class Ff2nfBound:
     @property
     def bound(self) -> float:
         return float_view(self.log_bound)
-
-    @property
-    def constant(self) -> float:
-        return float_view(self.log_constant)
 
 
 def ff2nf_bound(log_ratio: float, S: float, k: float, R: float,
@@ -524,7 +522,7 @@ def cross_into_boundary(log_delta: float, alpha: float, T: float, A: float,
 class RellichBound:
     """`boundary_bound` is the theorem's bound, which in the decay regime
     can exceed the a-priori bound T; `capped_bound` is the smaller of the
-    two, and `capped` says that T won."""
+    two."""
     boundary_bound: float
     delta: float
     regime: str
@@ -536,10 +534,6 @@ class RellichBound:
     @property
     def capped_bound(self) -> float:
         return min(self.boundary_bound, self.T)
-
-    @property
-    def capped(self) -> bool:
-        return self.boundary_bound > self.T
 
 
 def quantitative_rellich(epsilon: float | None, S: float, k: float, R: float,

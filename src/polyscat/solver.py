@@ -577,9 +577,6 @@ class SampledField:
     values: np.ndarray
     k: float
 
-    def l2_norm(self, weight: float) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.values) ** 2) * weight))
-
 
 def annulus_sampling(r1: float, r2: float, dim: int, n_radial: int = 24,
                      n_angular: int = 128) -> tuple[np.ndarray, float]:

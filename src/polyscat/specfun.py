@@ -27,22 +27,6 @@ class SpecfunError(ValueError):
 # Bessel and Hankel functions
 # ---------------------------------------------------------------------------
 
-def hankel_h1_log_abs(nu, z) -> float | np.ndarray:
-    """log |H^(1)_nu(z)|, elementwise over broadcast (nu, z), computed
-    overflow-safely: scipy's hankel1 where |H_nu| is finite and nonzero,
-    else (nu >> z) the Debye asymptotics
-    |H_nu(z)| ~ sqrt(2/(pi nu)) (e z / (2 nu))^(-nu).  Scalar inputs give
-    a float."""
-    nu = np.asarray(nu, dtype=float)
-    z = np.asarray(z, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        a = np.abs(special.hankel1(nu, z))
-        debye = (0.5 * np.log(2 / (np.pi * nu))
-                 + nu * np.log(2 * nu / (np.e * z)))
-        out = np.where(np.isfinite(a) & (a > 0), np.log(a), debye)
-    return float(out) if out.ndim == 0 else out
-
-
 def bessel_j_orders(order: int, x: np.ndarray) -> np.ndarray:
     """J_0(x), ..., J_order(x) as an (order + 1) x len(x) table, for
     0 <= x <= order.
@@ -94,7 +78,8 @@ def hankel_h1_factors(nu0: float, order: int, z: np.ndarray) -> np.ndarray:
     """H^(1)_nu0(z) in row 0 and the ratios H_(nu0+n)/H_(nu0+n-1) in rows
     n = 1..order, for nu0 = 0 or 1/2 and z > 0: the cumulative product
     down the rows is the table H_nu0..H_(nu0+order), and the cumulative
-    sum of the log-moduli its log |H|, which never overflows.
+    sum of the log-moduli its log |H| (hankel_h1_log_abs), which never
+    overflows.
 
     The starts are Cephes' j0 + i y0 and j1 + i y1, or the closed forms
     H_(1/2) = -i sqrt(2/(pi z)) e^(iz), H_(3/2)/H_(1/2) = 1/z - i
@@ -113,6 +98,13 @@ def hankel_h1_factors(nu0: float, order: int, z: np.ndarray) -> np.ndarray:
     for n in range(1, order):
         f[n + 1] = 2 * (nu0 + n) / z - 1 / f[n]
     return f
+
+
+def hankel_h1_log_abs(nu0: float, order: int, z: np.ndarray) -> np.ndarray:
+    """log |H^(1)_(nu0+n)(z)| in row n = 0..order, for nu0 = 0 or 1/2 and
+    z > 0: the cumulative sum of the log-moduli of hankel_h1_factors, so
+    every entry is exact, also where |H_nu| itself would overflow."""
+    return np.cumsum(np.log(np.abs(hankel_h1_factors(nu0, order, z))), axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +144,7 @@ def certify_hankel_bounds(z1: float, z2: float, nu_max: float,
                           samples: int = 512) -> HankelBoundCertificate:
     """Certify the two-sided Hankel envelope constant on a sampled grid,
     inflated by CERTIFICATE_SAFETY.  |H_nu| at every sample comes from
-    the two order recurrences of hankel_h1_factors (nu = 0, 1, ... and
+    the two order chains of hankel_h1_log_abs (nu = 0, 1, ... and
     nu = 1/2, 3/2, ...), so every sampled value is exact, also where
     |H_nu| itself would overflow."""
     if not (0 < z1 <= z2):
@@ -166,8 +158,8 @@ def certify_hankel_bounds(z1: float, z2: float, nu_max: float,
     m = int(2 * nu_max + 2e-12)   # the orders 1/2, 1, 3/2, ..., m/2
     log_h = np.empty((m + 1, len(zgrid)))   # row j: log |H_(j/2)|
     for nu0 in (0, 0.5):   # the integer and half-integer chains
-        f = hankel_h1_factors(nu0, int(m / 2 - nu0), zgrid)
-        log_h[int(2 * nu0)::2] = np.cumsum(np.log(np.abs(f)), axis=0)
+        log_h[int(2 * nu0)::2] = hankel_h1_log_abs(nu0, int(m / 2 - nu0),
+                                                   zgrid)
     log_c = log_h[0].max()  # |H_0| <= C
     nus = 0.5 * np.arange(1, m + 1)[:, None]
     dev = 0.5 * np.max(np.abs(2 * log_h[1:] - _envelope_log(nus, zgrid)))

@@ -2,7 +2,8 @@
 
 Everything here is deliberately written against a different method than the
 library code it checks: separation-of-variables series for the disc, mpmath
-arbitrary-precision Bessel evaluations, dense sampling for distances and
+arbitrary-precision Bessel evaluations, scipy's hankel1 with Debye
+asymptotics beyond its range, dense sampling for distances and
 brute-force quadrature for cone integrals, and a finite-difference PDE
 residual.
 """
@@ -80,6 +81,20 @@ def mp_log_abs_hankel1(nu, z):
     import mpmath
     with mpmath.workdps(60):
         return float(mpmath.log(abs(mpmath.hankel1(nu, z))))
+
+
+def log_abs_hankel1_or_debye(nu, z):
+    """log |H^(1)_nu(z)| elementwise over broadcast (nu, z): scipy's
+    hankel1 where it is finite and nonzero, else (nu >> z) the Debye
+    asymptotics |H_nu(z)| ~ sqrt(2/(pi nu)) (e z / (2 nu))^(-nu), which
+    drops a relative term of about (z^2/4 + 1/12)/nu."""
+    nu = np.asarray(nu, dtype=float)
+    z = np.asarray(z, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a = np.abs(hankel1(nu, z))
+        debye = (0.5 * np.log(2 / (np.pi * nu))
+                 + nu * np.log(2 * nu / (np.e * z)))
+        return np.where(np.isfinite(a) & (a > 0), np.log(a), debye)
 
 
 # ---------------------------------------------------------------------------

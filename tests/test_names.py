@@ -1,11 +1,14 @@
-"""Every module-level name and every dataclass field of the package has a
-reader.
+"""Every module-level name, every public class member and every dataclass
+field of the package has a reader.
 
-A public module-level function or class of `src/polyscat` must be
-referenced from the package itself, a demo, the benchmark harness or the
-acceptance tests.  Unit tests alone do not keep a name alive.  The
-exceptions are listed with the item of ROADMAP.md that will call them.
-A private one must be referenced somewhere outside its own definition:
+A public module-level function or class of `src/polyscat`, and a public
+method or property of one of its classes, must be referenced from the
+package itself, a demo, the benchmark harness or the acceptance tests.
+Unit tests alone do not keep a name alive.  The exceptions are listed
+with the item of ROADMAP.md that will call them.  A member is matched by
+name, so it counts as read wherever any attribute of that name is.
+A private module-level name must be referenced somewhere outside its
+own definition:
 in the package, a demo, the benchmark harness or any test.  A dataclass
 field must be read as an attribute in one of those places, unless its
 class is written out whole by `asdict`.
@@ -25,6 +28,9 @@ ALLOWED = {
     "sphere_norm_from_decomposition": "ROADMAP item 2",
     "propagate_outside_hull": "ROADMAP item 2",
 }
+ALLOWED_MEMBERS = {
+    "EstimateBudget.to_dict": "ROADMAP item 10",
+}
 
 
 def _defined(path, private=False):
@@ -33,23 +39,45 @@ def _defined(path, private=False):
             and node.name.startswith("_") == private}
 
 
+def _members(path):
+    """(class, name) of every public method and property of the classes
+    defined at module level."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, ast.FunctionDef)
+                        and not item.name.startswith("_")):
+                    yield node.name, item.name
+
+
+def _names(node, own):
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            found = sub.id
+        elif isinstance(sub, ast.Attribute):
+            found = sub.attr
+        elif isinstance(sub, ast.alias):
+            found = sub.name.rsplit(".", 1)[-1]
+        else:
+            continue
+        if found not in own:
+            yield found
+
+
 def _referenced(path):
     """Names, attributes and imported names in a file, apart from each
-    top-level definition's references to itself."""
+    top-level definition's references to itself and each class member's
+    references to itself."""
     names = set()
     for stmt in ast.parse(path.read_text()).body:
-        own = getattr(stmt, "name", None)
-        for node in ast.walk(stmt):
-            if isinstance(node, ast.Name):
-                found = node.id
-            elif isinstance(node, ast.Attribute):
-                found = node.attr
-            elif isinstance(node, ast.alias):
-                found = node.name.rsplit(".", 1)[-1]
-            else:
-                continue
-            if found != own:
-                names.add(found)
+        own = {getattr(stmt, "name", None)}
+        if not isinstance(stmt, ast.ClassDef):
+            names.update(_names(stmt, own))
+            continue
+        for part in stmt.bases + stmt.keywords + stmt.decorator_list:
+            names.update(_names(part, own))
+        for item in stmt.body:
+            names.update(_names(item, own | {getattr(item, "name", None)}))
     return names
 
 
@@ -57,6 +85,14 @@ def test_every_public_name_has_a_reader():
     defined = set().union(*(_defined(p) for p in sorted(PACKAGE.glob("*.py"))))
     referenced = set().union(*(_referenced(p) for p in READERS))
     assert sorted(defined - referenced) == sorted(ALLOWED)
+
+
+def test_every_public_member_has_a_reader():
+    members = {f"{cls}.{name}" for p in sorted(PACKAGE.glob("*.py"))
+               for cls, name in _members(p)}
+    referenced = set().union(*(_referenced(p) for p in READERS))
+    unread = {m for m in members if m.split(".")[1] not in referenced}
+    assert sorted(unread) == sorted(ALLOWED_MEMBERS)
 
 
 def test_every_private_name_has_a_reader():

@@ -210,7 +210,7 @@ def test_ff2nf_decay_regime():
     assert nf.regime == "decay"
     assert nf.nu0 >= np.e * 2.0
     # bound = const * S * B0^(-l/2), checked from the reported pieces
-    expect = nf.constant * 2.0 ** (-nf.ell / 2)
+    expect = np.exp(nf.log_constant) * 2.0 ** (-nf.ell / 2)
     assert abs(nf.bound - expect) < 1e-12 * expect
     assert abs(nf.log_bound - np.log(nf.bound)) < 1e-9
 
@@ -259,7 +259,7 @@ def test_ff2nf_saturated_constant_is_not_capped():
         nf = rellich.ff2nf_bound(log_ratio, 3.0, k, R, B0)
         assert nf.regime == "saturated"
         assert abs(nf.log_constant - expect) < 1e-12 * expect
-        assert nf.constant == np.inf
+        assert rellich.float_view(nf.log_constant) == np.inf
         # bound = Const * eps with eps = S e^(-log_ratio), in logs
         got = nf.log_bound - (expect + np.log(3.0) - log_ratio)
         assert abs(got) < 1e-12 * expect
@@ -456,7 +456,7 @@ def test_pipeline_zero_far_field():
 def test_pipeline_saturated_falls_back_to_T():
     res = rellich.quantitative_rellich(1e-3, 1.0, 1.0, 1.0, small_cal(), 7.0)
     assert res.regime == "saturated"
-    assert res.boundary_bound == res.capped_bound == 7.0 and not res.capped
+    assert res.boundary_bound == res.capped_bound == 7.0 == res.T
 
 
 def test_pipeline_falls_back_to_T_when_delta_is_not_below_1_over_e():
@@ -478,7 +478,7 @@ def test_pipeline_caps_the_decay_bound_at_T():
     res = rellich.quantitative_rellich(1e-200, 3.0, 1.5, 1.0, cal, T=3.0)
     assert res.regime == "decay"
     assert 1.9e3 < res.boundary_bound < 2.1e3
-    assert res.T == 3.0 and res.capped_bound == 3.0 and res.capped
+    assert res.T == 3.0 and res.capped_bound == 3.0 < res.boundary_bound
 
 
 def test_pipeline_symbolic_double_log_form():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from polyscat import cgo, fields, geom, solver, specfun
+from polyscat import cgo, fields, geom, rellich, solver, specfun
 
 
 def small_square_contrast(value=0.5, side=0.8):
@@ -119,8 +119,9 @@ def test_2d_fundamental_solution_matches_scipy_hankel():
 
 
 def test_2d_paths_make_no_amos_hankel_call(monkeypatch):
-    # every 2D Hankel table comes from j0/y0, j1/y1 and the order
-    # recurrence; only the Graf truncation certificate still calls hankel1
+    # every 2D Hankel table, the Hankel certificate and the sphere norm
+    # come from j0/y0, j1/y1 and the order recurrence; only the Graf
+    # truncation certificate still calls hankel1
     def amos(*args):
         raise AssertionError("scipy.special.hankel1 called")
 
@@ -139,6 +140,8 @@ def test_2d_paths_make_no_amos_hankel_call(monkeypatch):
     graf = solver._graf_potential(3.0, ys, amps, pts, 60)
     assert np.linalg.norm(graf - dense) <= 1e-10 * np.linalg.norm(dense)
     specfun.certify_hankel_bounds(1.5, 6.0, 40)
+    dec = rellich.HarmonicDecomposition(3.0, 2, np.array([1.0, 0.5, 0.2]), 2)
+    assert rellich.sphere_norm_from_decomposition(dec, 2.0) > 0
 
 
 def test_default_directions_unit_and_uniform():
@@ -439,10 +442,10 @@ def test_solve_takes_one_residual_matvec(dim, n, monkeypatch):
     assert shapes == [(box, box)] * (sol.iterations + 1)
 
 
-def test_forward_chain_loads_no_sparse_interpolate_or_spatial():
+def test_forward_chain_loads_no_sparse_interpolate_or_spatial(tmp_path):
     # a fresh interpreter: the 2D and 3D solves, near field, far-field
-    # decomposition, calibration, a 2D hull-cone check and the
-    # orthogonality check's field interpolant load none of these
+    # decomposition, calibration, a 2D hull-cone check, the orthogonality
+    # check's field interpolant and a `verify` run load none of these
     import pathlib
     import subprocess
     import sys
@@ -472,15 +475,18 @@ cone = geom.PolyCone(P.vertices[1], [[-1.0, -0.2], [-0.1, 1.0]], "polyhedral")
 rep = stability.check_orthogonality(V, sol.total, sol.total, sol.total, cone,
                                     h=0.1, k=2.5, n_volume=32, n_boundary=64)
 print(rep.volume_term != 0 and np.isfinite(rep.mismatch))
+from polyscat import cli
+print(cli.main(["verify", "--seed", "0", "--out", sys.argv[1]]) == 0)
 heavy = ("scipy.interpolate", "scipy.optimize", "scipy.sparse",
          "scipy.linalg", "scipy.spatial")
 print(sorted(m for m in heavy if m in sys.modules))
 """
     src = pathlib.Path(solver.__file__).parent.parent
-    out = subprocess.run([sys.executable, "-c", script], check=True,
-                         capture_output=True, text=True,
+    out = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                         check=True, capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": str(src)})
-    assert out.stdout.split("\n")[:4] == ["True", "True", "True", "[]"]
+    assert out.stdout.split("\n")[:5] == ["True", "True", "True", "True",
+                                           "[]"]
 
 
 def test_born_regime_agreement():
@@ -614,7 +620,7 @@ def test_annulus_near_field_guard():
         solver.near_field_on_annulus(sol, 0.2, 0.5)
     sampled, w = solver.near_field_on_annulus(sol, 1.2, 1.6, n_radial=8,
                                               n_angular=64)
-    assert sampled.l2_norm(1.0) > 0
+    assert np.sum(np.abs(sampled.values) ** 2 * w) > 0
     assert len(w) == len(sampled.points)
 
 

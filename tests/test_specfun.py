@@ -15,13 +15,19 @@ def test_hankel_half_integer_closed_form():
     assert abs(val - exact) <= 1e-12 * abs(exact)
 
 
+def log_abs_h1(nu, z):
+    # one entry of the order table: log |H_nu(z)| for integer or
+    # half-integer nu
+    return specfun.hankel_h1_log_abs(nu % 1, int(nu), [z])[-1, 0]
+
+
 def test_hankel_against_mpmath():
     from oracles import mp_log_abs_hankel1
     rng = np.random.default_rng(0)
     for _ in range(50):
         nu = rng.integers(0, 40) / 2
         z = rng.uniform(0.1, 50.0)
-        ours = specfun.hankel_h1_log_abs(nu, z)
+        ours = log_abs_h1(nu, z)
         ref = mp_log_abs_hankel1(nu, z)
         assert abs(ours - ref) <= 1e-10
 
@@ -29,27 +35,20 @@ def test_hankel_against_mpmath():
 def test_hankel_log_abs_against_mpmath():
     from oracles import mp_log_abs_hankel1
     # nu >> z, but hankel1 is still finite at all four pairs (9.1e116 at
-    # (60.5, 0.5), 1.2e260 at (150, 2)); the Debye branch is tested below
+    # (60.5, 0.5), 1.2e260 at (150, 2))
     pairs = [(0.5, 1.0), (10.0, 3.0), (60.5, 0.5), (150.0, 2.0)]
     for nu, z in pairs:
-        ours = specfun.hankel_h1_log_abs(nu, z)
+        ours = log_abs_h1(nu, z)
         ref = mp_log_abs_hankel1(nu, z)
-        assert abs(ours - ref) <= 2e-2 * max(1.0, abs(ref))
-    # the array form is elementwise the scalar form
-    nus, zs = np.array(pairs).T
-    np.testing.assert_array_equal(specfun.hankel_h1_log_abs(nus, zs),
-                                  [specfun.hankel_h1_log_abs(nu, z)
-                                   for nu, z in pairs])
+        assert abs(ours - ref) <= 1e-13 * max(1.0, abs(ref))
 
 
 @pytest.mark.parametrize("nu, z", [(133.0, 0.5), (170.0, 2.0), (300.0, 5.0)])
 def test_hankel_log_abs_where_hankel1_overflows(nu, z):
     from oracles import mp_log_abs_hankel1
     assert not np.isfinite(hankel1(nu, z))   # nan here
-    # the Debye/Stirling form drops a relative term of about
-    # (z^2/4 + 1/12)/nu: 1.1e-3, 6.4e-3 and 2.1e-2 at these pairs
-    gap = abs(specfun.hankel_h1_log_abs(nu, z) - mp_log_abs_hankel1(nu, z))
-    assert gap <= 1.2 * (z ** 2 / 4 + 1 / 12) / nu
+    ref = mp_log_abs_hankel1(nu, z)
+    assert abs(log_abs_h1(nu, z) - ref) <= 1e-13 * abs(ref)
 
 
 def test_hankel_small_argument_monotone_growth():
@@ -152,11 +151,6 @@ def test_bessel_j_orders_against_mpmath(order):
         specfun.bessel_j_orders(order, [order + 0.5])
 
 
-def hankel_log_table(nu0, order, z):
-    f = specfun.hankel_h1_factors(nu0, order, np.asarray(z, dtype=float))
-    return np.cumsum(np.log(np.abs(f)), axis=0)
-
-
 @pytest.mark.parametrize("nu0", [0, 0.5])
 def test_hankel_factors_log_abs_against_mpmath(nu0):
     # orders up to 200, far past where scipy's hankel1 overflows
@@ -164,7 +158,7 @@ def test_hankel_factors_log_abs_against_mpmath(nu0):
     zs = np.array([0.5, 1.5, 6.0, 20.0, 40.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = hankel_log_table(nu0, 200, zs)
+        got = specfun.hankel_h1_log_abs(nu0, 200, zs)
     for n in sorted({0, 1, 2, 3, 200, *range(5, 200, 15)}):
         for z, ours in zip(zs, got[n]):
             ref = mp_log_abs_hankel1(nu0 + n, z)
@@ -174,7 +168,7 @@ def test_hankel_factors_log_abs_against_mpmath(nu0):
     for nu, z in ((60.5, 0.5), (150.0, 2.0), (170.5, 0.5), (200.0, 0.5)):
         if nu % 1 != nu0:
             continue
-        ours = hankel_log_table(nu0, int(nu), [z])[-1, 0]
+        ours = specfun.hankel_h1_log_abs(nu0, int(nu), [z])[-1, 0]
         ref = mp_log_abs_hankel1(nu, z)
         assert abs(ours - ref) <= 1e-13 * abs(ref)
         if nu > 160:
@@ -198,11 +192,12 @@ def test_hankel_factors_table_matches_scipy():
 
 def pointwise_certificate_constant(z1, z2, nu_max, samples=512):
     # the sampled constant taken point by point: hankel1(0, .) for the H_0
-    # bound and hankel_h1_log_abs on the whole (nu, z) table
+    # bound and hankel1, or Debye where it overflows, on the (nu, z) table
+    from oracles import log_abs_hankel1_or_debye
     z = np.linspace(z1, z2, samples)
     log_c = np.log(np.abs(hankel1(0, z))).max()
     nus = 0.5 * np.arange(1, int(2 * nu_max + 2e-12) + 1)[:, None]
-    log_h2 = 2 * specfun.hankel_h1_log_abs(nus, z)
+    log_h2 = 2 * log_abs_hankel1_or_debye(nus, z)
     dev = 0.5 * np.max(np.abs(log_h2 - specfun._envelope_log(nus, z)))
     return max(1.0, float(np.exp(max(log_c, dev))
                           * specfun.CERTIFICATE_SAFETY))
