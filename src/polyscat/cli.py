@@ -224,17 +224,17 @@ def cmd_verify(args) -> int:
     checks = []
 
     # geometry lemmas: hull-cone angle bounds on random polygon pairs
+    polys = _random_polygons(rng, 400)
     bad = 0
-    for _ in range(200):
-        P, Pp = _random_polygon_pair(rng)
+    for P, Pp in zip(polys[0::2], polys[1::2]):
         rep = geom.check_q_angle(P, Pp)
         if not rep.vertex_ok and not rep.degenerate:
             bad += 1
     checks.append({"name": "geometry-q-angle", "passed": bad == 0,
                    "violations": bad, "trials": 200})
 
-    # cone Laplace transform against quadrature
-    err = _cone_transform_error()
+    # cone Laplace transform against quadrature, in the scene's dimension
+    err = _cone_transform_error(dim)
     checks.append({"name": "cone-transform", "passed": err < 1e-6,
                    "max_error": err})
 
@@ -265,43 +265,82 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-def _random_polygon_pair(rng):
-    while True:
-        try:
-            P = _random_polygon(rng)
-            Pp = _random_polygon(rng)
-            return P, Pp
-        except geom.GeometryError:
-            continue
+def _random_polygons(rng, count):
+    """`count` random strictly convex counterclockwise polygons, drawn a
+    block of candidates at a time.  A candidate has n uniform in 3..6,
+    n sorted uniform angles, radii U(0.2, 0.6) and a centre
+    U(-0.3, 0.3)^2.  It is rejected when two consecutive angles lie
+    within 0.2, or when its vertices fail `convex_polygon`'s test; the
+    others are returned in draw order."""
+    j = np.arange(6)       # vertex slots; a candidate uses the first n
+    polys = []
+    while len(polys) < count:
+        # about 2.5 candidates are drawn per accepted polygon
+        m = 3 * (count - len(polys))
+        n = rng.integers(3, 7, m)
+        live = j < n[:, None]
+        # unused angle slots hold nan, which sorts last
+        ang = np.sort(np.where(live, rng.uniform(0, 2 * np.pi, (m, 6)),
+                               np.nan), axis=1)
+        spread = np.all((np.diff(ang, axis=1) >= 0.2) | ~live[:, 1:], axis=1)
+        rad = rng.uniform(0.2, 0.6, (m, 6))
+        center = rng.uniform(-0.3, 0.3, (m, 1, 2))
+        pts = center + np.stack([rad * np.cos(ang), rad * np.sin(ang)],
+                                axis=2)
+        # Polytope's test: every turn strictly to the left
+        nxt = np.take_along_axis(pts, ((j + 1) % n[:, None])[..., None], 1)
+        prv = np.take_along_axis(pts, ((j - 1) % n[:, None])[..., None], 1)
+        turn = geom._cross2(pts - prv, nxt - pts)
+        convex = np.all((turn > 0) | ~live, axis=1)
+        for row in np.flatnonzero(spread & convex)[:count - len(polys)]:
+            polys.append(convex_polygon(pts[row, :n[row]]))
+    return polys
 
 
 def _random_polygon(rng):
-    n = int(rng.integers(3, 7))
-    ang = np.sort(rng.uniform(0, 2 * np.pi, n))
-    if np.min(np.diff(ang)) < 0.2:
-        raise geom.GeometryError("angles too close")
-    rad = rng.uniform(0.2, 0.6, n)
-    center = rng.uniform(-0.3, 0.3, 2)
-    pts = center + np.stack([rad * np.cos(ang), rad * np.sin(ang)], axis=1)
-    return convex_polygon(pts)
+    """One polygon drawn as `_random_polygons` draws them."""
+    return _random_polygons(rng, 1)[0]
 
 
-def _cone_transform_error() -> float:
-    cone = geom.PolyCone(np.zeros(2), np.array([[1.0, 0.0], [0.0, 1.0]]),
-                         "polyhedral")
-    zeta = np.array([-1.0 + 0.3j, -0.8 - 0.2j])
+def _cone_transform_error(dim: int) -> float:
+    """Relative error of `cgo.cone_laplace` against quadrature on a fixed
+    cone: the 2D quarter plane, or a 3D trihedral that is no orthant."""
+    if dim == 2:
+        cone = geom.PolyCone(np.zeros(2), np.eye(2), "polyhedral")
+        zeta = np.array([-1.0 + 0.3j, -0.8 - 0.2j])
+    else:
+        cone = geom.PolyCone(np.zeros(3), [[1.0, 0.0, 0.0], [0.3, 1.0, 0.0],
+                                           [0.2, 0.4, 1.0]], "polyhedral")
+        zeta = np.array([-1.0 + 0.3j, -0.8 - 0.2j, -0.9 + 0.5j])
     exact = cgo.cone_laplace(cone, zeta).value
     approx = _cone_quadrature(cone, zeta)
     return abs(exact - approx) / abs(exact)
 
 
 def _cone_quadrature(cone, zeta) -> complex:
-    """Numerical Laplace transform of a 2D wedge, independent of the
-    closed form: the radial integral is exact, leaving a smooth angular
-    integrand 1/(omega(theta).zeta)^2 handled by 32-node Gauss-Legendre,
-    which resolves it to roundoff."""
+    """Numerical Laplace transform of a simplicial cone, independent of
+    the closed form.  The radial integral is exact,
+    int_0^inf e^(r zeta.omega) r^(d-1) dr = (d-1)!/(-zeta.omega)^d,
+    leaving a smooth integrand over the cone's unit directions omega,
+    handled by numpy's 32-node Gauss-Legendre rule to roundoff.  2D:
+    over the angle between the generators.  3D: over the spherical
+    triangle, the image of the unit triangle under
+    p = g0 + u(g1 - g0) + v(g2 - g0), omega = p/|p|, with solid-angle
+    Jacobian p.(p_u x p_v)/|p|^3, on the collapsed (Duffy) map
+    u = s(1 - t), v = st of the unit square."""
     zeta = np.asarray(zeta, dtype=complex)
     nodes, weights = np.polynomial.legendre.leggauss(32)
+    if cone.dim == 3:
+        g0, g1, g2 = cone.generators
+        x = 0.5 * (nodes + 1)
+        s, t = np.meshgrid(x, x, indexing="ij")
+        w = 0.25 * np.outer(weights, weights) * s
+        p = g0 + (s * (1 - t))[..., None] * (g1 - g0) \
+            + (s * t)[..., None] * (g2 - g0)
+        size = np.linalg.norm(p, axis=-1)
+        jac = np.abs(p @ np.cross(g1 - g0, g2 - g0)) / size ** 3
+        vals = 2.0 / (-(p @ zeta) / size) ** 3
+        return complex(np.sum(w * jac * vals))
     g1, g2 = cone.generators
     t1, t2 = np.arctan2(g1[1], g1[0]), np.arctan2(g2[1], g2[0])
     t2 = t1 + (t2 - t1) % (2 * np.pi)

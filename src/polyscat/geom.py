@@ -29,6 +29,16 @@ def _cross2(a, b):
     return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
 
 
+def coord_dot(a, b) -> np.ndarray:
+    """a . b over a trailing axis of 2 or 3 coordinates, broadcast over the
+    leading axes: the same bits as np.sum(a * b, axis=-1), which also sums
+    left to right, without numpy's per-row reduction overhead."""
+    s = a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
+    if a.shape[-1] == 3:
+        s += a[..., 2] * b[..., 2]
+    return s
+
+
 # ---------------------------------------------------------------------------
 # Polytopes
 # ---------------------------------------------------------------------------
@@ -165,9 +175,9 @@ def _segment_distance(x, a, b) -> np.ndarray:
     """Distance from points x to the segments [a, b], broadcast over the
     leading axes of all three."""
     ab = b - a
-    t = np.clip(np.sum((x - a) * ab, axis=-1) / np.sum(ab * ab, axis=-1),
-                0.0, 1.0)
-    return np.linalg.norm(x - (a + t[..., None] * ab), axis=-1)
+    t = np.clip(coord_dot(x - a, ab) / coord_dot(ab, ab), 0.0, 1.0)
+    e = x - (a + t[..., None] * ab)
+    return np.sqrt(coord_dot(e, e))
 
 
 def polytope_distance(P: Polytope, pts) -> np.ndarray:
@@ -297,13 +307,13 @@ def cone_mask(K: PolyCone, pts, tol: float = 0.0) -> np.ndarray:
     vertex, a spherical cone holds d when d . axis >= cos(half_angle) - tol,
     a polyhedral one when d . n >= -tol for every inward facet normal n."""
     d = np.asarray(pts, dtype=float) - K.vertex
-    r = np.linalg.norm(d, axis=-1)
+    r = np.sqrt(coord_dot(d, d))
     if K.kind == "spherical":
         cosang = np.tensordot(d, K.axis, axes=1) / np.where(r > 0, r, 1.0)
         return (r <= tol) | (cosang >= np.cos(K.half_angle) - tol)
     ok = np.ones(r.shape, dtype=bool)
     for n in K.facet_normals:
-        ok &= np.sum(d * n, axis=-1) >= -tol * r
+        ok &= coord_dot(d, n) >= -tol * r
     return ok | (r <= tol)
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, asdict, fields
 import numpy as np
 from scipy import special
 
-from .geom import Polytope, polytope_distance
+from .geom import Polytope, coord_dot, polytope_distance
 from .solver import FarFieldPattern
 from .specfun import certify_hankel_bounds, hankel_h1_log_abs
 
@@ -263,22 +263,28 @@ def random_helmholtz_field(k: float, dim: int, rng: np.random.Generator):
     amps = rng.standard_normal(N_WAVES) + 1j * rng.standard_normal(N_WAVES)
 
     def field(pts):
-        pts = np.asarray(pts, dtype=float)
-        phase = np.tensordot(pts, dirs.T, axes=1)
-        return np.exp(1j * k * phase) @ amps
+        # exp overwrites its argument: with one complex temporary fewer,
+        # a trial's allocations stop faulting in fresh pages
+        z = 1j * k * (np.asarray(pts, dtype=float) @ dirs.T)
+        return np.exp(z, out=z) @ amps
 
     return field
+
+
+def _ball_points(center: np.ndarray, radius: float,
+                 rng: np.random.Generator) -> np.ndarray:
+    """The center, then BALL_SAMPLES uniform interior points of the ball."""
+    dim = center.size
+    raw = rng.standard_normal((BALL_SAMPLES, dim))
+    raw /= np.sqrt(coord_dot(raw, raw))[:, None]
+    radii = radius * rng.uniform(0, 1, BALL_SAMPLES) ** (1.0 / dim)
+    return np.vstack([center, center + raw * radii[:, None]])
 
 
 def ball_sup(field, center, radius, rng: np.random.Generator) -> float:
     """Sampled sup |field| over a ball: BALL_SAMPLES uniform interior
     points plus the center."""
-    center = np.asarray(center, dtype=float)
-    dim = center.size
-    raw = rng.standard_normal((BALL_SAMPLES, dim))
-    raw /= np.linalg.norm(raw, axis=1, keepdims=True)
-    radii = radius * rng.uniform(0, 1, BALL_SAMPLES) ** (1.0 / dim)
-    pts = np.vstack([center, center + raw * radii[:, None]])
+    pts = _ball_points(np.asarray(center, dtype=float), radius, rng)
     return float(np.max(np.abs(field(pts))))
 
 
@@ -305,13 +311,13 @@ def three_spheres_check(field, x, r: float, rng=None) -> ThreeSpheresResult:
     ||w||_2r = ||w||_4r^(1-beta) ||w||_r^beta."""
     rng = np.random.default_rng(0) if rng is None else rng
     x = np.asarray(x, dtype=float)
-    # one cloud per radius; running maxima keep the sups monotone in r
-    sups = []
-    for radius in (r, 2 * r, 4 * r):
-        sups.append(ball_sup(field, x, radius, rng))
-    n1 = sups[0]
-    n2 = max(sups[0], sups[1])
-    n4 = max(sups)
+    # one cloud per radius, drawn in turn and evaluated in one field call;
+    # running maxima keep the sups monotone in r
+    clouds = [_ball_points(x, radius, rng) for radius in (r, 2 * r, 4 * r)]
+    sups = np.abs(field(np.concatenate(clouds))).reshape(3, -1).max(axis=1)
+    n1, s1, s2 = (float(s) for s in sups)
+    n2 = max(n1, s1)
+    n4 = max(n2, s2)
     # any two coinciding norms leave the interpolation exponent undefined
     degenerate = (n4 <= 0 or n1 <= 0 or n1 / n4 > 1 - 1e-9
                   or n2 / n4 > 1 - 1e-9 or n1 / n2 > 1 - 1e-9)

@@ -20,7 +20,7 @@ import numpy as np
 from . import cgo, rellich
 from .cgo import CgoDirection, faddeev_decay_case
 from .fields import ContrastField, WaveField, h2_surrogate, polytope_mask
-from .geom import (PolyCone, admissibility_report, cone_mask,
+from .geom import (PolyCone, admissibility_report, cone_mask, coord_dot,
                    hausdorff_distance)
 from .rellich import Calibration, float_view, quantitative_rellich
 from .solver import solve_forward
@@ -205,7 +205,8 @@ def cone_boundary_quadrature(q_cone: PolyCone, h: float, n: int = 256):
 
 def cone_ball_mask(q_cone: PolyCone, pts: np.ndarray, h: float) -> np.ndarray:
     """Membership in Q_h = cone intersect B(vertex, h)."""
-    inside_ball = np.linalg.norm(pts - q_cone.vertex, axis=-1) <= h
+    d = pts - q_cone.vertex
+    inside_ball = np.sqrt(coord_dot(d, d)) <= h
     return inside_ball & cone_mask(q_cone, pts)
 
 

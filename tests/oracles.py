@@ -147,6 +147,29 @@ def cone_laplace_quadrature(cone, zeta, n=400):
 
 
 # ---------------------------------------------------------------------------
+# Random plane-wave superpositions
+# ---------------------------------------------------------------------------
+
+def tensordot_helmholtz_field(k, dim, rng, n_waves=20):
+    """The plane-wave superposition of `rellich.random_helmholtz_field`,
+    drawn from rng in the same order, with its phases taken by
+    np.tensordot: sum_j a_j exp(i k d_j . x)."""
+    if dim == 2:
+        ang = rng.uniform(0, 2 * np.pi, n_waves)
+        dirs = np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    else:
+        dirs = rng.standard_normal((n_waves, 3))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    amps = rng.standard_normal(n_waves) + 1j * rng.standard_normal(n_waves)
+
+    def field(pts):
+        phase = np.tensordot(np.asarray(pts, dtype=float), dirs.T, axes=1)
+        return np.exp(1j * k * phase) @ amps
+
+    return field
+
+
+# ---------------------------------------------------------------------------
 # Distances by dense sampling
 # ---------------------------------------------------------------------------
 

@@ -185,6 +185,56 @@ def test_verify_passes(tmp_path):
             "orthogonality-trivial"} <= names
 
 
+def test_verify_checks_a_3d_cone_transform(tmp_path):
+    d = scene_dict(n=32)
+    h = 0.3
+    d["polytope"] = {"dim": 3, "kind": "cuboid",
+                     "vertices": [[sx, sy, sz] for sx in (-h, h)
+                                  for sy in (-h, h) for sz in (-h, h)]}
+    d["omega"] = [1.0, 0.0, 0.0]
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps(d))
+    rc = cli.main(["verify", "--scene", str(scene), "--seed", "2",
+                   "--out", str(tmp_path / "out"),
+                   "--calibration", small_cal_file(tmp_path)])
+    assert rc == 0
+    report = json.loads((tmp_path / "out" / "verify.json").read_text())
+    check = {c["name"]: c for c in report["checks"]}["cone-transform"]
+    assert check["passed"] and check["max_error"] < 1e-10
+    # a trihedral that is no orthant, so not the 2D check's quarter plane
+    assert check["max_error"] != cli._cone_transform_error(2)
+
+
+def test_verify_fails_on_a_geometry_violation(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli.geom, "check_q_angle",
+                        lambda P, Q: cli.geom.QAngleReport(False, np.pi))
+    rc = cli.main(["verify", "--scene", write_scene(tmp_path), "--seed", "2",
+                   "--out", str(tmp_path / "out"),
+                   "--calibration", small_cal_file(tmp_path)])
+    assert rc == 1
+    report = json.loads((tmp_path / "out" / "verify.json").read_text())
+    check = {c["name"]: c for c in report["checks"]}["geometry-q-angle"]
+    assert not report["all_passed"]
+    assert check["passed"] is False and check["violations"] == 200
+
+
+def test_random_polygons_contract():
+    polys = cli._random_polygons(np.random.default_rng(3), 400)
+    again = cli._random_polygons(np.random.default_rng(3), 400)
+    assert len(polys) == 400
+    counts = set()
+    for P, Q in zip(polys, again):
+        v = P.vertices
+        counts.add(len(v))
+        np.testing.assert_array_equal(v, Q.vertices)
+        turn = cli.geom._cross2(v - np.roll(v, 1, axis=0),
+                                np.roll(v, -1, axis=0) - v)
+        assert np.all(turn > 0)
+    assert counts == {3, 4, 5, 6}
+    assert isinstance(cli._random_polygon(np.random.default_rng(3)),
+                      cli.Polytope)
+
+
 def test_verify_calibrates_at_the_scene_wavenumber(tmp_path, monkeypatch):
     calls = []
 

@@ -285,6 +285,49 @@ def test_cone_mask_matches_conic_hull_lp_3d():
         assert [bool(geom.cone_mask(K, x, tol=1e-10)) for x in probes] == expected
 
 
+def test_coordinate_sums_match_numpy_reductions():
+    # the kernels' explicit coordinate sums against the np.sum / norm forms
+    # they replace, bit for bit: random points, points on the facets and
+    # edges of the cones, and the vertex
+    from polyscat.stability import cone_ball_mask
+    rng = np.random.default_rng(17)
+    cones = [geom.PolyCone(rng.uniform(-0.5, 0.5, 2), [[1.0, 0.2], [-0.3, 1.0]],
+                           "polyhedral"),
+             geom.PolyCone(rng.uniform(-0.5, 0.5, 3), np.eye(3), "polyhedral"),
+             geom.PolyCone(rng.uniform(-0.5, 0.5, 3),
+                           [[1.0, 0.1, 0.0], [0.2, 1.0, 0.1], [0.1, 0.3, 1.0]],
+                           "polyhedral")]
+    for K in cones:
+        g = K.generators
+        i, j = np.triu_indices(len(g), 1)
+        s = rng.uniform(0, 1, (50, 1, 1))
+        edges = (s[:, :, 0] * g[:, None, :]).reshape(-1, K.dim)
+        facets = (s * g[i] + rng.uniform(0, 1, (50, 1, 1)) * g[j]).reshape(-1, K.dim)
+        pts = K.vertex + np.vstack([rng.uniform(-1, 1, (300, K.dim)),
+                                    edges, facets, np.zeros((1, K.dim))])
+        d = pts - K.vertex
+        r = np.linalg.norm(d, axis=-1)
+        for tol in (0.0, 1e-10):
+            want = np.ones(len(pts), dtype=bool)
+            for n in K.facet_normals:
+                want &= np.sum(d * n, axis=-1) >= -tol * r
+            np.testing.assert_array_equal(geom.cone_mask(K, pts, tol),
+                                          want | (r <= tol))
+        for h in (0.3, 0.7):
+            np.testing.assert_array_equal(
+                cone_ball_mask(K, pts, h), (r <= h) & geom.cone_mask(K, pts))
+    # segment distances from random points and from the segments' ends
+    # and midpoints
+    a, b = rng.uniform(-1, 1, (2, 7, 2))
+    x = np.vstack([rng.uniform(-1, 1, (200, 2)), a, b,
+                   0.5 * (a + b)])[:, None, :]
+    ab = b - a
+    t = np.clip(np.sum((x - a) * ab, axis=-1) / np.sum(ab * ab, axis=-1),
+                0.0, 1.0)
+    want = np.linalg.norm(x - (a + t[..., None] * ab), axis=-1)
+    np.testing.assert_array_equal(geom._segment_distance(x, a, b), want)
+
+
 def test_cone_rejects_non_pointed_or_flat_3d():
     half_space = np.array([[1.0, 0, 0], [-1.0, 0, 0], [0, 1.0, 0],
                            [0, -1.0, 0], [0, 0, 1.0]])

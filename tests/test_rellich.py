@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from scipy.special import hankel1, jv
@@ -294,6 +296,37 @@ def test_three_spheres_degenerate_constant_field():
                                       np.zeros(2), 0.1,
                                       np.random.default_rng(0))
     assert res.degenerate and np.isnan(res.beta_star)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_random_field_matches_the_tensordot_form(dim):
+    from oracles import tensordot_helmholtz_field
+    rng = np.random.default_rng(dim)
+    for _ in range(10):
+        ref = tensordot_helmholtz_field(2.2, dim, copy.deepcopy(rng))
+        f = rellich.random_helmholtz_field(2.2, dim, rng)
+        pts = rng.uniform(-1, 1, (rellich.BALL_SAMPLES + 1, dim))
+        np.testing.assert_array_equal(f(pts), ref(pts))
+        np.testing.assert_array_equal(f(pts[:7]), ref(pts[:7]))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_three_spheres_is_three_ball_sups(dim):
+    # one field call on the three stacked clouds gives the bits of three
+    # ball_sup calls drawing the same clouds in turn
+    rng = np.random.default_rng(40 + dim)
+    for _ in range(30):
+        f = rellich.random_helmholtz_field(3.0, dim, rng)
+        x = rng.uniform(-0.5, 0.5, dim)
+        r = rng.uniform(0.05, 0.2)
+        twin = copy.deepcopy(rng)
+        res = rellich.three_spheres_check(f, x, r, rng)
+        s0, s1, s2 = (rellich.ball_sup(f, x, radius, twin)
+                      for radius in (r, 2 * r, 4 * r))
+        assert (res.norm_r, res.norm_2r, res.norm_4r) \
+            == (s0, max(s0, s1), max(s0, s1, s2))
+        # both generators are left in the same state
+        assert rng.uniform() == twin.uniform()
 
 
 def test_calibrate_certifies_the_sweep():
