@@ -207,10 +207,9 @@ def cmd_calibrate(args) -> int:
     mhash = manifest_hash(manifest)
     _, k, _, grid, R = build_scene(manifest["scenes"][0])
     cal = _calibrate(manifest, k, grid.dim)
-    write_json(args, "calibration.json", json.loads(cal.to_json()), mhash)
+    write_json(args, "calibration.json", asdict(cal), mhash)
     cert = certify_hankel_bounds(k * R, 4 * k * R, nu_max=40)
-    write_json(args, "hankel_certificate.json", json.loads(cert.to_json()),
-               mhash)
+    write_json(args, "hankel_certificate.json", asdict(cert), mhash)
     return 0
 
 
@@ -394,8 +393,7 @@ def cmd_stability(args) -> int:
 def _shrunk_contrast(V: ContrastField, t: float) -> ContrastField:
     P = V.polytope
     c = P.vertices.mean(axis=0)
-    Pp = convex_polygon(c + (1 - t) * (P.vertices - c)) if P.dim == 2 \
-        else Polytope(P.dim, c + (1 - t) * (P.vertices - c), P.kind)
+    Pp = Polytope(P.dim, c + (1 - t) * (P.vertices - c), P.kind)
     return ContrastField(Pp, V.phi, V.alpha, V.M, V.mu)
 
 

@@ -50,6 +50,8 @@ class Polytope:
     2D vertices must be in counterclockwise order and strictly convex.
     3D vertices must be the 8 corners of a rectangular box (any order).
     frame: a cuboid's (center, axis rows, half-extents); None in 2D.
+    next_vertices: a polygon's vertex i + 1 (cyclically) for each vertex
+    i, the far end of edge i; None in 3D.
     """
 
     dim: int
@@ -57,6 +59,8 @@ class Polytope:
     kind: str             # "convex-polygon" | "cuboid"
     frame: tuple | None = field(default=None, init=False, repr=False,
                                 compare=False)
+    next_vertices: np.ndarray | None = field(default=None, init=False,
+                                             repr=False, compare=False)
 
     def __post_init__(self):
         v = np.asarray(self.vertices, dtype=float)
@@ -64,7 +68,8 @@ class Polytope:
         if self.dim == 2:
             if self.kind != "convex-polygon":
                 raise GeometryError(f"unsupported 2D kind {self.kind!r}")
-            _check_ccw_strictly_convex(v)
+            object.__setattr__(self, "next_vertices",
+                               _ccw_strictly_convex_next(v))
         elif self.dim == 3:
             if self.kind != "cuboid":
                 raise GeometryError(f"unsupported 3D kind {self.kind!r}")
@@ -90,10 +95,8 @@ def polytope_mask(P: Polytope, pts, tol: float = 0.0) -> np.ndarray:
     """Vectorized closed-set membership for point arrays (..., dim)."""
     pts = np.asarray(pts, dtype=float)
     if P.dim == 2:
-        v = P.vertices
-        nxt = np.roll(v, -1, axis=0)
         ok = np.ones(pts.shape[:-1], dtype=bool)
-        for a, b in zip(v, nxt):
+        for a, b in zip(P.vertices, P.next_vertices):
             edge = b - a
             cross = edge[0] * (pts[..., 1] - a[1]) - edge[1] * (pts[..., 0] - a[0])
             ok &= cross >= -tol
@@ -118,14 +121,17 @@ def cuboid(center, half_extents, rotation=None) -> Polytope:
     return Polytope(3, verts, "cuboid")
 
 
-def _check_ccw_strictly_convex(v: np.ndarray):
+def _ccw_strictly_convex_next(v: np.ndarray) -> np.ndarray:
+    """Each vertex's successor v[i + 1] (cyclically), after checking that
+    the polygon is counterclockwise and strictly convex."""
     if v.ndim != 2 or v.shape[1] != 2 or len(v) < 3:
         raise GeometryError("2D polytope needs an (m,2) vertex array, m >= 3")
-    nxt = np.roll(v, -1, axis=0)
-    prv = np.roll(v, 1, axis=0)
-    cross = _cross2(v - prv, nxt - v)
+    i = np.arange(len(v))
+    nxt = v[(i + 1) % len(v)]
+    cross = _cross2(v - v[i - 1], nxt - v)
     if not np.all(cross > 0):
         raise GeometryError("vertices must be counterclockwise and strictly convex")
+    return nxt
 
 
 def _cuboid_frame(v: np.ndarray):
@@ -185,9 +191,8 @@ def polytope_distance(P: Polytope, pts) -> np.ndarray:
     polytope: 0 inside, else the nearest edge (2D) or the box excess (3D)."""
     pts = np.asarray(pts, dtype=float)
     if P.dim == 2:
-        v = P.vertices
-        d = np.min(_segment_distance(pts[..., None, :], v,
-                                     np.roll(v, -1, axis=0)), axis=-1)
+        d = np.min(_segment_distance(pts[..., None, :], P.vertices,
+                                     P.next_vertices), axis=-1)
     else:
         center, axes, half = P.frame
         y = np.tensordot(pts - center, axes.T, axes=1)
@@ -503,7 +508,7 @@ def admissibility_report(P: Polytope, R: float | None = None) -> AdmissibilityRe
         m = len(v)
         # vertex i to edge j, which runs v[j] -> v[j+1]; edges i and i-1
         # are the two adjacent to vertex i
-        d = _segment_distance(v[:, None, :], v, np.roll(v, -1, axis=0))
+        d = _segment_distance(v[:, None, :], v, P.next_vertices)
         i = np.arange(m)
         d[i, i] = d[i, i - 1] = np.inf
         ell = np.min(d)

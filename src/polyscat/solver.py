@@ -9,7 +9,8 @@ circulant embedding of their offsets, run per axis over only the lines
 that hold data; the singular cell is replaced by the analytic average of
 Phi_k over an equal-measure disc/ball, and the linear system is solved
 with a native restarted GMRES (numpy only, one true-residual matvec per
-restart cycle).  The radiation condition is exact by
+restart cycle, the restart length the longest whose Krylov basis fits
+KRYLOV_BYTES).  The radiation condition is exact by
 construction of the kernel.  The far field is summed over the bounding box
 of supp V u, where the phase e^(-ik theta.y) splits into one factor per
 grid axis.
@@ -18,6 +19,7 @@ grid axis.
 from __future__ import annotations
 
 import itertools
+import mmap
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -28,8 +30,10 @@ from scipy.special import hankel1, j0, j1, jv, y0, y1
 from .fields import ContrastField, FieldError, Grid, WaveField, plane_wave
 from .specfun import bessel_j_orders, hankel_h1_factors
 
-GMRES_RESTART = 50
-GMRES_MAXITER = 2000
+# the largest Krylov basis one volume solve may hold: (restart + 1) x N
+# complex vectors of an N-unknown system
+KRYLOV_BYTES = 2 ** 25
+GMRES_MAXITER = 100_000   # GMRES iterations of one volume solve
 # the largest temporary a far-field or off-grid field evaluation allocates
 # at once: directions x the partial sums left after the far field's first
 # axis, or (points or orders) x source cells off the grid
@@ -175,8 +179,12 @@ def gmres(matvec, b: np.ndarray, tol: float, restart: int,
     atol = tol * bnorm
     eps = np.finfo(float).eps
     restart = min(restart, b.size)
-    v = np.empty((restart + 1, b.size), dtype=complex)
-    h = np.zeros((restart, restart + 1), dtype=complex)  # row j: column j
+    # mapped, not malloc'd, so that a basis of up to KRYLOV_BYTES costs
+    # only the rows a solve writes: once glibc's mmap threshold has risen
+    # to that size, malloc serves it from the heap, which keeps every
+    # page it has touched, and calloc clears all of h there
+    v = _mapped_zeros(restart + 1, b.size)
+    h = _mapped_zeros(restart, restart + 1)              # row j: column j
     rot = np.zeros((restart, 2), dtype=complex)          # (c, s) per step
     r, iterations = b, 0
     for _ in range(maxiter):
@@ -217,6 +225,14 @@ def gmres(matvec, b: np.ndarray, tol: float, restart: int,
     return x, iterations, r
 
 
+def _mapped_zeros(rows: int, cols: int) -> np.ndarray:
+    """A complex (rows, cols) array of zeros on its own anonymous memory
+    mapping: a page is touched when first written, and the mapping is
+    released with the array."""
+    return np.frombuffer(mmap.mmap(-1, 16 * rows * cols),
+                         dtype=complex).reshape(rows, cols)
+
+
 def _givens(f: complex, g: complex) -> tuple[float, complex, complex]:
     """(c, s, r), c real, with [c s; -conj(s) c] [f; g] = [r; 0] as in
     LAPACK's zlartg."""
@@ -230,30 +246,36 @@ def _givens(f: complex, g: complex) -> tuple[float, complex, complex]:
 
 
 def solve_volume_equation(op: PaddedFFTMultiplier, m: np.ndarray,
-                          rhs: np.ndarray, tol: float,
-                          maxiter: int) -> tuple[np.ndarray, int, float]:
+                          rhs: np.ndarray,
+                          tol: float) -> tuple[np.ndarray, int, float]:
     """Solve x + op.apply(m x) = rhs on op's grid by restarted GMRES
-    (`gmres`, GMRES_RESTART steps per cycle, at most maxiter cycles).
+    (`gmres`).  The restart length r is the longest whose (r + 1) x N
+    complex basis fits KRYLOV_BYTES, at least 1 and at most N, and GMRES
+    runs ceil(GMRES_MAXITER / r) restart cycles at most.
 
     Returns (x, GMRES iterations, relative residual ||r|| / ||rhs||), r
     the true residual GMRES computes after its last cycle, so the solve
     takes iterations + cycles matvecs.  Raises SolverError with the
-    residual when GMRES stops at maxiter restart cycles unconverged.
+    iterations, the restart length and the residual when GMRES stops
+    unconverged.
     """
     shape = rhs.shape
+    size = rhs.size
+    restart = min(size, max(1, KRYLOV_BYTES // (16 * size) - 1))
 
     def matvec(x):
         u = x.reshape(shape)
         return (u + op.apply(m * u)).ravel()
 
-    sol, iterations, r = gmres(matvec, rhs.ravel(), tol, GMRES_RESTART,
-                               maxiter)
+    sol, iterations, r = gmres(matvec, rhs.ravel(), tol, restart,
+                               -(-GMRES_MAXITER // restart))
     rnorm, bnorm = np.linalg.norm(r), np.linalg.norm(rhs)
     # a zero rhs has the exact solution 0, and its residual is absolute
     res = float(rnorm / (bnorm or 1.0))
     if rnorm > tol * bnorm:
-        raise SolverError(f"GMRES did not converge in {maxiter} restart "
-                          f"cycles (residual={res:.3e})")
+        raise SolverError(f"GMRES did not converge in {iterations} "
+                          f"iterations at restart {restart} "
+                          f"(residual={res:.3e})")
     return sol.reshape(shape), iterations, res
 
 
@@ -395,7 +417,7 @@ def solve_forward(V: ContrastField, k: float, omega, grid: Grid,
     if Vbox.size:
         u, iterations, res = solve_volume_equation(
             GreenConvolution(grid, k, box, box), -k ** 2 * Vbox, ui.values,
-            tol, GMRES_MAXITER)
+            tol)
     else:
         u, iterations, res = ui.values, 0, 0.0
     field = WaveField(box, u, k)

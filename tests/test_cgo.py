@@ -360,7 +360,7 @@ def test_box_remainder_solve_matches_full_grid(make, n, tau):
     # full-grid reference: GMRES on every grid point
     green = cgo.FaddeevGreen(g, rho)
     ref, _, _ = solver.solve_volume_equation(
-        green, q, green.apply(-q), cgo.REMAINDER_TOL, cgo.REMAINDER_MAXITER)
+        green, q, green.apply(-q), cgo.REMAINDER_TOL)
     assert np.linalg.norm(psi - ref) <= 1e-8 * np.linalg.norm(ref)
 
 

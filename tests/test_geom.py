@@ -518,3 +518,41 @@ def test_admissibility_ell_matches_double_loop():
                   for i in range(m) for j in range(m)
                   if j != i and (j + 1) % m != i)
         assert abs(geom.admissibility_report(P).ell - min(ell, 1.0)) <= 1e-15
+
+
+def test_next_vertices_give_the_np_roll_results():
+    # a polygon holds v[i + 1] per vertex from when it is built; mask,
+    # distance, admissibility and the convexity test read it and give the
+    # bits of their former np.roll forms, written out here
+    rng = np.random.default_rng(31)
+    for P in _random_polygons(rng, 40):
+        v = P.vertices
+        nxt = np.roll(v, -1, axis=0)
+        assert np.array_equal(P.next_vertices, nxt)
+        pts = rng.uniform(-1.2, 1.2, (5, 40, 2))
+        pts[0, :len(v)] = v
+        pts[1, :len(v)] = 0.5 * (v + nxt)
+        for tol in (0.0, geom.MEMBERSHIP_TOL):
+            ok = np.ones(pts.shape[:-1], dtype=bool)
+            for a, b in zip(v, nxt):
+                edge = b - a
+                ok &= (edge[0] * (pts[..., 1] - a[1])
+                       - edge[1] * (pts[..., 0] - a[0])) >= -tol
+            assert np.array_equal(geom.polytope_mask(P, pts, tol), ok)
+        d = np.min(geom._segment_distance(pts[..., None, :], v, nxt), axis=-1)
+        want = np.where(geom.polytope_mask(P, pts, geom.MEMBERSHIP_TOL),
+                        0.0, d)
+        assert np.array_equal(geom.polytope_distance(P, pts), want)
+        d = geom._segment_distance(v[:, None, :], v, nxt)
+        i = np.arange(len(v))
+        d[i, i] = d[i, i - 1] = np.inf
+        assert geom.admissibility_report(P).ell == min(float(np.min(d)), 1.0)
+    for _ in range(200):
+        v = rng.uniform(-1, 1, (int(rng.integers(3, 7)), 2))
+        turn = geom._cross2(v - np.roll(v, 1, axis=0),
+                            np.roll(v, -1, axis=0) - v)
+        if np.all(turn > 0):
+            geom.convex_polygon(v)
+        else:
+            with pytest.raises(geom.GeometryError):
+                geom.convex_polygon(v)

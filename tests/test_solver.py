@@ -295,8 +295,7 @@ def full_grid_reference(V, k, omega, g):
     Vv = V.evaluate(g)
     ui = fields.plane_wave(k, omega, g)
     u, _, _ = solver.solve_volume_equation(
-        solver.GreenConvolution(g, k), -k ** 2 * Vv, ui.values, 1e-8,
-        solver.GMRES_MAXITER)
+        solver.GreenConvolution(g, k), -k ** 2 * Vv, ui.values, 1e-8)
     ff = solver.far_field_from_volume(Vv, fields.WaveField(g, u, k), k,
                                       solver.default_directions(g.dim, 256))
     return u, ff.values
@@ -347,13 +346,14 @@ def test_support_box_builds_one_kernel_until_the_grid_is_read(monkeypatch):
 
 
 def test_gmres_non_convergence_is_a_typed_error(monkeypatch):
-    # two GMRES iterations cannot reach either tolerance on these scenes
-    monkeypatch.setattr(solver, "GMRES_RESTART", 2)
-    monkeypatch.setattr(solver, "GMRES_MAXITER", 1)
-    monkeypatch.setattr(cgo, "REMAINDER_MAXITER", 1)
+    # a budget too small for two vectors leaves restart 1, and two GMRES
+    # iterations cannot reach either tolerance on these scenes
+    monkeypatch.setattr(solver, "KRYLOV_BYTES", 0)
+    monkeypatch.setattr(solver, "GMRES_MAXITER", 2)
     g = fields.centered_grid(1.0, 64, dim=2)
     V = small_square_contrast(1.0)
-    with pytest.raises(solver.SolverError, match=r"residual=\d"):
+    with pytest.raises(solver.SolverError,
+                       match=r"in 2 iterations at restart 1 \(residual=\d"):
         solver.solve_forward(V, 6.0, [1.0, 0.0], g)
     q = 4.0 * V.evaluate(g)
     rho = np.array([0.0, -4.0]) + 1j * np.sqrt(20.0) * np.array([1.0, 0.0])
@@ -438,9 +438,56 @@ def test_solve_takes_one_residual_matvec(dim, n, monkeypatch):
     sol = solver.solve_forward(V, 2.5, omega,
                                fields.centered_grid(1.0, n, dim=dim))
     box = sol.box.grid.shape
-    assert 0 < sol.iterations < solver.GMRES_RESTART
+    size = int(np.prod(box))
+    restart = min(size, solver.KRYLOV_BYTES // (16 * size) - 1)
+    assert 0 < sol.iterations < restart
     assert shapes == [(box, box)] * (sol.iterations + 1)
 
+
+def spy_on_gmres(monkeypatch):
+    """Record (restart, unknowns) of every solver.gmres call."""
+    calls = []
+    gmres = solver.gmres
+
+    def spy(matvec, b, tol, restart, maxiter):
+        calls.append((restart, b.size))
+        return gmres(matvec, b, tol, restart, maxiter)
+
+    monkeypatch.setattr(solver, "gmres", spy)
+    return calls
+
+
+def test_high_contrast_disc_at_large_ka_converges(monkeypatch):
+    # k a = 12.8 at contrast 3: GMRES(50) took 16,892 iterations here, and
+    # the derived restart (544 on the 62^2-point box) never restarts
+    from oracles import DiscContrast
+    calls = spy_on_gmres(monkeypatch)
+    g = fields.centered_grid(1.0, 154, dim=2)
+    sol = solver.solve_forward(DiscContrast(0.4, 3.0), 32.0, [1.0, 0.0], g,
+                               n_directions=64)
+    assert sol.iterations <= 300 and sol.residual <= 1e-8
+    [(restart, size)] = calls
+    assert sol.iterations < restart
+    assert (restart + 1) * size * 16 <= solver.KRYLOV_BYTES
+
+
+def test_every_krylov_basis_fits_the_budget(monkeypatch):
+    # forward solves on a 2D and a 3D box, a full 32^3 grid (restart 63),
+    # and the remainder solve of a CGO solution
+    calls = spy_on_gmres(monkeypatch)
+    for dim, n in ((2, 64), (3, 32)):
+        V, omega = support_box_scene(dim)
+        g = fields.centered_grid(1.0, n, dim=dim)
+        solver.solve_forward(V, 2.5, omega, g)
+    full_grid_reference(V, 2.5, omega, g)
+    V = small_square_contrast(1.0)
+    g = fields.centered_grid(1.0, 64, dim=2)
+    rho = np.array([0.0, -4.0]) + 1j * np.sqrt(20.0) * np.array([1.0, 0.0])
+    cgo.solve_faddeev(4.0 * V.evaluate(g), rho, g)
+    assert len(calls) == 4 and (63, 32 ** 3) in calls
+    for restart, size in calls:
+        assert 1 <= restart <= size
+        assert (restart + 1) * size * 16 <= solver.KRYLOV_BYTES
 
 def test_forward_chain_loads_no_sparse_interpolate_or_spatial(tmp_path):
     # a fresh interpreter: the 2D and 3D solves, near field, far-field
