@@ -27,6 +27,10 @@ from .rellich import Calibration
 from .specfun import certify_hankel_bounds
 
 SCHEMA_VERSION = 1
+# the support-stability sweep shrinks the scene's polytope about its
+# centroid by these fractions; the corner ladder sets these contrasts
+SWEEP_OFFSETS = (0.02, 0.05, 0.1, 0.15, 0.2)
+CORNER_CONTRASTS = (0.02, 0.05, 0.1, 0.2)
 
 
 class CliError(RuntimeError):
@@ -38,7 +42,7 @@ class CliError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 def polytope_from_dict(d: dict) -> Polytope:
-    return Polytope.from_json(json.dumps(d))
+    return Polytope(d["dim"], np.asarray(d["vertices"], float), d["kind"])
 
 
 def contrast_from_dict(P: Polytope, cfg: dict) -> ContrastField:
@@ -94,8 +98,6 @@ def load_manifest(args) -> dict:
             manifest = {"scenes": [data]}
     manifest.setdefault("command", args.command)
     manifest["seed"] = args.seed
-    if args.tol is not None:
-        manifest["tol"] = args.tol
     if args.calibration:
         manifest["calibration"] = args.calibration
     return manifest
@@ -186,10 +188,9 @@ def load_calibration(manifest: dict, k: float, dim: int) -> Calibration:
 def cmd_solve(args) -> int:
     manifest = load_manifest(args)
     mhash = manifest_hash(manifest)
-    tol = float(manifest.get("tol", 1e-8))
     for i, scene in enumerate(manifest["scenes"]):
         V, k, omega, grid, R = build_scene(scene)
-        sol = solver.solve_forward(V, k, omega, grid, tol=tol)
+        sol = solver.solve_forward(V, k, omega, grid)
         write_text(os.path.join(args.out, f"scene{i:03d}_farfield.csv"),
                    far_field_csv(sol.far_field, mhash), args.force)
         write_json(args, f"scene{i:03d}_solve.json", {
@@ -321,25 +322,14 @@ def _cone_quadrature(cone, zeta) -> complex:
     the closed form.  The radial integral is exact,
     int_0^inf e^(r zeta.omega) r^(d-1) dr = (d-1)!/(-zeta.omega)^d,
     leaving a smooth integrand over the cone's unit directions omega,
-    handled by numpy's 32-node Gauss-Legendre rule to roundoff.  2D:
-    over the angle between the generators.  3D: over the spherical
-    triangle, the image of the unit triangle under
-    p = g0 + u(g1 - g0) + v(g2 - g0), omega = p/|p|, with solid-angle
-    Jacobian p.(p_u x p_v)/|p|^3, on the collapsed (Duffy) map
-    u = s(1 - t), v = st of the unit square."""
+    handled by a 32-node Gauss-Legendre rule to roundoff.  2D: over the
+    angle between the generators.  3D: over the spherical triangle, by
+    `geom.spherical_triangle_rule`."""
     zeta = np.asarray(zeta, dtype=complex)
-    nodes, weights = np.polynomial.legendre.leggauss(32)
     if cone.dim == 3:
-        g0, g1, g2 = cone.generators
-        x = 0.5 * (nodes + 1)
-        s, t = np.meshgrid(x, x, indexing="ij")
-        w = 0.25 * np.outer(weights, weights) * s
-        p = g0 + (s * (1 - t))[..., None] * (g1 - g0) \
-            + (s * t)[..., None] * (g2 - g0)
-        size = np.linalg.norm(p, axis=-1)
-        jac = np.abs(p @ np.cross(g1 - g0, g2 - g0)) / size ** 3
-        vals = 2.0 / (-(p @ zeta) / size) ** 3
-        return complex(np.sum(w * jac * vals))
+        omega, w = geom.spherical_triangle_rule(cone.generators, 32)
+        return complex(np.sum(w * 2.0 / (-(omega @ zeta)) ** 3))
+    nodes, weights = np.polynomial.legendre.leggauss(32)
     g1, g2 = cone.generators
     t1, t2 = np.arctan2(g1[1], g1[0]), np.arctan2(g2[1], g2[0])
     t2 = t1 + (t2 - t1) % (2 * np.pi)
@@ -370,19 +360,14 @@ def cmd_stability(args) -> int:
     V0, k, omega, grid, R = build_scene(scene)
     cal = load_calibration(manifest, k, grid.dim)
 
-    offsets = manifest.get("offsets", [0.02, 0.05, 0.1, 0.15, 0.2])
-    pairs = []
-    for t in offsets:
-        pairs.append((V0, _shrunk_contrast(V0, t)))
-    tol = float(manifest.get("tol", 1e-8))
+    pairs = [(V0, _shrunk_contrast(V0, t)) for t in SWEEP_OFFSETS]
     records = stability.run_support_stability_experiment(
-        pairs, k, omega, grid, cal, tol=tol, R=R)
+        pairs, k, omega, grid, cal, R=R)
     write_records(args, "support_stability", seed, mhash, records)
 
-    ladder = manifest.get("contrasts", [0.02, 0.05, 0.1, 0.2])
-    scenes = [constant_contrast(V0.polytope, c) for c in ladder]
+    scenes = [constant_contrast(V0.polytope, c) for c in CORNER_CONTRASTS]
     corner = stability.run_corner_lower_bound_experiment(
-        scenes, k, omega, grid, tol=tol, R=R)
+        scenes, k, omega, grid, R=R)
     write_records(args, "corner_lower_bound", seed, mhash, corner)
 
     write_text(os.path.join(args.out, "plots.gp"),
@@ -433,7 +418,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, required=True,
                        help="master seed (mandatory for reproducibility)")
         p.add_argument("--calibration", help="calibration JSON path")
-        p.add_argument("--tol", type=float, help="solver tolerance override")
         p.add_argument("--force", action="store_true",
                        help="overwrite existing outputs")
         p.set_defaults(func=fn)

@@ -85,11 +85,6 @@ class Polytope:
         return json.dumps({"dim": self.dim, "kind": self.kind,
                            "vertices": self.vertices.tolist()})
 
-    @staticmethod
-    def from_json(text: str) -> "Polytope":
-        d = json.loads(text)
-        return Polytope(d["dim"], np.asarray(d["vertices"], dtype=float), d["kind"])
-
 
 def polytope_mask(P: Polytope, pts, tol: float = 0.0) -> np.ndarray:
     """Vectorized closed-set membership for point arrays (..., dim)."""
@@ -265,13 +260,6 @@ class PolyCone:
         m = self.generators.sum(axis=0)
         return m / np.linalg.norm(m)
 
-    @property
-    def is_orthant(self) -> bool:
-        """True for a rotated 3D orthant: three orthonormal generators."""
-        g = self.generators
-        return (self.kind == "polyhedral" and g.shape == (3, 3)
-                and np.max(np.abs(g @ g.T - np.eye(3))) <= 1e-9)
-
     def opening_angle(self) -> float:
         """Full opening angle (2D polyhedral) or 2x half-angle (spherical)."""
         if self.kind == "spherical":
@@ -279,6 +267,26 @@ class PolyCone:
         if self.dim == 2:
             return _angle_between(self.generators[0], self.generators[1])
         raise GeometryError("opening angle of a 3D polyhedral cone is not scalar")
+
+
+def spherical_triangle_rule(generators, m: int):
+    """Unit directions omega (m*m, 3) and solid-angle weights (m*m,) over
+    the spherical triangle cut out by the simplicial cone on three
+    generators g0, g1, g2.  The unit triangle's point
+    p = g0 + u(g1 - g0) + v(g2 - g0) projects to omega = p/|p| with
+    solid-angle Jacobian |p.((g1 - g0) x (g2 - g0))| / |p|^3.  The
+    collapsed (Duffy) map u = s(1 - t), v = st of the unit square adds the
+    factor s, and an m-node Gauss-Legendre rule runs over s and t."""
+    g0, g1, g2 = np.asarray(generators, dtype=float)
+    nodes, weights = np.polynomial.legendre.leggauss(m)
+    x = 0.5 * (nodes + 1)
+    s, t = np.meshgrid(x, x, indexing="ij")
+    p = g0 + (s * (1 - t))[..., None] * (g1 - g0) \
+        + (s * t)[..., None] * (g2 - g0)
+    size = np.linalg.norm(p, axis=-1)
+    jac = np.abs(p @ np.cross(g1 - g0, g2 - g0)) / size ** 3
+    w = 0.25 * np.outer(weights, weights) * s * jac
+    return (p / size[..., None]).reshape(-1, 3), w.ravel()
 
 
 def _facet_normals_3d(g: np.ndarray) -> np.ndarray:

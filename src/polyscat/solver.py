@@ -368,9 +368,9 @@ def _blocks(n_rows: int, row_elements: int):
 class ScatteringSolution:
     """A forward solve.  The solve computes the total field only on `box`,
     the bounding box of supp V (index slices `support` of `grid`), where
-    `box_contrast` holds V.  The full-grid `total` and `scattered` fields
-    are rebuilt from it on first read by one convolution from the box to
-    the grid."""
+    `box_contrast` holds V.  The full-grid `scattered` field is rebuilt
+    from it on first read by one convolution from the box to the grid,
+    and `total` adds the incident wave to it."""
     contrast: ContrastField
     grid: Grid
     omega: np.ndarray
@@ -382,21 +382,28 @@ class ScatteringSolution:
     residual: float
 
     @cached_property
+    def scattered(self) -> WaveField:
+        """u^s = k^2 Phi_k * (V u) on the grid, equal to u - u^i on the
+        box."""
+        k, g = self.box.k, self.grid
+        if not self.box.values.size:
+            return WaveField(g, np.zeros(g.shape, dtype=complex), k)
+        src = k ** 2 * self.box_contrast * self.box.values
+        us = GreenConvolution(g, k, self.box.grid, g).apply(src)
+        us[self.support] = (self.box.values
+                            - plane_wave(k, self.omega, self.box.grid).values)
+        return WaveField(g, us, k)
+
+    @cached_property
     def total(self) -> WaveField:
-        """u = u^i + k^2 Phi_k * (V u) on the grid, equal to the solved
-        field on the box."""
+        """u = u^i + u^s on the grid, equal to the solved field on the
+        box."""
         k, g = self.box.k, self.grid
         u = plane_wave(k, self.omega, g).values
         if self.box.values.size:
-            src = -k ** 2 * self.box_contrast * self.box.values
-            u = u - GreenConvolution(g, k, self.box.grid, g).apply(src)
+            u += self.scattered.values
             u[self.support] = self.box.values
         return WaveField(g, u, k)
-
-    @cached_property
-    def scattered(self) -> WaveField:
-        ui = plane_wave(self.box.k, self.omega, self.grid)
-        return WaveField(self.grid, self.total.values - ui.values, ui.k)
 
 
 def solve_forward(V: ContrastField, k: float, omega, grid: Grid,

@@ -10,8 +10,7 @@ by dense sampling and a 5% safety inflation.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
@@ -125,13 +124,6 @@ class HankelBoundCertificate:
     nu_max: float
     C: float
     samples: int
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self))
-
-    @staticmethod
-    def from_json(text: str) -> "HankelBoundCertificate":
-        return HankelBoundCertificate(**json.loads(text))
 
 
 def _envelope_log(nu: np.ndarray, z: np.ndarray) -> np.ndarray:

@@ -21,7 +21,7 @@ from . import cgo, rellich
 from .cgo import CgoDirection, faddeev_decay_case
 from .fields import ContrastField, WaveField, h2_surrogate, polytope_mask
 from .geom import (PolyCone, admissibility_report, cone_mask, coord_dot,
-                   hausdorff_distance)
+                   hausdorff_distance, spherical_triangle_rule)
 from .rellich import Calibration, float_view, quantitative_rellich
 from .solver import solve_forward
 
@@ -152,12 +152,15 @@ def gradient_at(f, pts, step: float):
 # ---------------------------------------------------------------------------
 
 def cone_boundary_quadrature(q_cone: PolyCone, h: float, n: int = 256):
-    """Midpoint quadrature for the boundary of Q_h = cone intersect
-    B(vertex, h): points, outward unit normals and weights.
+    """Quadrature for the boundary of Q_h = cone intersect B(vertex, h):
+    points, outward unit normals and weights.
 
-    2D: two radial edges plus the circular arc, n points on each.  3D:
-    supported for rotated-orthant cones (three quarter-disc faces plus the
-    spherical patch, each on a grid of about sqrt(n) by sqrt(n)).
+    2D: two radial edges plus the circular arc, midpoint rules of n points
+    on each.  3D: a cone on three generators.  Face k, between the other
+    two generators g_i and g_j, is a sector of radius h and angle
+    arccos(g_i . g_j), on a midpoint polar grid of m by m points in the
+    basis (g_i, the unit part of g_j orthogonal to g_i); the spherical
+    patch takes `spherical_triangle_rule` at m nodes, m = max(8, sqrt(n)).
     """
     v = q_cone.vertex
     if q_cone.dim == 2:
@@ -176,30 +179,30 @@ def cone_boundary_quadrature(q_cone: PolyCone, h: float, n: int = 256):
         nrm.append(rad)
         wts.append(np.full(n, h * span / n))
         return np.vstack(pts), np.vstack(nrm), np.concatenate(wts)
-    if not q_cone.is_orthant:
-        raise StabilityError("3D boundary quadrature needs an orthant cone")
     g = q_cone.generators
+    if len(g) != 3:
+        raise StabilityError("3D boundary quadrature needs a cone on three "
+                             f"generators, got {len(g)}")
     pts, nrm, wts = [], [], []
     m = max(8, int(np.sqrt(n)))   # points per side of each patch
     mid = (np.arange(m) + 0.5) / m
-    ang = mid * (np.pi / 2)
     for k_out in range(3):
         gi, gj = g[(k_out + 1) % 3], g[(k_out + 2) % 3]
-        S, PHI = np.meshgrid(mid * h, ang, indexing="ij")
+        c = np.dot(gi, gj)
+        span = np.arccos(np.clip(c, -1, 1))
+        e2 = (gj - c * gi) / np.linalg.norm(gj - c * gi)
+        out = np.cross(gi, gj)
+        out *= -np.sign(out @ g[k_out]) / np.linalg.norm(out)
+        S, PHI = np.meshgrid(mid * h, mid * span, indexing="ij")
         P = (v + S[..., None] * (np.cos(PHI)[..., None] * gi
-                                 + np.sin(PHI)[..., None] * gj))
-        W = S * (h / m) * (np.pi / 2 / m)
+                                 + np.sin(PHI)[..., None] * e2))
         pts.append(P.reshape(-1, 3))
-        nrm.append(np.tile(-g[k_out], (P.size // 3, 1)))
-        wts.append(W.ravel())
-    TH, PH = np.meshgrid(ang, ang, indexing="ij")
-    local = np.stack([np.sin(TH) * np.cos(PH), np.sin(TH) * np.sin(PH),
-                      np.cos(TH)], axis=-1)
-    rad = local @ g
-    W = h ** 2 * np.sin(TH) * (np.pi / 2 / m) ** 2
-    pts.append(v + h * rad.reshape(-1, 3))
-    nrm.append(rad.reshape(-1, 3))
-    wts.append(W.ravel())
+        nrm.append(np.tile(out, (m * m, 1)))
+        wts.append((S * (h / m) * (span / m)).ravel())
+    omega, w = spherical_triangle_rule(g, m)
+    pts.append(v + h * omega)
+    nrm.append(omega)
+    wts.append(h ** 2 * w)
     return np.vstack(pts), np.vstack(nrm), np.concatenate(wts)
 
 
@@ -379,7 +382,6 @@ def corner_gamma(m: float, n: int) -> float:
 def run_support_stability_experiment(scene_pairs, k: float, omega, grid,
                                      cal: Calibration,
                                      n_directions: int = 256,
-                                     tol: float = 1e-8,
                                      R: float = 1.0) -> list:
     """For each (V, V') pair: solve both scattering problems, measure the
     far-field difference and the Hausdorff distance of the supports, and
@@ -395,7 +397,7 @@ def run_support_stability_experiment(scene_pairs, k: float, omega, grid,
     for V, Vp in scene_pairs:
         for W in (V, Vp):
             if id(W) not in solved:
-                sol = solve_forward(W, k, omega, grid, tol=tol,
+                sol = solve_forward(W, k, omega, grid,
                                     n_directions=n_directions)
                 solved[id(W)] = (sol.far_field, h2_surrogate(sol.scattered))
         (ffA, sA), (ffB, sB) = solved[id(V)], solved[id(Vp)]
@@ -443,7 +445,6 @@ class CornerRecord:
 
 def run_corner_lower_bound_experiment(scenes, k: float, omega, grid,
                                       n_directions: int = 256,
-                                      tol: float = 1e-8,
                                       R: float = 1.0) -> list:
     """Solve each corner scene, record the far-field norm against the
     double-exponential lower-bound expression and the noise floor.  Each
@@ -455,8 +456,7 @@ def run_corner_lower_bound_experiment(scenes, k: float, omega, grid,
         rep = admissibility_report(V.polytope, R)
         if not rep.ok:
             raise StabilityError(f"inadmissible scene: {rep.violations}")
-        sol = solve_forward(V, k, omega, grid, tol=tol,
-                            n_directions=n_directions)
+        sol = solve_forward(V, k, omega, grid, n_directions=n_directions)
         ff_norm = float(sol.far_field.l2_norm())
         S = max(1.0, h2_surrogate(sol.scattered))
         m = min(1.0, V.alpha, beta)

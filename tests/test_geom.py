@@ -1,7 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
-from polyscat import geom
+from polyscat import cli, geom
 
 
 def square(side=1.0, center=(0.0, 0.0)):
@@ -39,10 +41,11 @@ def test_cuboid_roundtrip_and_validation():
 
 
 def test_polytope_json_roundtrip():
-    P = square(2.0, (0.3, -0.1))
-    back = geom.Polytope.from_json(P.to_json())
-    assert back.kind == P.kind
-    np.testing.assert_allclose(back.vertices, P.vertices)
+    # a scene file holds to_json's dict, which the CLI reads back
+    for P in (square(2.0, (0.3, -0.1)), geom.cuboid([0.1, 0, 0], [0.2, 0.3, 0.1])):
+        back = cli.polytope_from_dict(json.loads(P.to_json()))
+        assert (back.dim, back.kind) == (P.dim, P.kind)
+        assert np.array_equal(back.vertices, P.vertices)
 
 
 def test_containment_and_ball():
@@ -439,6 +442,26 @@ def test_convex_hull_cone_3d_has_one_generator_per_hull_neighbour():
         around = simplices[np.any(simplices == i, axis=1)]
         K = geom.convex_hull_cone(boxes[0], boxes[1], pts[i])
         assert len(K.generators) == len(np.unique(around)) - 1
+
+
+def test_spherical_triangle_rule_solid_angle():
+    # the weights sum to the solid angle, tan(Omega/2) =
+    # |g0.(g1 x g2)| / (1 + g0.g1 + g1.g2 + g2.g0) for unit generators
+    # (Van Oosterom and Strackee 1983); the directions are unit vectors
+    # inside the cone
+    rng = np.random.default_rng(4)
+    for g in [np.eye(3), [[1.0, 0.0, 0.0], [0.3, 1.0, 0.0], [0.2, 0.4, 1.0]],
+              np.array([0.0, 0.0, 1.0]) + 0.4 * rng.standard_normal((3, 3))]:
+        K = geom.PolyCone(np.zeros(3), g, "polyhedral")
+        g0, g1, g2 = K.generators
+        omega, w = geom.spherical_triangle_rule(K.generators, 24)
+        solid = 2 * np.arctan2(abs(g0 @ np.cross(g1, g2)),
+                               1 + g0 @ g1 + g1 @ g2 + g2 @ g0)
+        assert omega.shape == (576, 3) and w.shape == (576,)
+        assert abs(np.sum(w) - solid) <= 1e-12 * solid
+        np.testing.assert_allclose(np.linalg.norm(omega, axis=1), 1.0,
+                                   atol=1e-15)
+        assert np.all(geom.cone_mask(K, omega, tol=1e-12))
 
 
 def test_minimal_enclosing_cone():

@@ -88,6 +88,83 @@ def test_divergence_theorem_on_truncated_cone():
     assert abs(surf - vol) < 2e-4 * abs(vol)
 
 
+XI = np.array([0.7, -0.4, 1.1])
+
+
+def _rotated_orthant(vertex):
+    rot, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((3, 3)))
+    return geom.PolyCone(vertex, rot, "polyhedral")
+
+
+def _exp_flux_error(rule, K, h, n):
+    """Relative error of the flux of e^(xi.x) n through dQ_h against xi
+    times its volume integral, by the divergence theorem.  The reference
+    integrates r^2 e^(r xi.omega) over [0, h] by 64-node Gauss-Legendre
+    and omega over the spherical triangle at 96 nodes, far finer than
+    the boundary rules under test."""
+    omega, w = geom.spherical_triangle_rule(K.generators, 96)
+    x, wr = np.polynomial.legendre.leggauss(64)
+    r, wr = 0.5 * h * (x + 1), 0.5 * h * wr
+    radial = np.exp(np.outer(omega @ XI, r)) @ (wr * r ** 2)
+    ref = XI * np.exp(XI @ K.vertex) * np.sum(w * radial)
+    pts, nrm, wts = rule(K, h, n)
+    flux = (np.exp(pts @ XI) * wts) @ nrm
+    return np.linalg.norm(flux - ref) / np.linalg.norm(ref)
+
+
+def _orthant_midpoint_rule(K, h, n):
+    """A reference boundary rule for rotated orthants only: quarter discs
+    and the octant patch on midpoint (theta, phi) grids."""
+    v, g = K.vertex, K.generators
+    m = max(8, int(np.sqrt(n)))
+    ang = (np.arange(m) + 0.5) / m * (np.pi / 2)
+    pts, nrm, wts = [], [], []
+    for k_out in range(3):
+        gi, gj = g[(k_out + 1) % 3], g[(k_out + 2) % 3]
+        S, PHI = np.meshgrid((np.arange(m) + 0.5) / m * h, ang, indexing="ij")
+        P = v + S[..., None] * (np.cos(PHI)[..., None] * gi
+                                + np.sin(PHI)[..., None] * gj)
+        pts.append(P.reshape(-1, 3))
+        nrm.append(np.tile(-g[k_out], (m * m, 1)))
+        wts.append((S * (h / m) * (np.pi / 2 / m)).ravel())
+    TH, PH = np.meshgrid(ang, ang, indexing="ij")
+    rad = np.stack([np.sin(TH) * np.cos(PH), np.sin(TH) * np.sin(PH),
+                    np.cos(TH)], axis=-1).reshape(-1, 3) @ g
+    pts.append(v + h * rad)
+    nrm.append(rad)
+    wts.append((h ** 2 * np.sin(TH) * (np.pi / 2 / m) ** 2).ravel())
+    return np.vstack(pts), np.vstack(nrm), np.concatenate(wts)
+
+
+@pytest.mark.parametrize("gens", [None, [[1.0, 0.0, 0.0], [0.3, 1.0, 0.0],
+                                         [0.2, 0.4, 1.0]]],
+                         ids=["rotated-orthant", "verify-trihedral"])
+def test_divergence_theorem_on_truncated_trihedral(gens):
+    vertex = np.array([0.1, -0.2, 0.3])
+    K = (_rotated_orthant(vertex) if gens is None
+         else geom.PolyCone(vertex, gens, "polyhedral"))
+    coarse, fine = (_exp_flux_error(stability.cone_boundary_quadrature,
+                                    K, 0.4, n) for n in (256, 1024))
+    assert coarse <= 1e-3
+    assert fine <= coarse / 3
+
+
+def test_trihedral_boundary_beats_the_orthant_midpoint_rule():
+    K = _rotated_orthant(np.array([0.1, -0.2, 0.3]))
+    for n in (256, 1024, 4096):
+        new = _exp_flux_error(stability.cone_boundary_quadrature, K, 0.4, n)
+        old = _exp_flux_error(_orthant_midpoint_rule, K, 0.4, n)
+        assert new <= old / 5
+
+
+def test_cone_boundary_quadrature_needs_three_generators():
+    pyramid = geom.PolyCone(np.zeros(3), [[1.0, 1.0, 1.0], [-1.0, 1.0, 1.0],
+                                          [-1.0, -1.0, 1.0], [1.0, -1.0, 1.0]],
+                            "polyhedral")
+    with pytest.raises(stability.StabilityError):
+        stability.cone_boundary_quadrature(pyramid, 0.3)
+
+
 # ---------------------------------------------------------------------------
 # Orthogonality identity
 # ---------------------------------------------------------------------------
