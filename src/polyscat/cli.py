@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -31,6 +32,10 @@ SCHEMA_VERSION = 1
 # centroid by these fractions; the corner ladder sets these contrasts
 SWEEP_OFFSETS = (0.02, 0.05, 0.1, 0.15, 0.2)
 CORNER_CONTRASTS = (0.02, 0.05, 0.1, 0.2)
+# the keys a manifest file and each scene may hold, all read by the CLI
+MANIFEST_KEYS = frozenset({"scenes", "trials"})
+SCENE_KEYS = frozenset({"schema_version", "polytope", "contrast", "k",
+                        "omega", "grid", "R"})
 
 
 class CliError(RuntimeError):
@@ -87,15 +92,18 @@ def build_scene(d: dict):
 
 
 def load_manifest(args) -> dict:
+    """The --scene file (a manifest or one scene) or the default scene.
+    A key nothing reads raises CliError: it would only change the hash."""
     if args.scene is None:
         manifest = {"scenes": [default_scene(args.command)]}
     else:
         with open(args.scene) as f:
             data = json.load(f)
-        if "scenes" in data:
-            manifest = data
-        else:
-            manifest = {"scenes": [data]}
+        manifest = data if "scenes" in data else {"scenes": [data]}
+        for d, known in ([(manifest, MANIFEST_KEYS)]
+                         + [(s, SCENE_KEYS) for s in manifest["scenes"]]):
+            if set(d) - known:
+                raise CliError(f"unknown key(s) {sorted(set(d) - known)}")
     manifest.setdefault("command", args.command)
     manifest["seed"] = args.seed
     if args.calibration:
@@ -322,21 +330,11 @@ def _cone_quadrature(cone, zeta) -> complex:
     the closed form.  The radial integral is exact,
     int_0^inf e^(r zeta.omega) r^(d-1) dr = (d-1)!/(-zeta.omega)^d,
     leaving a smooth integrand over the cone's unit directions omega,
-    handled by a 32-node Gauss-Legendre rule to roundoff.  2D: over the
-    angle between the generators.  3D: over the spherical triangle, by
-    `geom.spherical_triangle_rule`."""
-    zeta = np.asarray(zeta, dtype=complex)
-    if cone.dim == 3:
-        omega, w = geom.spherical_triangle_rule(cone.generators, 32)
-        return complex(np.sum(w * 2.0 / (-(omega @ zeta)) ** 3))
-    nodes, weights = np.polynomial.legendre.leggauss(32)
-    g1, g2 = cone.generators
-    t1, t2 = np.arctan2(g1[1], g1[0]), np.arctan2(g2[1], g2[0])
-    t2 = t1 + (t2 - t1) % (2 * np.pi)
-    th = 0.5 * (t2 - t1) * nodes + 0.5 * (t1 + t2)
-    omega = np.stack([np.cos(th), np.sin(th)], axis=1)
-    vals = 1.0 / (omega @ zeta) ** 2
-    return complex(np.sum(weights * vals) * 0.5 * (t2 - t1))
+    which `geom.cone_directions` at 32 nodes resolves to roundoff."""
+    omega, w = geom.cone_directions(cone.generators, 32)
+    d = cone.dim
+    return complex(np.sum(w * math.factorial(d - 1)
+                          / (-(omega @ np.asarray(zeta, dtype=complex))) ** d))
 
 
 def _orthogonality_trivial():

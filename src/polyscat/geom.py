@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -269,24 +270,42 @@ class PolyCone:
         raise GeometryError("opening angle of a 3D polyhedral cone is not scalar")
 
 
-def spherical_triangle_rule(generators, m: int):
-    """Unit directions omega (m*m, 3) and solid-angle weights (m*m,) over
-    the spherical triangle cut out by the simplicial cone on three
-    generators g0, g1, g2.  The unit triangle's point
-    p = g0 + u(g1 - g0) + v(g2 - g0) projects to omega = p/|p| with
-    solid-angle Jacobian |p.((g1 - g0) x (g2 - g0))| / |p|^3.  The
-    collapsed (Duffy) map u = s(1 - t), v = st of the unit square adds the
-    factor s, and an m-node Gauss-Legendre rule runs over s and t."""
-    g0, g1, g2 = np.asarray(generators, dtype=float)
+@lru_cache(maxsize=None)
+def gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only nodes and weights of the m-node Gauss-Legendre rule on
+    [0, 1], computed once per m."""
     nodes, weights = np.polynomial.legendre.leggauss(m)
-    x = 0.5 * (nodes + 1)
+    x, w = 0.5 * (nodes + 1), 0.5 * weights
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+def cone_directions(generators, m: int):
+    """Unit directions omega (p, dim) and weights (p,) over the directions
+    of the simplicial cone on 1, 2 or 3 unit generators, by `gauss_legendre`
+    at m nodes.  One generator: itself, weight 1.  Two: the arc from g0 to
+    g1 in the plane of g0 and the unit part e of g1 orthogonal to g0, in
+    the angle.  Three: the spherical triangle, by the unit triangle's
+    point p = g0 + u(g1 - g0) + v(g2 - g0), projected to omega = p/|p| with
+    solid-angle Jacobian |p.((g1 - g0) x (g2 - g0))| / |p|^3; the collapsed
+    (Duffy) map u = s(1 - t), v = st of the unit square adds the factor s."""
+    g = np.atleast_2d(np.asarray(generators, dtype=float))
+    if len(g) == 1:
+        return g.copy(), np.ones(1)
+    x, w = gauss_legendre(m)
+    if len(g) == 2:
+        e = g[1] - (g[0] @ g[1]) * g[0]
+        span = np.arctan2(np.linalg.norm(e), g[0] @ g[1])
+        return (np.outer(np.cos(span * x), g[0])
+                + np.outer(np.sin(span * x), e / np.linalg.norm(e)), span * w)
+    g0, g1, g2 = g
     s, t = np.meshgrid(x, x, indexing="ij")
     p = g0 + (s * (1 - t))[..., None] * (g1 - g0) \
         + (s * t)[..., None] * (g2 - g0)
     size = np.linalg.norm(p, axis=-1)
     jac = np.abs(p @ np.cross(g1 - g0, g2 - g0)) / size ** 3
-    w = 0.25 * np.outer(weights, weights) * s * jac
-    return (p / size[..., None]).reshape(-1, 3), w.ravel()
+    return ((p / size[..., None]).reshape(-1, 3),
+            (np.outer(w, w) * s * jac).ravel())
 
 
 def _facet_normals_3d(g: np.ndarray) -> np.ndarray:

@@ -34,6 +34,9 @@ from .specfun import bessel_j_orders, hankel_h1_factors
 # complex vectors of an N-unknown system
 KRYLOV_BYTES = 2 ** 25
 GMRES_MAXITER = 100_000   # GMRES iterations of one volume solve
+# relative GMRES residual of a forward solve: far below the grid's
+# discretisation error (1e-4 at 64 points per axis, 3e-6 at 512)
+FORWARD_TOL = 1e-8
 # the largest temporary a far-field or off-grid field evaluation allocates
 # at once: directions x the partial sums left after the far field's first
 # axis, or (points or orders) x source cells off the grid
@@ -407,12 +410,11 @@ class ScatteringSolution:
 
 
 def solve_forward(V: ContrastField, k: float, omega, grid: Grid,
-                  tol: float = 1e-8,
                   n_directions: int = 256) -> ScatteringSolution:
-    """Solve u = u^i + k^2 Phi_k * (V u) by GMRES on the bounding box of
-    supp V, the only place u enters the equation, and compute the far
-    field from the box field.  A zero contrast has an empty box and the
-    solution u = u^i."""
+    """Solve u = u^i + k^2 Phi_k * (V u) by GMRES, to FORWARD_TOL, on the
+    bounding box of supp V, the only place u enters the equation, and
+    compute the far field from the box field.  A zero contrast has an
+    empty box and the solution u = u^i."""
     Vvals = V.evaluate(grid)
     support, box = support_box(Vvals, grid)
     if box.shape[0] and any(s.start == 0 or s.stop == n
@@ -424,7 +426,7 @@ def solve_forward(V: ContrastField, k: float, omega, grid: Grid,
     if Vbox.size:
         u, iterations, res = solve_volume_equation(
             GreenConvolution(grid, k, box, box), -k ** 2 * Vbox, ui.values,
-            tol)
+            FORWARD_TOL)
     else:
         u, iterations, res = ui.values, 0, 0.0
     field = WaveField(box, u, k)

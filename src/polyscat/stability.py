@@ -20,8 +20,8 @@ import numpy as np
 from . import cgo, rellich
 from .cgo import CgoDirection, faddeev_decay_case
 from .fields import ContrastField, WaveField, h2_surrogate, polytope_mask
-from .geom import (PolyCone, admissibility_report, cone_mask, coord_dot,
-                   hausdorff_distance, spherical_triangle_rule)
+from .geom import (PolyCone, admissibility_report, cone_directions, cone_mask,
+                   coord_dot, gauss_legendre, hausdorff_distance)
 from .rellich import Calibration, float_view, quantitative_rellich
 from .solver import solve_forward
 
@@ -151,58 +151,38 @@ def gradient_at(f, pts, step: float):
 # Truncated-cone boundary quadrature
 # ---------------------------------------------------------------------------
 
-def cone_boundary_quadrature(q_cone: PolyCone, h: float, n: int = 256):
-    """Quadrature for the boundary of Q_h = cone intersect B(vertex, h):
-    points, outward unit normals and weights.
+def cone_boundary_quadrature(q_cone: PolyCone, h: float, n: int):
+    """Quadrature for the boundary of Q_h = cone intersect B(vertex, h) of
+    a cone on d generators in d dimensions: points, outward unit normals
+    and weights, about n points per piece.
 
-    2D: two radial edges plus the circular arc, midpoint rules of n points
-    on each.  3D: a cone on three generators.  Face k, between the other
-    two generators g_i and g_j, is a sector of radius h and angle
-    arccos(g_i . g_j), on a midpoint polar grid of m by m points in the
-    basis (g_i, the unit part of g_j orthogonal to g_i); the spherical
-    patch takes `spherical_triangle_rule` at m nodes, m = max(8, sqrt(n)).
+    Facet k is the cone on the generators other than g_k, taken as m
+    radial Gauss-Legendre nodes r in [0, h] times its `cone_directions`,
+    with weight r^(d-2); its outward normal is minus column k of the
+    inverse generator matrix, which is orthogonal to the other generators
+    and positive on g_k.  The cap is vertex + h omega over the cone's own
+    `cone_directions`, with weight h^(d-1).  m = max(8, n^(1/(d-1))).
     """
-    v = q_cone.vertex
-    if q_cone.dim == 2:
-        g1, g2 = q_cone.generators
-        pts, nrm, wts = [], [], []
-        for g, inward in zip(q_cone.generators, q_cone.facet_normals):
-            t = (np.arange(n) + 0.5) / n * h
-            pts.append(v + np.outer(t, g))
-            nrm.append(np.tile(-inward, (n, 1)))
-            wts.append(np.full(n, h / n))
-        a1 = np.arctan2(g1[1], g1[0])
-        span = np.arccos(np.clip(np.dot(g1, g2), -1, 1))
-        ang = a1 + (np.arange(n) + 0.5) / n * span
-        rad = np.stack([np.cos(ang), np.sin(ang)], axis=1)
-        pts.append(v + h * rad)
-        nrm.append(rad)
-        wts.append(np.full(n, h * span / n))
-        return np.vstack(pts), np.vstack(nrm), np.concatenate(wts)
-    g = q_cone.generators
-    if len(g) != 3:
-        raise StabilityError("3D boundary quadrature needs a cone on three "
+    v, g, d = q_cone.vertex, q_cone.generators, q_cone.dim
+    if len(g) != d:
+        raise StabilityError(f"boundary quadrature needs a cone on {d} "
                              f"generators, got {len(g)}")
+    m = max(8, int(n ** (1 / (d - 1))))
+    x, w = gauss_legendre(m)
+    r = h * x
+    wr = h * w * r ** (d - 2)
+    outward = -np.linalg.inv(g).T
+    outward /= np.linalg.norm(outward, axis=1)[:, None]
     pts, nrm, wts = [], [], []
-    m = max(8, int(np.sqrt(n)))   # points per side of each patch
-    mid = (np.arange(m) + 0.5) / m
-    for k_out in range(3):
-        gi, gj = g[(k_out + 1) % 3], g[(k_out + 2) % 3]
-        c = np.dot(gi, gj)
-        span = np.arccos(np.clip(c, -1, 1))
-        e2 = (gj - c * gi) / np.linalg.norm(gj - c * gi)
-        out = np.cross(gi, gj)
-        out *= -np.sign(out @ g[k_out]) / np.linalg.norm(out)
-        S, PHI = np.meshgrid(mid * h, mid * span, indexing="ij")
-        P = (v + S[..., None] * (np.cos(PHI)[..., None] * gi
-                                 + np.sin(PHI)[..., None] * e2))
-        pts.append(P.reshape(-1, 3))
-        nrm.append(np.tile(out, (m * m, 1)))
-        wts.append((S * (h / m) * (span / m)).ravel())
-    omega, w = spherical_triangle_rule(g, m)
+    for k in range(d):
+        omega, wd = cone_directions(np.delete(g, k, axis=0), m)
+        pts.append(v + (r[:, None, None] * omega).reshape(-1, d))
+        nrm.append(np.tile(outward[k], (len(pts[-1]), 1)))
+        wts.append(np.outer(wr, wd).ravel())
+    omega, wd = cone_directions(g, m)
     pts.append(v + h * omega)
     nrm.append(omega)
-    wts.append(h ** 2 * w)
+    wts.append(h ** (d - 1) * wd)
     return np.vstack(pts), np.vstack(nrm), np.concatenate(wts)
 
 

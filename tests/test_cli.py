@@ -80,6 +80,21 @@ def test_build_scene_schema_guard():
         cli.build_scene(d)
 
 
+@pytest.mark.parametrize("body", [{"scenes": [scene_dict()], "tol": 1e-6},
+                                  dict(scene_dict(), tol=1e-6)],
+                         ids=["manifest", "scene"])
+def test_unknown_keys_are_rejected(tmp_path, capsys, body):
+    # a key the CLI does not read would only change the manifest hash
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps(body))
+    rc = cli.main(["solve", "--scene", str(scene), "--seed", "1",
+                   "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "CliError" and "tol" in err["message"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_contrast_kinds():
     d = scene_dict()
     d["contrast"] = {"kind": "affine",

@@ -444,7 +444,7 @@ def test_convex_hull_cone_3d_has_one_generator_per_hull_neighbour():
         assert len(K.generators) == len(np.unique(around)) - 1
 
 
-def test_spherical_triangle_rule_solid_angle():
+def test_cone_directions_solid_angle():
     # the weights sum to the solid angle, tan(Omega/2) =
     # |g0.(g1 x g2)| / (1 + g0.g1 + g1.g2 + g2.g0) for unit generators
     # (Van Oosterom and Strackee 1983); the directions are unit vectors
@@ -454,7 +454,7 @@ def test_spherical_triangle_rule_solid_angle():
               np.array([0.0, 0.0, 1.0]) + 0.4 * rng.standard_normal((3, 3))]:
         K = geom.PolyCone(np.zeros(3), g, "polyhedral")
         g0, g1, g2 = K.generators
-        omega, w = geom.spherical_triangle_rule(K.generators, 24)
+        omega, w = geom.cone_directions(K.generators, 24)
         solid = 2 * np.arctan2(abs(g0 @ np.cross(g1, g2)),
                                1 + g0 @ g1 + g1 @ g2 + g2 @ g0)
         assert omega.shape == (576, 3) and w.shape == (576,)
@@ -462,6 +462,47 @@ def test_spherical_triangle_rule_solid_angle():
         np.testing.assert_allclose(np.linalg.norm(omega, axis=1), 1.0,
                                    atol=1e-15)
         assert np.all(geom.cone_mask(K, omega, tol=1e-12))
+
+
+@pytest.mark.parametrize("g", [[[1.0, 0.0], [-0.19, 0.98]],
+                               [[1.0, 0.0, 0.0], [0.3, 1.0, 0.2]]],
+                         ids=["2d", "3d"])
+def test_cone_directions_arc(g):
+    # two generators: unit directions on the arc from g0 to g1, whose
+    # weights sum to the opening angle
+    g = np.asarray(g) / np.linalg.norm(g, axis=1)[:, None]
+    omega, w = geom.cone_directions(g, 16)
+    assert omega.shape == (16, len(g[0])) and w.shape == (16,)
+    assert abs(np.sum(w) - np.arccos(g[0] @ g[1])) <= 1e-14
+    np.testing.assert_allclose(np.linalg.norm(omega, axis=1), 1.0,
+                               atol=1e-15)
+    # each direction lies in the plane of g0 and g1, between them
+    coef = np.linalg.lstsq(g.T, omega.T, rcond=None)[0]
+    np.testing.assert_allclose(coef.T @ g, omega, atol=1e-14)
+    assert np.all(coef > 0)
+
+
+def test_cone_directions_single_generator():
+    g = np.array([[0.6, 0.0, 0.8]])
+    omega, w = geom.cone_directions(g, 16)
+    np.testing.assert_array_equal(omega, g)
+    np.testing.assert_array_equal(w, [1.0])
+
+
+def test_gauss_legendre_is_cached_and_read_only(monkeypatch):
+    geom.gauss_legendre.cache_clear()
+    calls = []
+    base = np.polynomial.legendre.leggauss
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss",
+                        lambda m: calls.append(m) or base(m))
+    x, w = geom.gauss_legendre(24)
+    assert geom.gauss_legendre(24)[0] is x and calls == [24]
+    nodes, weights = base(24)
+    np.testing.assert_array_equal(x, 0.5 * (nodes + 1))
+    np.testing.assert_array_equal(w, 0.5 * weights)
+    for a in (x, w):
+        with pytest.raises(ValueError):
+            a[0] = 0.0
 
 
 def test_minimal_enclosing_cone():

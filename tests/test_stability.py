@@ -37,11 +37,11 @@ def test_cone_boundary_quadrature_2d_closure():
     K = geom.PolyCone(np.array([0.3, -0.1]),
                       np.array([[1.0, 0.0], [0.0, 1.0]]), "polyhedral")
     h = 0.4
-    pts, nrm, wts = stability.cone_boundary_quadrature(K, h)
+    pts, nrm, wts = stability.cone_boundary_quadrature(K, h, 256)
     np.testing.assert_allclose(np.linalg.norm(nrm, axis=1), 1.0, atol=1e-12)
     assert abs(np.sum(wts) - (2 * h + h * np.pi / 2)) < 1e-12
     flux = nrm.T @ wts
-    assert np.max(np.abs(flux)) < 1e-3  # midpoint rule closure
+    assert np.max(np.abs(flux)) < 1e-12
 
 
 def test_cone_boundary_quadrature_3d_area():
@@ -99,16 +99,27 @@ def _rotated_orthant(vertex):
 def _exp_flux_error(rule, K, h, n):
     """Relative error of the flux of e^(xi.x) n through dQ_h against xi
     times its volume integral, by the divergence theorem.  The reference
-    integrates r^2 e^(r xi.omega) over [0, h] by 64-node Gauss-Legendre
-    and omega over the spherical triangle at 96 nodes, far finer than
-    the boundary rules under test."""
-    omega, w = geom.spherical_triangle_rule(K.generators, 96)
+    integrates r^(d-1) e^(r xi.omega) over [0, h] by 64-node
+    Gauss-Legendre and omega over the cone's directions at 96 nodes: in
+    2D by Gauss-Legendre in the polar angle, in 3D over the spherical
+    triangle, far finer than the boundary rules under test."""
+    d = K.dim
+    xi = XI[:d]
+    if d == 2:
+        lo, hi = np.arctan2(K.generators[:, 1], K.generators[:, 0])
+        x, w = np.polynomial.legendre.leggauss(96)
+        span = (hi - lo) % (2 * np.pi)
+        theta = lo + 0.5 * span * (x + 1)
+        omega = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+        w = 0.5 * span * w
+    else:
+        omega, w = geom.cone_directions(K.generators, 96)
     x, wr = np.polynomial.legendre.leggauss(64)
     r, wr = 0.5 * h * (x + 1), 0.5 * h * wr
-    radial = np.exp(np.outer(omega @ XI, r)) @ (wr * r ** 2)
-    ref = XI * np.exp(XI @ K.vertex) * np.sum(w * radial)
+    radial = np.exp(np.outer(omega @ xi, r)) @ (wr * r ** (d - 1))
+    ref = xi * np.exp(xi @ K.vertex) * np.sum(w * radial)
     pts, nrm, wts = rule(K, h, n)
-    flux = (np.exp(pts @ XI) * wts) @ nrm
+    flux = (np.exp(pts @ xi) * wts) @ nrm
     return np.linalg.norm(flux - ref) / np.linalg.norm(ref)
 
 
@@ -145,8 +156,18 @@ def test_divergence_theorem_on_truncated_trihedral(gens):
          else geom.PolyCone(vertex, gens, "polyhedral"))
     coarse, fine = (_exp_flux_error(stability.cone_boundary_quadrature,
                                     K, 0.4, n) for n in (256, 1024))
-    assert coarse <= 1e-3
+    assert coarse <= 1e-9
     assert fine <= coarse / 3
+
+
+@pytest.mark.parametrize("gens", [[[1.0, 0.0], [0.0, 1.0]],
+                                  [[1.0, 0.0], [-0.19, 0.98]]],
+                         ids=["quarter-plane", "wedge-101-degrees"])
+def test_divergence_theorem_on_truncated_wedge(gens):
+    K = geom.PolyCone(np.array([0.1, -0.2]), gens, "polyhedral")
+    for n in (16, 64, 256):
+        assert _exp_flux_error(stability.cone_boundary_quadrature,
+                               K, 0.4, n) <= 1e-12
 
 
 def test_trihedral_boundary_beats_the_orthant_midpoint_rule():
@@ -162,7 +183,7 @@ def test_cone_boundary_quadrature_needs_three_generators():
                                           [-1.0, -1.0, 1.0], [1.0, -1.0, 1.0]],
                             "polyhedral")
     with pytest.raises(stability.StabilityError):
-        stability.cone_boundary_quadrature(pyramid, 0.3)
+        stability.cone_boundary_quadrature(pyramid, 0.3, 256)
 
 
 # ---------------------------------------------------------------------------
