@@ -217,13 +217,12 @@ class PolyCone:
     """Cone with a vertex: either polyhedral (conic hull of generators) or
     spherical (axis = generators[0], given opening half-angle).  A 2D wedge
     is stored counterclockwise; a 3D polyhedral cone must be pointed and
-    full-dimensional.  facet_normals: inward unit normals of the facets."""
+    full-dimensional."""
 
     vertex: np.ndarray
     generators: np.ndarray     # (g, dim) unit vectors
     kind: str                  # "polyhedral" | "spherical"
     half_angle: float = 0.0    # spherical cones only
-    facet_normals: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         v = np.asarray(self.vertex, dtype=float)
@@ -236,19 +235,16 @@ class PolyCone:
             raise GeometryError(f"unknown cone kind {self.kind!r}")
         if self.kind == "spherical" and not (0 < self.half_angle < np.pi):
             raise GeometryError("spherical cone needs half-angle in (0, pi)")
-        normals = np.zeros((0, v.size))
         if self.kind == "polyhedral" and v.size == 2:
             if len(g) != 2 or not (0 < _angle_between(g[0], g[1]) < np.pi):
                 raise GeometryError("2D polyhedral cone must be two generators "
                                     "spanning an angle in (0, pi)")
             if _cross2(g[0], g[1]) < 0:
                 g = g[::-1].copy()
-            normals = np.array([[-g[0, 1], g[0, 0]], [g[1, 1], -g[1, 0]]])
         elif self.kind == "polyhedral":
-            normals = _facet_normals_3d(g)
+            _check_pointed_3d(g)
         object.__setattr__(self, "vertex", v)
         object.__setattr__(self, "generators", g)
-        object.__setattr__(self, "facet_normals", normals)
 
     @property
     def dim(self) -> int:
@@ -308,9 +304,10 @@ def cone_directions(generators, m: int):
             (np.outer(w, w) * s * jac).ravel())
 
 
-def _facet_normals_3d(g: np.ndarray) -> np.ndarray:
-    """Inward unit normals of the planes through two generators that leave
-    every generator on one side: the facets of a pointed 3D cone."""
+def _check_pointed_3d(g: np.ndarray) -> None:
+    """Raise unless the 3D cone on generators g is full-dimensional and
+    pointed: the planes through two generators that leave every generator
+    on one side (its facets) must have normals spanning 3D."""
     if np.linalg.matrix_rank(g, tol=1e-9) < 3:
         raise GeometryError("3D polyhedral cone generators are not "
                             "full-dimensional")
@@ -319,34 +316,14 @@ def _facet_normals_3d(g: np.ndarray) -> np.ndarray:
     size = np.linalg.norm(n, axis=1)
     n = n[size > 1e-9] / size[size > 1e-9, None]
     side = n @ g.T
-    sign = np.where(np.all(side >= -1e-10, axis=1), 1.0,
-                    np.where(np.all(side <= 1e-10, axis=1), -1.0, 0.0))
-    normals = sign[sign != 0, None] * n[sign != 0]
-    if len(normals) == 0 or np.linalg.matrix_rank(normals, tol=1e-9) < 3:
+    facets = n[np.all(side >= -1e-10, axis=1) | np.all(side <= 1e-10, axis=1)]
+    if len(facets) == 0 or np.linalg.matrix_rank(facets, tol=1e-9) < 3:
         raise GeometryError("3D polyhedral cone is not pointed")
-    return normals
 
 
 def _angle_between(a, b) -> float:
     c = float(np.clip(np.dot(a, b), -1.0, 1.0))
     return float(np.arccos(c))
-
-
-def cone_mask(K: PolyCone, pts, tol: float = 0.0) -> np.ndarray:
-    """Vectorized closed-cone membership for point arrays (..., dim).
-
-    The vertex belongs to the cone.  With d the unit direction from the
-    vertex, a spherical cone holds d when d . axis >= cos(half_angle) - tol,
-    a polyhedral one when d . n >= -tol for every inward facet normal n."""
-    d = np.asarray(pts, dtype=float) - K.vertex
-    r = np.sqrt(coord_dot(d, d))
-    if K.kind == "spherical":
-        cosang = np.tensordot(d, K.axis, axes=1) / np.where(r > 0, r, 1.0)
-        return (r <= tol) | (cosang >= np.cos(K.half_angle) - tol)
-    ok = np.ones(r.shape, dtype=bool)
-    for n in K.facet_normals:
-        ok &= coord_dot(d, n) >= -tol * r
-    return ok | (r <= tol)
 
 
 def polygon_vertex_angle(P: Polytope, index: int) -> float:

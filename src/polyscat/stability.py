@@ -20,8 +20,8 @@ import numpy as np
 from . import cgo, rellich
 from .cgo import CgoDirection, faddeev_decay_case
 from .fields import ContrastField, WaveField, h2_surrogate, polytope_mask
-from .geom import (PolyCone, admissibility_report, cone_directions, cone_mask,
-                   coord_dot, gauss_legendre, hausdorff_distance)
+from .geom import (PolyCone, admissibility_report, cone_directions,
+                   gauss_legendre, hausdorff_distance)
 from .rellich import Calibration, float_view, quantitative_rellich
 from .solver import solve_forward
 
@@ -148,49 +148,63 @@ def gradient_at(f, pts, step: float):
 
 
 # ---------------------------------------------------------------------------
-# Truncated-cone boundary quadrature
+# Truncated-cone quadrature
 # ---------------------------------------------------------------------------
+
+def _polar_rule(vertex, generators, h: float, m: int, power: int):
+    """Points vertex + r omega and weights over m radial Gauss-Legendre
+    nodes r in [0, h] times the cone's `cone_directions` at m nodes, with
+    weight r^power, radius-major."""
+    x, w = gauss_legendre(m)
+    r = h * x
+    omega, wd = cone_directions(generators, m)
+    pts = vertex + (r[:, None, None] * omega).reshape(-1, len(vertex))
+    return pts, np.outer(h * w * r ** power, wd).ravel()
+
+
+def _simplicial_generators(q_cone: PolyCone) -> np.ndarray:
+    g = q_cone.generators
+    if len(g) != q_cone.dim:
+        raise StabilityError(f"truncated-cone quadrature needs a cone on "
+                             f"{q_cone.dim} generators, got {len(g)}")
+    return g
+
+
+def cone_volume_quadrature(q_cone: PolyCone, h: float, n: int):
+    """Quadrature for Q_h = cone intersect B(vertex, h) of a cone on d
+    generators in d dimensions: points and weights of `_polar_rule` on the
+    whole cone with weight r^(d-1), m = max(8, n // 4)."""
+    g = _simplicial_generators(q_cone)
+    return _polar_rule(q_cone.vertex, g, h, max(8, n // 4), q_cone.dim - 1)
+
 
 def cone_boundary_quadrature(q_cone: PolyCone, h: float, n: int):
     """Quadrature for the boundary of Q_h = cone intersect B(vertex, h) of
     a cone on d generators in d dimensions: points, outward unit normals
     and weights, about n points per piece.
 
-    Facet k is the cone on the generators other than g_k, taken as m
-    radial Gauss-Legendre nodes r in [0, h] times its `cone_directions`,
-    with weight r^(d-2); its outward normal is minus column k of the
-    inverse generator matrix, which is orthogonal to the other generators
-    and positive on g_k.  The cap is vertex + h omega over the cone's own
-    `cone_directions`, with weight h^(d-1).  m = max(8, n^(1/(d-1))).
+    Facet k is the cone on the generators other than g_k, taken by
+    `_polar_rule` with weight r^(d-2); its outward normal is minus column
+    k of the inverse generator matrix, which is orthogonal to the other
+    generators and positive on g_k.  The cap is vertex + h omega over the
+    cone's own `cone_directions`, with weight h^(d-1).
+    m = max(8, n^(1/(d-1))).
     """
-    v, g, d = q_cone.vertex, q_cone.generators, q_cone.dim
-    if len(g) != d:
-        raise StabilityError(f"boundary quadrature needs a cone on {d} "
-                             f"generators, got {len(g)}")
+    v, g, d = q_cone.vertex, _simplicial_generators(q_cone), q_cone.dim
     m = max(8, int(n ** (1 / (d - 1))))
-    x, w = gauss_legendre(m)
-    r = h * x
-    wr = h * w * r ** (d - 2)
     outward = -np.linalg.inv(g).T
     outward /= np.linalg.norm(outward, axis=1)[:, None]
     pts, nrm, wts = [], [], []
     for k in range(d):
-        omega, wd = cone_directions(np.delete(g, k, axis=0), m)
-        pts.append(v + (r[:, None, None] * omega).reshape(-1, d))
-        nrm.append(np.tile(outward[k], (len(pts[-1]), 1)))
-        wts.append(np.outer(wr, wd).ravel())
+        p, w = _polar_rule(v, np.delete(g, k, axis=0), h, m, d - 2)
+        pts.append(p)
+        nrm.append(np.tile(outward[k], (len(p), 1)))
+        wts.append(w)
     omega, wd = cone_directions(g, m)
     pts.append(v + h * omega)
     nrm.append(omega)
     wts.append(h ** (d - 1) * wd)
     return np.vstack(pts), np.vstack(nrm), np.concatenate(wts)
-
-
-def cone_ball_mask(q_cone: PolyCone, pts: np.ndarray, h: float) -> np.ndarray:
-    """Membership in Q_h = cone intersect B(vertex, h)."""
-    d = pts - q_cone.vertex
-    inside_ball = np.sqrt(coord_dot(d, d)) <= h
-    return inside_ball & cone_mask(q_cone, pts)
 
 
 # ---------------------------------------------------------------------------
@@ -218,18 +232,17 @@ def check_orthogonality(V: ContrastField, u_total, u_prime, u0,
 
     The three fields are WaveFields on one grid, interpolated together in
     one pass.  Q_h is the cone truncated at radius h around its vertex.
+    The volume term sums over the points of `cone_volume_quadrature`
+    inside V's support, whose Gauss rule takes max(8, n_volume // 4)
+    radial and per-angle nodes; the boundary term uses
+    `cone_boundary_quadrature` at n_boundary points per piece.
     u' must solve the free Helmholtz equation on Q_h (V' = 0 there); u0
     any solution with potential V.
     """
     f = field_interpolator(u_total, u_prime, u0)
-    v = q_cone.vertex
-    # volume term on a fine midpoint subgrid of the bounding box
-    cell = 2 * h / n_volume
-    ax = [v[i] - h + cell * (np.arange(n_volume) + 0.5)
-          for i in range(q_cone.dim)]
-    mesh = np.stack(np.meshgrid(*ax, indexing="ij"), axis=-1)
-    pts = mesh[cone_ball_mask(q_cone, mesh, h)]
-    pv = pts[polytope_mask(V.polytope, pts)]
+    pts, wts = cone_volume_quadrature(q_cone, h, n_volume)
+    inside = polytope_mask(V.polytope, pts)
+    pv = pts[inside]
     bpts, bnrm, bwts = cone_boundary_quadrature(q_cone, h, n_boundary)
     step = fd_step if fd_step is not None else h / 64
     # columns u, u', u0
@@ -237,8 +250,8 @@ def check_orthogonality(V: ContrastField, u_total, u_prime, u0,
                              bpts - step * bnrm]))
     vol_vals, on_b, plus, minus = np.split(
         vals, np.cumsum([len(pv), len(bpts), len(bpts)]))
-    vol = k ** 2 * np.sum(V.phi(pv) * vol_vals[:, 2] * vol_vals[:, 1]) \
-        * cell ** q_cone.dim
+    vol = k ** 2 * np.sum(V.phi(pv) * vol_vals[:, 2] * vol_vals[:, 1]
+                          * wts[inside])
     dn = (plus - minus) / (2 * step)
     diff = on_b[:, 1] - on_b[:, 0]
     dn_diff = dn[:, 1] - dn[:, 0]

@@ -62,7 +62,8 @@ def test_exponential_decay_in_cone():
     count = 0
     while count < 1000:
         x = K.vertex + rng.uniform(-3, 3, 2)
-        if not geom.cone_mask(K, x, tol=1e-10):
+        if (x - K.vertex) @ K.axis < (np.cos(K.half_angle)
+                                      * np.linalg.norm(x - K.vertex)):
             continue
         count += 1
         lhs = np.real(d.rho) @ (x - K.vertex)

@@ -208,119 +208,46 @@ def test_hausdorff_cuboids():
 # Cones
 # ---------------------------------------------------------------------------
 
-def test_cone_membership_2d():
-    # the quarter plane given counterclockwise and clockwise
+def test_polycone_stores_wedges_counterclockwise():
+    # the quarter plane given counterclockwise and clockwise, then random
+    # wedges in both orders: stored counterclockwise with their opening
     for gens in ([[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]]):
         K = geom.PolyCone(np.zeros(2), np.array(gens), "polyhedral")
-        assert geom.cone_mask(K, [0.0, 0.0], tol=1e-10)    # vertex belongs
-        assert geom.cone_mask(K, [0.5, 0.5], tol=1e-10)
-        assert geom.cone_mask(K, [1.0, 0.0], tol=1e-10)
-        assert not geom.cone_mask(K, [-0.1, 0.5], tol=1e-10)
         assert abs(K.opening_angle() - np.pi / 2) < 1e-12
         np.testing.assert_array_equal(K.generators, [[1.0, 0.0], [0.0, 1.0]])
-    # random wedges in both orders against the polar-angle test
     rng = np.random.default_rng(11)
     for _ in range(20):
-        vertex = rng.uniform(-1, 1, 2)
         a, span = rng.uniform(0, 2 * np.pi), rng.uniform(0.1, 3.0)
         g = np.array([[np.cos(a), np.sin(a)],
                       [np.cos(a + span), np.sin(a + span)]])
-        d = rng.standard_normal((200, 2))
-        expected = (np.arctan2(d[:, 1], d[:, 0]) - a) % (2 * np.pi) <= span
         for gens in (g, g[::-1]):
-            K = geom.PolyCone(vertex, gens, "polyhedral")
-            assert geom._cross2(*K.generators) > 0   # stored counterclockwise
-            got = [bool(geom.cone_mask(K, vertex + x, tol=1e-10)) for x in d]
-            assert got == list(expected)
-
-
-def test_cone_membership_spherical():
-    K = geom.PolyCone(np.zeros(3), np.array([[0.0, 0.0, 1.0]]),
-                      "spherical", half_angle=np.pi / 6)
-    assert geom.cone_mask(K, [0.0, 0.0, 2.0], tol=1e-10)
-    assert geom.cone_mask(K, [0.0, np.tan(np.pi / 6) - 1e-6, 1.0], tol=1e-10)
-    assert not geom.cone_mask(K, [0.0, 1.0, 1.0], tol=1e-10)
-
-
-def test_cone_membership_3d_polyhedral():
-    g = np.array([[1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0]])
-    K = geom.PolyCone(np.zeros(3), g, "polyhedral")
-    assert geom.cone_mask(K, [0.2, 0.3, 0.4], tol=1e-10)
-    assert not geom.cone_mask(K, [-0.2, 0.3, 0.4], tol=1e-10)
+            K = geom.PolyCone(rng.uniform(-1, 1, 2), gens, "polyhedral")
+            assert geom._cross2(*K.generators) > 0
+            np.testing.assert_allclose(K.generators, g, atol=1e-15)
+            assert abs(K.opening_angle() - span) < 1e-12
 
 
 def _conic_hull_contains(g, d, tol=1e-9) -> bool:
-    """Reference: d = sum lambda_i g_i with lambda >= 0, as a small LP."""
+    """Reference: every row of d is sum lambda_i g_i with lambda >= 0, as
+    one small LP over a block-diagonal system."""
     from scipy.optimize import linprog
-    res = linprog(c=np.zeros(len(g)), A_eq=g.T, b_eq=d,
-                  bounds=[(0, None)] * len(g), method="highs")
-    if res.status == 0:
+    from scipy.sparse import kron, identity
+    d = np.atleast_2d(d)
+    lp = dict(c=np.zeros(len(d) * len(g)),
+              A_eq=kron(identity(len(d)), np.asarray(g).T, format="csr"),
+              b_eq=d.ravel(), bounds=(0, None), method="highs")
+    if linprog(**lp).status == 0:
         return True
     # retry with slack for boundary points
-    res = linprog(c=np.zeros(len(g)), A_eq=g.T, b_eq=d,
-                  bounds=[(0, None)] * len(g), method="highs",
-                  options={"primal_feasibility_tolerance": tol})
+    res = linprog(**lp, options={"primal_feasibility_tolerance": tol})
     return res.status == 0
 
 
-def test_cone_mask_matches_conic_hull_lp_3d():
-    # hull cones of random cuboid pairs at an extreme vertex; probes are
-    # random directions, the generator rays and points just inside them
-    rng = np.random.default_rng(5)
-    for _ in range(8):
-        boxes = [geom.cuboid(rng.uniform(-0.3, 0.3, 3),
-                             rng.uniform(0.1, 0.4, 3),
-                             rotation=np.linalg.qr(
-                                 rng.standard_normal((3, 3)))[0])
-                 for _ in range(2)]
-        pts = np.vstack([b.vertices for b in boxes])
-        x_c = pts[np.argmax(pts @ rng.standard_normal(3))]
-        K = geom.convex_hull_cone(boxes[0], boxes[1], x_c)
-        g = K.generators
-        d = np.vstack([rng.standard_normal((40, 3)), g,
-                       g + 0.05 * rng.standard_normal(g.shape)])
-        d /= np.linalg.norm(d, axis=1)[:, None]
-        probes = x_c + rng.uniform(0.1, 2.0, (len(d), 1)) * d
-        got = geom.cone_mask(K, probes, tol=1e-10)
-        expected = [_conic_hull_contains(g, x) for x in d]
-        assert list(got) == expected
-        assert np.all(got[40:40 + len(g)])      # the generator rays
-        assert [bool(geom.cone_mask(K, x, tol=1e-10)) for x in probes] == expected
-
-
 def test_coordinate_sums_match_numpy_reductions():
-    # the kernels' explicit coordinate sums against the np.sum / norm forms
-    # they replace, bit for bit: random points, points on the facets and
-    # edges of the cones, and the vertex
-    from polyscat.stability import cone_ball_mask
+    # the explicit coordinate sums of the segment distance against the
+    # np.sum / norm forms they replace, bit for bit: random points and the
+    # segments' ends and midpoints
     rng = np.random.default_rng(17)
-    cones = [geom.PolyCone(rng.uniform(-0.5, 0.5, 2), [[1.0, 0.2], [-0.3, 1.0]],
-                           "polyhedral"),
-             geom.PolyCone(rng.uniform(-0.5, 0.5, 3), np.eye(3), "polyhedral"),
-             geom.PolyCone(rng.uniform(-0.5, 0.5, 3),
-                           [[1.0, 0.1, 0.0], [0.2, 1.0, 0.1], [0.1, 0.3, 1.0]],
-                           "polyhedral")]
-    for K in cones:
-        g = K.generators
-        i, j = np.triu_indices(len(g), 1)
-        s = rng.uniform(0, 1, (50, 1, 1))
-        edges = (s[:, :, 0] * g[:, None, :]).reshape(-1, K.dim)
-        facets = (s * g[i] + rng.uniform(0, 1, (50, 1, 1)) * g[j]).reshape(-1, K.dim)
-        pts = K.vertex + np.vstack([rng.uniform(-1, 1, (300, K.dim)),
-                                    edges, facets, np.zeros((1, K.dim))])
-        d = pts - K.vertex
-        r = np.linalg.norm(d, axis=-1)
-        for tol in (0.0, 1e-10):
-            want = np.ones(len(pts), dtype=bool)
-            for n in K.facet_normals:
-                want &= np.sum(d * n, axis=-1) >= -tol * r
-            np.testing.assert_array_equal(geom.cone_mask(K, pts, tol),
-                                          want | (r <= tol))
-        for h in (0.3, 0.7):
-            np.testing.assert_array_equal(
-                cone_ball_mask(K, pts, h), (r <= h) & geom.cone_mask(K, pts))
-    # segment distances from random points and from the segments' ends
-    # and midpoints
     a, b = rng.uniform(-1, 1, (2, 7, 2))
     x = np.vstack([rng.uniform(-1, 1, (200, 2)), a, b,
                    0.5 * (a + b)])[:, None, :]
@@ -354,10 +281,10 @@ def test_convex_hull_cone_contains_both_bodies():
     rng = np.random.default_rng(7)
     for body in (P, Q):
         lo, hi = body.vertices.min(0), body.vertices.max(0)
-        for _ in range(50):
-            x = rng.uniform(lo, hi)
-            if geom.polytope_mask(body, x, geom.MEMBERSHIP_TOL):
-                assert geom.cone_mask(cone, x, tol=1e-8)
+        x = rng.uniform(lo, hi, (50, 2))
+        x = x[geom.polytope_mask(body, x, geom.MEMBERSHIP_TOL)]
+        assert len(x) > 0
+        assert _conic_hull_contains(cone.generators, x - cone.vertex)
 
 
 def test_convex_hull_cone_requires_hull_vertex():
@@ -461,7 +388,7 @@ def test_cone_directions_solid_angle():
         assert abs(np.sum(w) - solid) <= 1e-12 * solid
         np.testing.assert_allclose(np.linalg.norm(omega, axis=1), 1.0,
                                    atol=1e-15)
-        assert np.all(geom.cone_mask(K, omega, tol=1e-12))
+        assert _conic_hull_contains(K.generators, omega)
 
 
 @pytest.mark.parametrize("g", [[[1.0, 0.0], [-0.19, 0.98]],

@@ -53,23 +53,6 @@ def test_cone_boundary_quadrature_3d_area():
     assert abs(np.sum(wts) - exact) < 1e-3 * exact
 
 
-def test_cone_ball_mask():
-    pts = np.array([[0.1, 0.1], [0.5, 0.5], [-0.1, 0.1], [0.1, -0.1]])
-    rng = np.random.default_rng(2)
-    cloud = rng.uniform(-0.5, 0.5, (2000, 2))
-    twins = []
-    # the quarter plane given counterclockwise and clockwise
-    for gens in ([[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]]):
-        K = geom.PolyCone(np.zeros(2), np.array(gens), "polyhedral")
-        m = stability.cone_ball_mask(K, pts, 0.4)
-        assert list(m) == [True, False, False, False]
-        twins.append(stability.cone_ball_mask(K, cloud, 0.4))
-        assert list(twins[-1]) == [bool(geom.cone_mask(K, x))
-                                   and np.linalg.norm(x) <= 0.4
-                                   for x in cloud]
-    np.testing.assert_array_equal(twins[0], twins[1])
-
-
 def test_divergence_theorem_on_truncated_cone():
     # int_Q div F = int_dQ F.n for F = (x^2, y^2): checks points, normals
     # and weights jointly
@@ -96,13 +79,11 @@ def _rotated_orthant(vertex):
     return geom.PolyCone(vertex, rot, "polyhedral")
 
 
-def _exp_flux_error(rule, K, h, n):
-    """Relative error of the flux of e^(xi.x) n through dQ_h against xi
-    times its volume integral, by the divergence theorem.  The reference
-    integrates r^(d-1) e^(r xi.omega) over [0, h] by 64-node
-    Gauss-Legendre and omega over the cone's directions at 96 nodes: in
-    2D by Gauss-Legendre in the polar angle, in 3D over the spherical
-    triangle, far finer than the boundary rules under test."""
+def _exp_volume_integral(K, h):
+    """Reference int_{Q_h} e^(xi.x) dx: r^(d-1) e^(r xi.omega) over
+    [0, h] by 64-node Gauss-Legendre and omega over the cone's directions
+    at 96 nodes, in 2D by Gauss-Legendre in the polar angle, in 3D over
+    the spherical triangle, far finer than the rules under test."""
     d = K.dim
     xi = XI[:d]
     if d == 2:
@@ -117,7 +98,14 @@ def _exp_flux_error(rule, K, h, n):
     x, wr = np.polynomial.legendre.leggauss(64)
     r, wr = 0.5 * h * (x + 1), 0.5 * h * wr
     radial = np.exp(np.outer(omega @ xi, r)) @ (wr * r ** (d - 1))
-    ref = xi * np.exp(xi @ K.vertex) * np.sum(w * radial)
+    return np.exp(xi @ K.vertex) * np.sum(w * radial)
+
+
+def _exp_flux_error(rule, K, h, n):
+    """Relative error of the flux of e^(xi.x) n through dQ_h against xi
+    times its volume integral, by the divergence theorem."""
+    xi = XI[:K.dim]
+    ref = xi * _exp_volume_integral(K, h)
     pts, nrm, wts = rule(K, h, n)
     flux = (np.exp(pts @ xi) * wts) @ nrm
     return np.linalg.norm(flux - ref) / np.linalg.norm(ref)
@@ -179,11 +167,51 @@ def test_trihedral_boundary_beats_the_orthant_midpoint_rule():
 
 
 def test_cone_boundary_quadrature_needs_three_generators():
+    # and so does the volume rule: a spherical cone has one generator, a
+    # square pyramid's apex four
+    spherical = geom.PolyCone(np.zeros(3), [[0.0, 0.0, 1.0]], "spherical",
+                              half_angle=0.5)
     pyramid = geom.PolyCone(np.zeros(3), [[1.0, 1.0, 1.0], [-1.0, 1.0, 1.0],
                                           [-1.0, -1.0, 1.0], [1.0, -1.0, 1.0]],
                             "polyhedral")
-    with pytest.raises(stability.StabilityError):
-        stability.cone_boundary_quadrature(pyramid, 0.3, 256)
+    for K in (spherical, pyramid):
+        for rule in (stability.cone_boundary_quadrature,
+                     stability.cone_volume_quadrature):
+            with pytest.raises(stability.StabilityError):
+                rule(K, 0.3, 256)
+
+
+TRUNCATED_CONES = {
+    "quarter-plane": geom.PolyCone(np.array([0.1, -0.2]),
+                                   [[1.0, 0.0], [0.0, 1.0]], "polyhedral"),
+    "wedge-101-degrees": geom.PolyCone(np.array([0.1, -0.2]),
+                                       [[1.0, 0.0], [-0.19, 0.98]],
+                                       "polyhedral"),
+    "rotated-orthant": _rotated_orthant(np.array([0.1, -0.2, 0.3])),
+    "verify-trihedral": geom.PolyCone(np.array([0.1, -0.2, 0.3]),
+                                      [[1.0, 0.0, 0.0], [0.3, 1.0, 0.0],
+                                       [0.2, 0.4, 1.0]], "polyhedral"),
+}
+
+
+@pytest.mark.parametrize("name", list(TRUNCATED_CONES))
+def test_cone_volume_quadrature(name):
+    # the weights sum to |Q_h|: opening h^2/2 in 2D, Omega h^3/3 in 3D with
+    # the solid angle Omega of Van Oosterom and Strackee (1983); and the
+    # rule integrates e^(xi.x) over Q_h to the polar reference (the rotated
+    # orthant's angular error at m = 16 is 2e-12, the others' 1e-14)
+    K, h = TRUNCATED_CONES[name], 0.4
+    pts, wts = stability.cone_volume_quadrature(K, h, 64)
+    if K.dim == 2:
+        size = K.opening_angle() * h ** 2 / 2
+    else:
+        g0, g1, g2 = K.generators
+        size = 2 * np.arctan2(abs(g0 @ np.cross(g1, g2)),
+                              1 + g0 @ g1 + g1 @ g2 + g2 @ g0) * h ** 3 / 3
+    assert abs(np.sum(wts) - size) <= 1e-12 * size
+    np.testing.assert_array_less(np.linalg.norm(pts - K.vertex, axis=1), h)
+    ref = _exp_volume_integral(K, h)
+    assert abs(np.exp(pts @ XI[:K.dim]) @ wts - ref) <= 1e-11 * abs(ref)
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +265,22 @@ def test_orthogonality_mismatch_shrinks_under_refinement():
                                             n_boundary=nb, fd_step=fs)
         mismatches.append(rep.relative_mismatch)
     assert mismatches[1] < mismatches[0] / 1.8
+
+
+def test_orthogonality_volume_term_is_converged():
+    # criterion 6's square at n = 192: the volume term does not move when
+    # the volume rule is refined eightfold
+    from polyscat.solver import solve_forward
+    k, h = 2.0, 0.1
+    V = square_contrast(0.4)
+    g = fields.centered_grid(1.0, 192, dim=2)
+    sol = solve_forward(V, k, [1.0, 0.0], g)
+    up = fields.plane_wave(k, [1.0, 0.0], g)
+    p_cone, _ = top_vertex_cones(V.polytope, [-0.35, 0.35])
+    coarse, fine = (stability.check_orthogonality(
+        V, sol.total, up, sol.total, p_cone, h=h, k=k, n_volume=n,
+        n_boundary=256, fd_step=h / 128).volume_term for n in (96, 768))
+    assert abs(coarse - fine) <= 1e-9 * abs(fine)
 
 
 def test_orthogonality_one_interpolant_one_pass(monkeypatch):
