@@ -77,15 +77,21 @@ def build_scene(d: dict):
     P = polytope_from_dict(d["polytope"])
     V = contrast_from_dict(P, d["contrast"])
     k = float(d["k"])
+    if not 0 < k < np.inf:
+        raise CliError("k must be finite and > 0")
     omega = np.asarray(d["omega"], dtype=float)
     norm = np.linalg.norm(omega)
     if omega.shape != (P.dim,) or not 0 < norm < np.inf:
         raise CliError(f"omega must be a finite nonzero {P.dim}-vector")
     omega = omega / norm
     g = d["grid"]
-    grid = centered_grid(float(g["half_width"]), int(g["n"]), P.dim,
-                         g.get("center"))
-    R = float(d.get("R", g["half_width"]))
+    n, half_width = g["n"], float(g["half_width"])
+    if not isinstance(n, int) or n < 1:
+        raise CliError("grid n must be an integer >= 1")
+    if not 0 < half_width < np.inf:
+        raise CliError("grid half_width must be finite and > 0")
+    grid = centered_grid(half_width, n, P.dim, g.get("center"))
+    R = float(d.get("R", half_width))
     if not P.contained_in_ball(R, np.zeros(P.dim)):
         raise CliError("polytope escapes the scene ball B(0, R)")
     return V, k, omega, grid, R

@@ -8,9 +8,11 @@ to box in the solve, box to grid when the grid is read) by FFTs on one
 circulant embedding of their offsets, run per axis over only the lines
 that hold data; the singular cell is replaced by the analytic average of
 Phi_k over an equal-measure disc/ball, and the linear system is solved
-with a native restarted GMRES (numpy only, one true-residual matvec per
-restart cycle, the restart length the longest whose Krylov basis fits
-KRYLOV_BYTES).  The radiation condition is exact by
+with a native restarted GMRES (numpy only: block classical Gram-Schmidt
+done twice per Arnoldi step, the residual norm read off the Hessenberg
+matrix's left null vector, one least-squares solve and one true-residual
+matvec per restart cycle, the restart length the longest whose Krylov
+basis fits KRYLOV_BYTES).  The radiation condition is exact by
 construction of the kernel.  The far field is summed over the bounding box
 of supp V u, where the phase e^(-ik theta.y) splits into one factor per
 grid axis.
@@ -160,26 +162,30 @@ def gmres(matvec, b: np.ndarray, tol: float, restart: int,
     """Restarted GMRES (Saad & Schultz 1986) for A x = b from x = 0, with
     A given by `matvec`.  Returns (x, inner iterations, r = b - A x).
 
-    Each cycle builds an Arnoldi basis by modified Gram-Schmidt and
-    reduces its Hessenberg matrix by complex Givens rotations in LAPACK's
-    zlartg convention (c real, s complex), so |g_(j+1)| of the rotated
-    right-hand side is the residual norm of the cycle's least-squares
-    solution.  The inner loop stops when |g_(j+1)| <= tol ||b||, after
+    Each Arnoldi step orthogonalises A v_j against the basis by block
+    classical Gram-Schmidt done twice (CGS2; Giraud, Langou & Rozloznik
+    2005), two matrix products per pass, and the Hessenberg column is the
+    sum of both passes' coefficients.  The step also extends z, the
+    conjugated left null vector of the (j + 2) x (j + 1) Hessenberg
+    matrix H with z_0 = 1.  The least-squares residual beta e_1 - H y is
+    orthogonal to range(H), so it lies in span(z) and its norm is
+    beta / ||z||: the inner loop stops when that is <= tol ||b||, after
     `restart` steps, or on breakdown, h_(j+1,j) <= eps ||A v_j|| (the
-    Krylov space holds the solution).  Every cycle then takes one matvec
-    for the true residual r = b - A x, which it restarts from and which
-    is returned; the solve has converged when ||r|| <= tol ||b||.  After
-    `maxiter` cycles it returns unconverged, so the caller compares ||r||
-    with tol ||b||.  A zero b returns x = 0, 0 iterations and r = b.
+    Krylov space holds the solution).  Each cycle ends with one
+    least-squares solve for y (minimum-norm, so a zero H leaves x as it
+    is) and one matvec for the true residual r = b - A x, which it
+    restarts from and which is returned.
+    The solve has converged when ||r|| <= tol ||b||; it stops
+    unconverged after `maxiter` cycles, at a non-finite true residual,
+    or at the first non-finite A v_j (returning the last iterate and its
+    residual), so the caller compares ||r|| with tol ||b||.  A zero b
+    returns x = 0, 0 iterations and r = b.
 
     perfbench/tracing.py looks this function up as `solver.gmres` and
     wraps it, so it keeps that name."""
     b = np.asarray(b, dtype=complex)
     x = np.zeros_like(b)
-    bnorm = np.linalg.norm(b)
-    if bnorm == 0:
-        return x, 0, b
-    atol = tol * bnorm
+    atol = tol * np.linalg.norm(b)
     eps = np.finfo(float).eps
     restart = min(restart, b.size)
     # mapped, not malloc'd, so that a basis of up to KRYLOV_BYTES costs
@@ -188,43 +194,40 @@ def gmres(matvec, b: np.ndarray, tol: float, restart: int,
     # page it has touched, and calloc clears all of h there
     v = _mapped_zeros(restart + 1, b.size)
     h = _mapped_zeros(restart, restart + 1)              # row j: column j
-    rot = np.zeros((restart, 2), dtype=complex)          # (c, s) per step
+    z = np.zeros(restart + 1, dtype=complex)
+    z[0] = 1
     r, iterations = b, 0
     for _ in range(maxiter):
-        g = np.zeros(restart + 1, dtype=complex)
-        g[0] = np.linalg.norm(r)
-        v[0] = r / g[0]
+        beta = np.linalg.norm(r)
+        if beta <= atol or not np.isfinite(beta):
+            break
+        v[0] = r / beta
         for j in range(restart):
             w = matvec(v[j]).astype(complex)   # a copy, so v is never written
-            h0 = np.linalg.norm(w)
-            for i in range(j + 1):
-                h[j, i] = np.vdot(v[i], w)
-                w -= h[j, i] * v[i]
-            h1 = np.linalg.norm(w)
-            breakdown = h1 <= eps * h0
-            h[j, j + 1] = 0 if breakdown else h1
-            if not breakdown:
-                v[j + 1] = w / h1
-            for i, (c, s) in enumerate(rot[:j]):
-                top = h[j, i]
-                h[j, i] = c * top + s * h[j, i + 1]
-                h[j, i + 1] = c * h[j, i + 1] - s.conjugate() * top
-            c, s, h[j, j] = _givens(h[j, j], h[j, j + 1])
-            rot[j] = c, s
-            g[j], g[j + 1] = c * g[j], -s.conjugate() * g[j]
             iterations += 1
-            if abs(g[j + 1]) <= atol or breakdown:
+            h0 = np.linalg.norm(w)
+            if not np.isfinite(h0):
+                return x, iterations, r
+            basis = v[:j + 1]
+            c = (basis @ w.conj()).conj()
+            w -= c @ basis
+            d = (basis @ w.conj()).conj()
+            w -= d @ basis
+            h[j, :j + 1] = c + d
+            h1 = np.linalg.norm(w)
+            if h1 <= eps * h0:
+                h[j, j + 1] = 0
                 break
-        # back-substitution on the rotated triangle; a zero pivot (A
-        # singular on the Krylov space) leaves its component at 0
-        y = np.zeros(j + 1, dtype=complex)
-        for i in range(j, -1, -1):
-            if h[i, i] != 0:
-                y[i] = (g[i] - h[i + 1:j + 1, i] @ y[i + 1:]) / h[i, i]
+            h[j, j + 1] = h1
+            v[j + 1] = w / h1
+            z[j + 1] = -(z[:j + 1] @ h[j, :j + 1]) / h1
+            if beta <= atol * np.linalg.norm(z[:j + 2]):
+                break
+        rhs = np.zeros(j + 2)
+        rhs[0] = beta
+        y = np.linalg.lstsq(h[:j + 1, :j + 2].T, rhs, rcond=None)[0]
         x += y @ v[:j + 1]
         r = b - matvec(x)
-        if np.linalg.norm(r) <= atol:
-            break
     return x, iterations, r
 
 
@@ -234,18 +237,6 @@ def _mapped_zeros(rows: int, cols: int) -> np.ndarray:
     released with the array."""
     return np.frombuffer(mmap.mmap(-1, 16 * rows * cols),
                          dtype=complex).reshape(rows, cols)
-
-
-def _givens(f: complex, g: complex) -> tuple[float, complex, complex]:
-    """(c, s, r), c real, with [c s; -conj(s) c] [f; g] = [r; 0] as in
-    LAPACK's zlartg."""
-    if g == 0:
-        return 1.0, 0j, f
-    if f == 0:
-        return 0.0, g.conjugate() / abs(g), abs(g)
-    d = np.hypot(abs(f), abs(g))
-    phase = f / abs(f)
-    return abs(f) / d, phase * g.conjugate() / d, phase * d
 
 
 def solve_volume_equation(op: PaddedFFTMultiplier, m: np.ndarray,
@@ -275,7 +266,7 @@ def solve_volume_equation(op: PaddedFFTMultiplier, m: np.ndarray,
     rnorm, bnorm = np.linalg.norm(r), np.linalg.norm(rhs)
     # a zero rhs has the exact solution 0, and its residual is absolute
     res = float(rnorm / (bnorm or 1.0))
-    if rnorm > tol * bnorm:
+    if not rnorm <= tol * bnorm:   # a NaN residual fails too
         raise SolverError(f"GMRES did not converge in {iterations} "
                           f"iterations at restart {restart} "
                           f"(residual={res:.3e})")

@@ -66,6 +66,27 @@ def test_build_scene_rejects_bad_direction(omega):
         cli.build_scene(d)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("k", 0.0), ("k", -2.0), ("k", float("nan")), ("k", float("inf")),
+    ("n", 0), ("n", 2.5), ("half_width", 0.0), ("half_width", float("inf"))],
+    ids=["k-zero", "k-negative", "k-nan", "k-inf", "n-zero", "n-fraction",
+         "half_width-zero", "half_width-inf"])
+def test_build_scene_rejects_bad_numbers(tmp_path, capsys, key, value):
+    # k = 0 and n = 0 divided by zero, k < 0 spun GMRES on a NaN system,
+    # and half_width = inf reached the far field
+    d = scene_dict()
+    (d if key == "k" else d["grid"])[key] = value
+    with pytest.raises(cli.CliError, match=key):
+        cli.build_scene(d)
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps(d))
+    rc = cli.main(["solve", "--scene", str(scene), "--seed", "1",
+                   "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "CliError" and key in err["message"]
+
+
 def test_build_scene_ball_guard():
     d = scene_dict()
     d["R"] = 0.2
