@@ -90,7 +90,10 @@ def build_scene(d: dict):
         raise CliError("grid n must be an integer >= 1")
     if not 0 < half_width < np.inf:
         raise CliError("grid half_width must be finite and > 0")
-    grid = centered_grid(half_width, n, P.dim, g.get("center"))
+    center = np.asarray(g.get("center", np.zeros(P.dim)), dtype=float)
+    if center.shape != (P.dim,) or not np.all(np.isfinite(center)):
+        raise CliError(f"grid center must be a finite {P.dim}-vector")
+    grid = centered_grid(half_width, n, P.dim, center)
     R = float(d.get("R", half_width))
     if not P.contained_in_ball(R, np.zeros(P.dim)):
         raise CliError("polytope escapes the scene ball B(0, R)")
@@ -115,6 +118,15 @@ def load_manifest(args) -> dict:
     if args.calibration:
         manifest["calibration"] = args.calibration
     return manifest
+
+
+def _single_scene(manifest: dict) -> dict:
+    """The one scene of a manifest, for the commands that run one scene:
+    a further scene would be dropped unread, so it raises CliError."""
+    if len(manifest["scenes"]) != 1:
+        raise CliError(f"{manifest['command']} runs one scene; the manifest "
+                       f"holds {len(manifest['scenes'])}")
+    return manifest["scenes"][0]
 
 
 def manifest_hash(manifest: dict) -> str:
@@ -220,7 +232,7 @@ def cmd_solve(args) -> int:
 def cmd_calibrate(args) -> int:
     manifest = load_manifest(args)
     mhash = manifest_hash(manifest)
-    _, k, _, grid, R = build_scene(manifest["scenes"][0])
+    _, k, _, grid, R = build_scene(_single_scene(manifest))
     cal = _calibrate(manifest, k, grid.dim)
     write_json(args, "calibration.json", asdict(cal), mhash)
     cert = certify_hankel_bounds(k * R, 4 * k * R, nu_max=40)
@@ -231,7 +243,7 @@ def cmd_calibrate(args) -> int:
 def cmd_verify(args) -> int:
     manifest = load_manifest(args)
     mhash = manifest_hash(manifest)
-    _, k, _, grid, _ = build_scene(manifest["scenes"][0])
+    _, k, _, grid, _ = build_scene(_single_scene(manifest))
     dim = grid.dim
     seed = int(manifest["seed"])
     rng = np.random.default_rng(seed)
@@ -360,8 +372,7 @@ def cmd_stability(args) -> int:
     manifest = load_manifest(args)
     mhash = manifest_hash(manifest)
     seed = int(manifest["seed"])
-    scene = manifest["scenes"][0]
-    V0, k, omega, grid, R = build_scene(scene)
+    V0, k, omega, grid, R = build_scene(_single_scene(manifest))
     cal = load_calibration(manifest, k, grid.dim)
 
     pairs = [(V0, _shrunk_contrast(V0, t)) for t in SWEEP_OFFSETS]

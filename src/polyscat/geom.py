@@ -2,9 +2,8 @@
 
 Supports two families of scatterer supports: convex polygons in 2D and
 rectangular cuboids in 3D.  Provides exact Hausdorff distances (convexity
-makes vertex/edge projections sufficient), cones generated by convex hulls
-at a vertex, and the enclosing-angle checks used by the stability
-arguments.
+makes vertex/edge projections sufficient), cones at a vertex, and the
+enclosing-angle checks used by the stability arguments.
 """
 
 from __future__ import annotations
@@ -12,6 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 
@@ -306,18 +306,13 @@ def cone_directions(generators, m: int):
 
 def _check_pointed_3d(g: np.ndarray) -> None:
     """Raise unless the 3D cone on generators g is full-dimensional and
-    pointed: the planes through two generators that leave every generator
-    on one side (its facets) must have normals spanning 3D."""
+    pointed.  By Gordan's alternative it is pointed iff some a has
+    a.g > 0 for every generator, i.e. iff the hull of g misses the
+    origin: its nearest point to the origin is not 0."""
     if np.linalg.matrix_rank(g, tol=1e-9) < 3:
         raise GeometryError("3D polyhedral cone generators are not "
                             "full-dimensional")
-    i, j = np.triu_indices(len(g), 1)
-    n = np.cross(g[i], g[j])
-    size = np.linalg.norm(n, axis=1)
-    n = n[size > 1e-9] / size[size > 1e-9, None]
-    side = n @ g.T
-    facets = n[np.all(side >= -1e-10, axis=1) | np.all(side <= 1e-10, axis=1)]
-    if len(facets) == 0 or np.linalg.matrix_rank(facets, tol=1e-9) < 3:
+    if np.linalg.norm(_nearest_hull_point(g)) < ANGLE_TOL:
         raise GeometryError("3D polyhedral cone is not pointed")
 
 
@@ -334,112 +329,54 @@ def polygon_vertex_angle(P: Polytope, index: int) -> float:
     return _angle_between(a / np.linalg.norm(a), b / np.linalg.norm(b))
 
 
-def _hull_2d(pts: np.ndarray) -> np.ndarray:
-    """Indices of the vertices of a 2D point set's convex hull,
-    counterclockwise, by Andrew's monotone chain.  Only strict left turns
-    are kept, so points on a hull edge and repeated points drop out, as
-    they do from qhull's hull."""
-    xy = pts.tolist()
-
-    def chain(order):
-        out = []
-        for i in order:
-            while len(out) >= 2:
-                (ox, oy), (ax, ay) = xy[out[-2]], xy[out[-1]]
-                bx, by = xy[i]
-                if (ax - ox) * (by - oy) - (ay - oy) * (bx - ox) > 0:
-                    break
-                out.pop()
-            out.append(i)
-        return out[:-1]
-
-    order = np.lexsort((pts[:, 1], pts[:, 0])).tolist()
-    return np.array(chain(order) + chain(order[::-1]), dtype=int)
-
-
-def convex_hull_cone(P: Polytope, Q: Polytope, x_c) -> PolyCone:
-    """Polyhedral cone at x_c generated by the convex hull of P union Q,
-    read off the hull's adjacency: the generators point from x_c to the
-    hull vertices beside it (2D) or sharing a facet with it (3D).  Every
-    other point of P and Q lies in the cone these span.
-
-    A 2D hull comes from `_hull_2d`; a 3D one from scipy.spatial's
-    ConvexHull, imported here on first 3D call, so that 2D checks and
-    polytopes in any dimension do not load it."""
-    x_c = np.asarray(x_c, dtype=float)
-    pts = np.vstack([P.vertices, Q.vertices])
-    if P.dim == 2:
-        vertices = _hull_2d(pts)
-    else:
-        from scipy.spatial import ConvexHull
-        hull = ConvexHull(pts)
-        vertices = hull.vertices
-    dist = np.linalg.norm(pts[vertices] - x_c, axis=1)
-    j = int(np.argmin(dist))
-    if dist[j] >= 1e-9:
-        raise GeometryError("x_c is not a vertex of the convex hull of P and Q")
-    if P.dim == 2:
-        # the hull is counterclockwise: x_c's neighbours flank it
-        nbrs = vertices[[j - 1, (j + 1) % len(vertices)]]
-    else:
-        # scipy runs qhull with Qt, so every facet is a triangle
-        v = vertices[j]
-        faces = hull.simplices[np.any(hull.simplices == v, axis=1)]
-        nbrs = np.setdiff1d(faces, v)
-    return PolyCone(x_c, pts[nbrs] - x_c, "polyhedral")
-
-
 # ---------------------------------------------------------------------------
 # Minimal enclosing spherical cone (3D)
 # ---------------------------------------------------------------------------
 
+def _nearest_hull_point(g: np.ndarray) -> np.ndarray:
+    """The point p of the hull of the unit 3-vectors g nearest the origin,
+    or 0 if the hull holds the origin: the shortest of the origin's
+    projections onto the points, segments and triangles of g that land
+    inside them, kept if every g.p >= |p|^2 - ANGLE_TOL |p|.  Each is
+    taken from a corner, so it is a hull point even where a nearly flat
+    triangle makes it inexact; degenerate segments and triangles are
+    skipped."""
+    i, j = np.triu_indices(len(g), 1)
+    e = g[j] - g[i]
+    ee = coord_dot(e, e)
+    t = np.divide(-coord_dot(g[i], e), ee, out=np.full_like(ee, -1.0),
+                  where=ee > 0)
+    a, b, c = np.array(list(combinations(range(len(g)), 3)),
+                       dtype=int).reshape(-1, 3).T
+    e1, e2 = g[b] - g[a], g[c] - g[a]
+    # minimise |g_a + u e1 + v e2|^2 by Cramer's rule on the normal equations
+    g11, g12, g22 = coord_dot(e1, e1), coord_dot(e1, e2), coord_dot(e2, e2)
+    a1, a2 = coord_dot(g[a], e1), coord_dot(g[a], e2)
+    det = g11 * g22 - g12 * g12
+    u, v = np.divide([a2 * g12 - a1 * g22, a1 * g12 - a2 * g11], det,
+                     out=np.full((2, len(a)), -1.0), where=det > 0)
+    pts = np.vstack([g, g[i] + t[:, None] * e,
+                     g[a] + u[:, None] * e1 + v[:, None] * e2])
+    pts = pts[np.concatenate([np.ones(len(g), bool), (t >= 0) & (t <= 1),
+                              (u >= 0) & (v >= 0) & (u + v <= 1)])]
+    p = pts[np.argmin(coord_dot(pts, pts))]
+    if np.all(g @ p >= p @ p - ANGLE_TOL * np.linalg.norm(p)):
+        return p
+    return np.zeros(3)
+
+
 def minimal_enclosing_cone(directions: np.ndarray):
     """Axis and half-angle of the smallest spherical cone containing the
-    given unit directions.  Uses the minimal enclosing ball of the direction
-    points (Welzl); valid whenever the result has half-angle < pi/2."""
-    pts = np.asarray(directions, dtype=float)
-    center, _ = _welzl_ball(pts)
-    nc = np.linalg.norm(center)
-    if nc < ANGLE_TOL:
+    given unit directions g, when its half-angle is below pi/2.  With p
+    the point of their hull nearest the origin, max over unit a of
+    min a.g is |p|, attained at a = p/|p|."""
+    g = np.asarray(directions, dtype=float)
+    p = _nearest_hull_point(g)
+    size = np.linalg.norm(p)
+    if size < ANGLE_TOL:
         raise GeometryError("directions span too wide a fan for a proper cone")
-    axis = center / nc
-    cosines = np.clip(pts @ axis, -1.0, 1.0)
-    half = float(np.arccos(np.min(cosines)))
-    return axis, half
-
-
-def _welzl_ball(points: np.ndarray):
-    """Minimal enclosing ball (center, radius) by Welzl's algorithm."""
-    rng = np.random.default_rng(0)
-    pts = [np.asarray(p, dtype=float) for p in points]
-    order = rng.permutation(len(pts))
-    return _welzl([pts[i] for i in order], [])
-
-
-def _welzl(pts, boundary):
-    if not pts or (boundary and len(boundary) == boundary[0].size + 1):
-        return _ball_from_boundary(boundary)
-    p = pts[-1]
-    c, r = _welzl(pts[:-1], boundary)
-    if np.linalg.norm(p - c) <= r * (1 + 1e-12) + 1e-14:
-        return c, r
-    return _welzl(pts[:-1], boundary + [p])
-
-
-def _ball_from_boundary(boundary):
-    if not boundary:
-        return np.zeros(3), 0.0
-    if len(boundary) == 1:
-        return boundary[0].copy(), 0.0
-    a = boundary[0]
-    A = 2.0 * np.array([q - a for q in boundary[1:]])
-    b = np.array([np.dot(q - a, q - a) for q in boundary[1:]])
-    # Solve for the offset from a: the min-norm solution then lies in the
-    # span of the q - a, i.e. the center in the affine span of the points.
-    y, *_ = np.linalg.lstsq(A, b, rcond=None)
-    c = a + y
-    r = max(np.linalg.norm(p - c) for p in boundary)
-    return c, float(r)
+    axis = p / size
+    return axis, float(np.arccos(np.min(np.clip(g @ axis, -1.0, 1.0))))
 
 
 # ---------------------------------------------------------------------------
@@ -454,15 +391,19 @@ class QAngleReport:
 
 
 def check_q_angle(P: Polytope, Q: Polytope) -> QAngleReport:
-    """Check the enclosing-cone angle at the vertex of P realizing the
+    """Check the enclosing-cone angle at the vertex x_c of P realizing the
     Hausdorff distance: in 2D the hull angle there is at most (alpha+pi)/2
     with alpha the angle of P at the vertex; in 3D the hull fits in a
-    spherical cone of half-angle < pi/2.
+    spherical cone of half-angle < pi/2.  The hull's cone at x_c is the
+    conic hull of the directions d from x_c to the other vertices of P
+    and Q (those within 1e-9 dropped).  In 2D it opens by 2 pi - G, with
+    G the widest gap between the angles of d; G <= pi means x_c is no
+    hull vertex, as does `minimal_enclosing_cone` raising in 3D.
 
     The 3D branch holds at any vertex of the hull: the hull's cone there
-    is pointed, so the centre of the ball enclosing its generators has a
-    positive dot product with every generator.  Criterion 11's 3D half
-    is therefore a consistency check, not a test that can fail.
+    is pointed, so the nearest point p of the hull of the unit d is not 0
+    and every d.p >= |p|^2 > 0.  Criterion 11's 3D half is therefore a
+    consistency check, not a test that can fail.
 
     The roles of P and Q are swapped when the other polytope realizes
     the Hausdorff distance, so that d(x_c, Q) always equals it."""
@@ -475,18 +416,24 @@ def check_q_angle(P: Polytope, Q: Polytope) -> QAngleReport:
         # Degenerate P' = P style case: the hull cone equals P's own cone.
         alpha = polygon_vertex_angle(P, index) if P.dim == 2 else np.pi / 2
         return QAngleReport(True, alpha, degenerate=True)
-    try:
-        cone = convex_hull_cone(P, Q, P.vertices[index])
-    except GeometryError:
-        return QAngleReport(False, np.nan)
+    d = np.vstack([P.vertices, Q.vertices]) - P.vertices[index]
+    size = np.sqrt(coord_dot(d, d))
+    d, size = d[size >= 1e-9], size[size >= 1e-9]
     if P.dim == 2:
+        theta = np.sort(np.arctan2(d[:, 1], d[:, 0]))
+        gap = np.max(np.diff(theta, append=theta[0] + 2 * np.pi))
+        if gap <= np.pi:
+            return QAngleReport(False, np.nan)
         alpha = polygon_vertex_angle(P, index)
         bound = (alpha + np.pi) / 2
-        actual = cone.opening_angle()
+        actual = 2 * np.pi - gap
         degenerate = abs(actual - bound) <= ANGLE_TOL
         return QAngleReport(actual <= bound + ANGLE_TOL, actual,
                             degenerate=degenerate)
-    _, half = minimal_enclosing_cone(cone.generators)
+    try:
+        _, half = minimal_enclosing_cone(d / size[:, None])
+    except GeometryError:
+        return QAngleReport(False, np.nan)
     return QAngleReport(half < np.pi / 2, half)
 
 

@@ -201,10 +201,18 @@ def _sample_polygon(P, n):
 # Far fields by direct quadrature (no FFT, no per-axis split)
 # ---------------------------------------------------------------------------
 
+def far_field_gamma(k, dim):
+    """gamma_n of Phi_k's large-radius factor e^(ikr)/r^((n-1)/2), written
+    out here rather than imported, so that a wrong constant in the solver
+    is not carried into the oracles that check it."""
+    if dim == 2:
+        return np.exp(1j * np.pi / 4) / np.sqrt(8 * np.pi * k)
+    return 1.0 / (4 * np.pi)
+
+
 def born_far_field_quadrature(Vvals, grid, k, omega, directions):
     """First Born far field by direct sums: gamma_n k^2 int V(y)
     exp(ik(omega - xhat).y) dy."""
-    from polyscat.solver import far_field_constant
     pts = grid.points().reshape(-1, grid.dim)
     v = np.asarray(Vvals).reshape(-1)
     nz = v != 0
@@ -214,17 +222,16 @@ def born_far_field_quadrature(Vvals, grid, k, omega, directions):
     for xhat in np.asarray(directions, dtype=float):
         phase = np.exp(1j * k * pts @ (omega - xhat))
         out.append(np.sum(v * phase) * grid.cell_volume)
-    return far_field_constant(k, grid.dim) * k ** 2 * np.array(out)
+    return far_field_gamma(k, grid.dim) * k ** 2 * np.array(out)
 
 
 def dense_far_field(Vvals, u, k, directions):
     """gamma_n k^2 sum_y e^(-ik theta.y) (V u)(y) h^n over the nonzero
     cells, one complex exponential per (direction, cell) pair."""
-    from polyscat.solver import far_field_constant
     src = Vvals * u.values
     nz = src != 0
     phase = np.exp(-1j * k * (np.asarray(directions) @ u.grid.points()[nz].T))
-    return (far_field_constant(k, u.grid.dim) * k ** 2 * (phase @ src[nz])
+    return (far_field_gamma(k, u.grid.dim) * k ** 2 * (phase @ src[nz])
             * u.grid.cell_volume)
 
 

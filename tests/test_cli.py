@@ -68,12 +68,14 @@ def test_build_scene_rejects_bad_direction(omega):
 
 @pytest.mark.parametrize("key, value", [
     ("k", 0.0), ("k", -2.0), ("k", float("nan")), ("k", float("inf")),
-    ("n", 0), ("n", 2.5), ("half_width", 0.0), ("half_width", float("inf"))],
+    ("n", 0), ("n", 2.5), ("half_width", 0.0), ("half_width", float("inf")),
+    ("center", [float("nan"), 0.0]), ("center", [0.0, 0.0, 0.0])],
     ids=["k-zero", "k-negative", "k-nan", "k-inf", "n-zero", "n-fraction",
-         "half_width-zero", "half_width-inf"])
+         "half_width-zero", "half_width-inf", "center-nan", "center-3d"])
 def test_build_scene_rejects_bad_numbers(tmp_path, capsys, key, value):
     # k = 0 and n = 0 divided by zero, k < 0 spun GMRES on a NaN system,
-    # and half_width = inf reached the far field
+    # half_width = inf reached the far field, a NaN centre solved to a
+    # zero far field and a 3-vector centre in 2D raised a FieldError
     d = scene_dict()
     (d if key == "k" else d["grid"])[key] = value
     with pytest.raises(cli.CliError, match=key):
@@ -114,6 +116,23 @@ def test_unknown_keys_are_rejected(tmp_path, capsys, body):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "CliError" and "tol" in err["message"]
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["calibrate", "verify", "stability"])
+def test_one_scene_commands_refuse_a_second_scene(tmp_path, capsys, command):
+    # only `solve` runs every scene; the others would drop the second
+    scene = tmp_path / "scenes.json"
+    scene.write_text(json.dumps({"scenes": [scene_dict(), scene_dict(48)]}))
+    rc = cli.main([command, "--scene", str(scene), "--seed", "1",
+                   "--out", str(tmp_path / "out")])
+    assert rc == 1 and not (tmp_path / "out").exists()
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "CliError" and "holds 2" in err["message"]
+    assert cli.main(["solve", "--scene", str(scene), "--seed", "1",
+                     "--out", str(tmp_path / "out")]) == 0
+    assert sorted(os.listdir(tmp_path / "out")) == [
+        f"scene{i:03d}_{kind}" for i in range(2)
+        for kind in ("farfield.csv", "solve.json")]
 
 
 def test_contrast_kinds():

@@ -243,6 +243,10 @@ def _conic_hull_contains(g, d, tol=1e-9) -> bool:
     return res.status == 0
 
 
+def _rotation(rng):
+    return np.linalg.qr(rng.standard_normal((3, 3)))[0]
+
+
 def test_coordinate_sums_match_numpy_reductions():
     # the explicit coordinate sums of the segment distance against the
     # np.sum / norm forms they replace, bit for bit: random points and the
@@ -262,8 +266,14 @@ def test_cone_rejects_non_pointed_or_flat_3d():
     half_space = np.array([[1.0, 0, 0], [-1.0, 0, 0], [0, 1.0, 0],
                            [0, -1.0, 0], [0, 0, 1.0]])
     flat = np.array([[1.0, 0, 0], [0, 1.0, 0], [1.0, 1.0, 0]])
-    for g in (half_space, flat):
-        with pytest.raises(geom.GeometryError):
+    axes = np.vstack([np.eye(3), -np.eye(3)])
+    # full-dimensional, but holding the line along the first axis
+    wedge = np.array([[1.0, 0, 0], [-1.0, 0, 0], [0, 1.0, 0], [0, 1.0, 1.0]])
+    turned = wedge @ _rotation(np.random.default_rng(3))
+    with pytest.raises(geom.GeometryError, match="not full-dimensional"):
+        geom.PolyCone(np.zeros(3), flat, "polyhedral")
+    for g in (half_space, axes, wedge, turned):
+        with pytest.raises(geom.GeometryError, match="not pointed"):
             geom.PolyCone(np.zeros(3), g, "polyhedral")
 
 
@@ -271,61 +281,6 @@ def test_cone_rejects_too_wide_2d():
     with pytest.raises(geom.GeometryError):
         geom.PolyCone(np.zeros(2), np.array([[1.0, 0.0], [-1.0, 0.0]]),
                       "polyhedral")
-
-
-def test_convex_hull_cone_contains_both_bodies():
-    P = square(1.0, (2.0, 2.0))
-    Q = square(1.0, (2.5, 2.0))
-    # P's lower-left corner is a vertex of the hull of P and Q
-    cone = geom.convex_hull_cone(P, Q, [1.5, 1.5])
-    rng = np.random.default_rng(7)
-    for body in (P, Q):
-        lo, hi = body.vertices.min(0), body.vertices.max(0)
-        x = rng.uniform(lo, hi, (50, 2))
-        x = x[geom.polytope_mask(body, x, geom.MEMBERSHIP_TOL)]
-        assert len(x) > 0
-        assert _conic_hull_contains(cone.generators, x - cone.vertex)
-
-
-def test_convex_hull_cone_requires_hull_vertex():
-    P = square(2.0)
-    Q = square(1.0)
-    with pytest.raises(geom.GeometryError):
-        geom.convex_hull_cone(P, Q, [0.0, 0.0])  # interior point
-
-
-def test_convex_hull_cone_skips_points_on_a_hull_edge():
-    # P's corner (1, 0) and Q's corner (2, 0) lie on the hull edge from
-    # x_c = (0, 0) to (3, 0): the generators are the two hull neighbours
-    P = geom.convex_polygon([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-    Q = geom.convex_polygon([[2.0, 0.0], [3.0, 0.0], [3.0, 1.0]])
-    cone = geom.convex_hull_cone(P, Q, [0.0, 0.0])
-    assert len(cone.generators) == 2
-    np.testing.assert_array_equal(cone.generators, [[1.0, 0.0], [0.0, 1.0]])
-
-
-def test_hull_2d_matches_qhull_on_collinear_and_repeated_points():
-    # lattice points: many sets hold repeated points and points on a hull
-    # edge, which both hulls must drop; the neighbours of each hull vertex
-    # are compared by coordinates, since qhull keeps either of two repeats
-    from scipy.spatial import ConvexHull, QhullError
-    rng = np.random.default_rng(17)
-    compared = 0
-    for _ in range(500):
-        pts = 0.25 * rng.integers(-3, 4, (int(rng.integers(3, 13)), 2))
-        try:
-            ref = pts[ConvexHull(pts).vertices]
-        except QhullError:     # every point on one line
-            continue
-        got = pts[geom._hull_2d(pts)]
-        assert len(got) == len(ref)
-        for j, x in enumerate(ref):
-            i = int(np.flatnonzero(np.all(got == x, axis=1))[0])
-            np.testing.assert_array_equal(
-                got[[i - 1, (i + 1) % len(got)]],
-                ref[[j - 1, (j + 1) % len(ref)]])
-        compared += 1
-    assert compared > 450
 
 
 def _random_polygon(rng, scale=1.0):
@@ -336,39 +291,6 @@ def _random_polygon(rng, scale=1.0):
             return geom.convex_polygon(pts[ConvexHull(pts).vertices])
         except geom.GeometryError:
             continue
-
-
-def test_convex_hull_cone_2d_opens_to_the_widest_pair():
-    # reference without the hull: at a hull vertex x_c the cone's opening
-    # angle is the largest angle between two directions from x_c
-    rng = np.random.default_rng(21)
-    for _ in range(200):
-        P = _random_polygon(rng)
-        Q = _random_polygon(rng, rng.uniform(0.3, 1.0))
-        pts = np.vstack([P.vertices, Q.vertices])
-        i = int(np.argmax(pts @ rng.standard_normal(2)))
-        d = np.delete(pts, i, axis=0) - pts[i]
-        d /= np.linalg.norm(d, axis=1)[:, None]
-        widest = np.max(np.arccos(np.clip(d @ d.T, -1.0, 1.0)))
-        cone = geom.convex_hull_cone(P, Q, pts[i])
-        assert abs(cone.opening_angle() - widest) <= 1e-12
-
-
-def test_convex_hull_cone_3d_has_one_generator_per_hull_neighbour():
-    from scipy.spatial import ConvexHull
-    rng = np.random.default_rng(13)
-    for _ in range(20):
-        boxes = [geom.cuboid(rng.uniform(-0.3, 0.3, 3),
-                             rng.uniform(0.1, 0.4, 3),
-                             rotation=np.linalg.qr(
-                                 rng.standard_normal((3, 3)))[0])
-                 for _ in range(2)]
-        pts = np.vstack([b.vertices for b in boxes])
-        i = int(np.argmax(pts @ rng.standard_normal(3)))
-        simplices = ConvexHull(pts).simplices
-        around = simplices[np.any(simplices == i, axis=1)]
-        K = geom.convex_hull_cone(boxes[0], boxes[1], pts[i])
-        assert len(K.generators) == len(np.unique(around)) - 1
 
 
 def test_cone_directions_solid_angle():
@@ -442,6 +364,17 @@ def test_minimal_enclosing_cone():
     assert np.all(cos >= np.cos(half) - 1e-9)
     # optimality: shrinking the angle excludes a direction
     assert np.min(cos) <= np.cos(half * 0.999) + 1e-9
+    # four directions at angle theta about a rotated axis: half-angle theta
+    theta, rot = 0.7, _rotation(np.random.default_rng(5))
+    phi = np.pi / 2 * np.arange(4)
+    dirs = np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi),
+                     np.full(4, np.cos(theta))], axis=1) @ rot.T
+    axis, half = geom.minimal_enclosing_cone(dirs)
+    assert abs(half - theta) <= 1e-12
+    np.testing.assert_allclose(axis, rot[:, 2], rtol=0, atol=1e-12)
+    # +-e_i: the hull holds the origin, so no cone below pi/2 fits
+    with pytest.raises(geom.GeometryError, match="too wide"):
+        geom.minimal_enclosing_cone(np.vstack([np.eye(3), -np.eye(3)]))
 
 
 # ---------------------------------------------------------------------------
@@ -463,6 +396,113 @@ def test_q_angle_random_pairs_2d():
         rep = geom.check_q_angle(P, Q)
         assert rep.vertex_ok, (P.vertices, Q.vertices, rep)
         checked += 1
+
+
+def _farthest_vertex(P, Q):
+    """check_q_angle's x_c: the vertex of P or Q farthest from the other,
+    P's on ties, the lowest index among equals."""
+    d_pq = geom.polytope_distance(Q, P.vertices)
+    d_qp = geom.polytope_distance(P, Q.vertices)
+    if np.max(d_qp) > np.max(d_pq):
+        return Q.vertices[np.argmax(d_qp)]
+    return P.vertices[np.argmax(d_pq)]
+
+
+def _lattice_polygon(rng):
+    # hulls of lattice points: pairs share vertices and put vertices on
+    # each other's edges and on the edges of their joint hull
+    from scipy.spatial import ConvexHull, QhullError
+    while True:
+        pts = 0.25 * rng.integers(-3, 4, (int(rng.integers(3, 10)), 2))
+        try:
+            return geom.convex_polygon(pts[ConvexHull(pts).vertices])
+        except (QhullError, geom.GeometryError):
+            continue
+
+
+def _compare_with_qhull_neighbours(P, Q) -> bool:
+    # reference: the hull of P and Q by qhull, counterclockwise in 2D; the
+    # cone at x_c opens to the angle between its two hull neighbours
+    from scipy.spatial import ConvexHull
+    if geom.hausdorff_distance(P, Q) <= geom.ANGLE_TOL:
+        return False
+    rep = geom.check_q_angle(P, Q)
+    pts = np.vstack([P.vertices, Q.vertices])
+    hull = ConvexHull(pts).vertices
+    x_c = _farthest_vertex(P, Q)
+    j = np.flatnonzero(np.all(pts[hull] == x_c, axis=1))
+    assert len(j) == 1
+    a, b = pts[hull[[j[0] - 1, (j[0] + 1) % len(hull)]]] - x_c
+    want = np.arccos(a @ b / np.linalg.norm(a) / np.linalg.norm(b))
+    assert abs(rep.angle_actual - want) <= 1e-12
+    return True
+
+
+def test_q_angle_2d_is_the_angle_between_the_qhull_neighbours():
+    rng = np.random.default_rng(19)
+    compared = sum(_compare_with_qhull_neighbours(
+        _random_polygon(rng), _random_polygon(rng, 0.6)) for _ in range(300))
+    assert compared == 300
+
+
+def test_hull_2d_matches_qhull_on_collinear_and_repeated_points():
+    # lattice pairs: x_c often has repeated points (a vertex shared by P
+    # and Q) and points on its hull edges, which must not change the angle
+    rng = np.random.default_rng(17)
+    compared = sum(_compare_with_qhull_neighbours(
+        _lattice_polygon(rng), _lattice_polygon(rng)) for _ in range(300))
+    assert compared > 250
+
+
+def test_convex_hull_cone_skips_points_on_a_hull_edge():
+    # all four distances tie at 2, so x_c is P's first vertex (0, 0); P's
+    # corner (1, 0) and Q's corner (2, 0) lie on the hull edge from x_c to
+    # (3, 0): the cone opens to the right angle between (3, 0) and (0, 1)
+    P = geom.convex_polygon([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    Q = geom.convex_polygon([[2.0, 0.0], [3.0, 0.0], [3.0, 1.0], [2.0, 1.0]])
+    np.testing.assert_array_equal(_farthest_vertex(P, Q), [0.0, 0.0])
+    rep = geom.check_q_angle(P, Q)
+    assert rep.vertex_ok and not rep.degenerate
+    assert abs(rep.angle_actual - np.pi / 2) <= 1e-12
+
+
+def test_convex_hull_cone_2d_opens_to_the_widest_pair():
+    # reference without the hull: at a hull vertex x_c the cone's opening
+    # angle is the largest angle between two directions from x_c
+    rng = np.random.default_rng(21)
+    for _ in range(200):
+        P = _random_polygon(rng)
+        Q = _random_polygon(rng, rng.uniform(0.3, 1.0))
+        if geom.hausdorff_distance(P, Q) <= geom.ANGLE_TOL:
+            continue
+        pts = np.vstack([P.vertices, Q.vertices])
+        x_c = _farthest_vertex(P, Q)
+        d = pts[np.any(pts != x_c, axis=1)] - x_c
+        d /= np.linalg.norm(d, axis=1)[:, None]
+        widest = np.max(np.arccos(np.clip(d @ d.T, -1.0, 1.0)))
+        rep = geom.check_q_angle(P, Q)
+        assert abs(rep.angle_actual - widest) <= 1e-12
+
+
+def test_q_angle_3d_is_the_cone_of_the_qhull_neighbours():
+    # reference: x_c's neighbours on the triangles of qhull's hull of P
+    # and Q, whose directions span the hull's cone at x_c
+    from scipy.spatial import ConvexHull
+    rng = np.random.default_rng(13)
+    for _ in range(100):
+        P, Q = [geom.cuboid(rng.uniform(-0.3, 0.3, 3),
+                            rng.uniform(0.1, 0.4, 3), rotation=_rotation(rng))
+                for _ in range(2)]
+        pts = np.vstack([P.vertices, Q.vertices])
+        hull = ConvexHull(pts)
+        x_c = _farthest_vertex(P, Q)
+        i = int(np.flatnonzero(np.all(pts == x_c, axis=1))[0])
+        around = hull.simplices[np.any(hull.simplices == i, axis=1)]
+        d = pts[np.setdiff1d(around, i)] - x_c
+        _, want = geom.minimal_enclosing_cone(
+            d / np.linalg.norm(d, axis=1)[:, None])
+        rep = geom.check_q_angle(P, Q)
+        assert rep.vertex_ok and abs(rep.angle_actual - want) <= 1e-12
 
 
 def test_q_angle_identical_is_degenerate():
