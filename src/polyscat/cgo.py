@@ -25,7 +25,7 @@ from .solver import (PaddedFFTMultiplier, SolverError, solve_volume_equation,
                      support_box)
 
 FIXED_R = {2: 6.0 / 5.0, 3: 4.0 / 3.0}   # r = 2(n+1)/(n+3)
-DEFAULT_S = 0.49
+SMOOTHNESS = 0.49                         # smoothness index s of the contrast
 CONTRACTION_LIMIT = 0.9
 REMAINDER_TOL = 1e-10     # GMRES tolerance of the remainder solve
 PLATEAU_FRAC = 0.9        # share of |L(zeta)| that starts the plateau
@@ -138,9 +138,7 @@ def cone_laplace(cone: PolyCone, vec: np.ndarray) -> ConeTransform:
     return ConeTransform(complex(det / np.prod(-xi)), float(a))
 
 
-def check_cone_geometry(p_cone: PolyCone, q_cone: PolyCone,
-                        alpha_m: float | None = None,
-                        alpha_M: float | None = None) -> None:
+def check_cone_geometry(p_cone: PolyCone, q_cone: PolyCone) -> None:
     """Validate the (spherical cone, polyhedral cone) pairing used by the
     lower-bound curve: common vertex, containment, half-angle below pi/2."""
     if q_cone.kind != "spherical" or p_cone.kind != "polyhedral":
@@ -154,12 +152,6 @@ def check_cone_geometry(p_cone: PolyCone, q_cone: PolyCone,
         if _angle_between(axis, g) > q_cone.half_angle + 1e-12:
             raise GeometryError("polyhedral cone is not contained in the "
                                 "spherical cone")
-    if p_cone.dim == 2:
-        alpha = p_cone.opening_angle()
-        if alpha_m is not None and alpha <= 2 * alpha_m:
-            raise GeometryError("opening angle at or below the lower bound")
-        if alpha_M is not None and alpha >= 2 * alpha_M:
-            raise GeometryError("opening angle at or above the upper bound")
 
 
 @dataclass(frozen=True)
@@ -321,22 +313,16 @@ class DecayCase:
     decay_exponent: float  # 2 + n/r' - n/r = n/p + beta
 
 
-def faddeev_decay_case(n: int, s: float = DEFAULT_S,
-                       r: float | None = None) -> DecayCase:
-    """Choose the Lebesgue exponent p and decay split (n/p, beta) from the
-    smoothness index; the insufficient-decay regime s <= n/r - 2 is
-    excluded outright."""
-    r = FIXED_R[n] if r is None else r
+def faddeev_decay_case(n: int) -> DecayCase:
+    """The Lebesgue exponent p and decay split (n/p, beta) at s = SMOOTHNESS
+    and r = FIXED_R[n]: case 1 in 2D (s > n/r' = 1/3, p = inf, beta = 2/3),
+    case 3 in 3D (s < n/r' = 3/4, p = 3/0.26).  Neither the equality case
+    s = n/r' nor the excluded regime s <= n/r - 2 occurs."""
+    s, r = SMOOTHNESS, FIXED_R[n]
     rp = r / (r - 1)
     decay = 2 + n / rp - n / r
-    if s <= n / r - 2:
-        raise CgoError("smoothness index gives insufficient decay "
-                       "(excluded regime)")
     if s > n / rp:
         case, p = 1, np.inf
-    elif s == n / rp:
-        inv_p = 0.5 * (2 / n + 1 / rp - 1 / r)
-        case, p = 2, 1.0 / inv_p
     else:
         case, p = 3, n / (n / rp - s)
     n_over_p = 0.0 if np.isinf(p) else n / p

@@ -70,32 +70,45 @@ def _pair(v):
     return float(v), 0.0
 
 
+def _floats(value, key: str, ndim: int):
+    """`value` as a float (ndim 0) or a float array of `ndim` axes;
+    CliError naming `key` where it is not numbers of that rank."""
+    try:
+        a = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        a = None
+    if a is None or a.ndim != ndim:
+        kind = "a number" if ndim == 0 else "a list of numbers"
+        raise CliError(f"{key} must be {kind}, got {value!r}")
+    return float(a) if ndim == 0 else a
+
+
 def build_scene(d: dict):
     """Scene dict -> (ContrastField, k, omega, grid, R)."""
     if d.get("schema_version", SCHEMA_VERSION) != SCHEMA_VERSION:
         raise CliError("unsupported scene schema version")
     P = polytope_from_dict(d["polytope"])
     V = contrast_from_dict(P, d["contrast"])
-    k = float(d["k"])
+    k = _floats(d["k"], "k", 0)
     if not 0 < k < np.inf:
         raise CliError("k must be finite and > 0")
-    omega = np.asarray(d["omega"], dtype=float)
+    omega = _floats(d["omega"], "omega", 1)
     norm = np.linalg.norm(omega)
     if omega.shape != (P.dim,) or not 0 < norm < np.inf:
         raise CliError(f"omega must be a finite nonzero {P.dim}-vector")
     omega = omega / norm
     g = d["grid"]
-    n, half_width = g["n"], float(g["half_width"])
+    n, half_width = g["n"], _floats(g["half_width"], "half_width", 0)
     if not isinstance(n, int) or n < 1:
         raise CliError("grid n must be an integer >= 1")
     if not 0 < half_width < np.inf:
         raise CliError("grid half_width must be finite and > 0")
-    center = np.asarray(g.get("center", np.zeros(P.dim)), dtype=float)
+    center = _floats(g.get("center", np.zeros(P.dim)), "center", 1)
     if center.shape != (P.dim,) or not np.all(np.isfinite(center)):
         raise CliError(f"grid center must be a finite {P.dim}-vector")
     grid = centered_grid(half_width, n, P.dim, center)
-    R = float(d.get("R", half_width))
-    if not P.contained_in_ball(R, np.zeros(P.dim)):
+    R = _floats(d.get("R", half_width), "R", 0)
+    if not P.contained_in_ball(R):
         raise CliError("polytope escapes the scene ball B(0, R)")
     return V, k, omega, grid, R
 

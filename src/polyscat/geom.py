@@ -78,9 +78,9 @@ class Polytope:
         else:
             raise GeometryError(f"dimension must be 2 or 3, got {self.dim}")
 
-    def contained_in_ball(self, radius: float, center=None) -> bool:
-        c = np.zeros(self.dim) if center is None else np.asarray(center)
-        return bool(np.all(np.linalg.norm(self.vertices - c, axis=1) <= radius))
+    def contained_in_ball(self, radius: float) -> bool:
+        """Whether every vertex lies in the closed ball B(0, radius)."""
+        return bool(np.all(np.linalg.norm(self.vertices, axis=1) <= radius))
 
     def to_json(self) -> str:
         return json.dumps({"dim": self.dim, "kind": self.kind,
@@ -256,14 +256,6 @@ class PolyCone:
             return self.generators[0]
         m = self.generators.sum(axis=0)
         return m / np.linalg.norm(m)
-
-    def opening_angle(self) -> float:
-        """Full opening angle (2D polyhedral) or 2x half-angle (spherical)."""
-        if self.kind == "spherical":
-            return 2.0 * self.half_angle
-        if self.dim == 2:
-            return _angle_between(self.generators[0], self.generators[1])
-        raise GeometryError("opening angle of a 3D polyhedral cone is not scalar")
 
 
 @lru_cache(maxsize=None)

@@ -26,10 +26,10 @@ from .solver import FarFieldPattern
 from .specfun import certify_hankel_bounds, hankel_h1_log_abs
 
 TS_FACTOR = (2 + np.sqrt(2)) ** 1.5   # geometric factor of the three-balls bound
-B0_DEFAULT = 2.0                      # annulus B(0,2 B0 R) \ B(0,B0 R) scale
-ALPHA_DEFAULT = 0.5                   # C^(1,1/2) regularity of total-wave differences
-LAMBDA_DEFAULT = 0.25                 # annulus thickness parameter
-A_DEFAULT = 2 + LAMBDA_DEFAULT        # escape-segment length parameter (>= 2+lambda)
+B0 = 2.0                              # annulus B(0,2 B0 R) \ B(0,B0 R) scale
+ALPHA = 0.5                           # C^(1,1/2) regularity of total-wave differences
+LAMBDA = 0.25                         # annulus thickness parameter, in (0, 1/2)
+A_ESCAPE = 2 + LAMBDA                 # escape-segment length parameter (>= 2+lambda)
 N_WAVES = 20                          # plane waves per random Helmholtz field
 BALL_SAMPLES = 600                    # interior samples per sampled ball sup
 UNRESOLVED_SHARE = 1e-12              # share of a sphere norm left to rounding noise
@@ -176,8 +176,7 @@ class Ff2nfBound:
         return float_view(self.log_bound)
 
 
-def ff2nf_bound(log_ratio: float, S: float, k: float, R: float,
-                B0: float) -> Ff2nfBound:
+def ff2nf_bound(log_ratio: float, S: float, k: float, R: float) -> Ff2nfBound:
     """Bound ||w||_L2 on the annulus B(0,2 B0 R) \\ B(0,B0 R) by
     log_ratio = ln(S/eps), where eps is the far-field size and S the
     a-priori annulus bound.
@@ -187,8 +186,6 @@ def ff2nf_bound(log_ratio: float, S: float, k: float, R: float,
     """
     if S <= 0:
         raise RellichError("S must be positive")
-    if B0 <= 1:
-        raise RellichError("B0 must exceed 1")
     ell = float(np.sqrt(2 * np.e * k * R * max(log_ratio, 0.0)))
     nu0 = np.floor(ell) / 2
     if nu0 >= max(1.5, np.e * B0 * k * R) and log_ratio >= 0:
@@ -305,11 +302,11 @@ class ThreeSpheresResult:
         return self.norm_2r
 
 
-def three_spheres_check(field, x, r: float, rng=None) -> ThreeSpheresResult:
+def three_spheres_check(field, x, r: float,
+                        rng: np.random.Generator) -> ThreeSpheresResult:
     """Measure sup-norms on B(x,r), B(x,2r), B(x,4r) and solve for the
     interpolation exponent beta* solving
     ||w||_2r = ||w||_4r^(1-beta) ||w||_r^beta."""
-    rng = np.random.default_rng(0) if rng is None else rng
     x = np.asarray(x, dtype=float)
     # one cloud per radius, drawn in turn and evaluated in one field call;
     # running maxima keep the sups monotone in r
@@ -424,15 +421,12 @@ def propagate_chain(field, path: PropagationPath, T: float,
     return ChainResult(cal.chain_bound(T, m1, path.K - 1), mK, path.K)
 
 
-def propagate_outside_hull(field, Q: Polytope, query, r: float,
-                           lam: float, delta: float, T: float,
-                           cal: Calibration, R: float) -> ChainResult:
-    """Carry delta-smallness on the annulus B((2-lam)R) \\ B((1+lam)R)
+def propagate_outside_hull(field, Q: Polytope, query, r: float, delta: float,
+                           T: float, cal: Calibration, R: float) -> ChainResult:
+    """Carry delta-smallness on the annulus B((2-LAMBDA)R) \\ B((1+LAMBDA)R)
     to a query point outside B(Q, 4r), along the radial escape ray the
     convexity of Q guarantees."""
-    if not (0 < lam < 0.5):
-        raise RellichError("lambda must lie in (0, 1/2)")
-    if 4 * r > cal.R_m or 2 * r >= (1 - 2 * lam) * R:
+    if 4 * r > cal.R_m or 2 * r >= (1 - 2 * LAMBDA) * R:
         raise RellichError("chain radius too large for this geometry")
     if not (0 < delta <= 1):
         raise RellichError("delta must lie in (0, 1]")
@@ -444,7 +438,7 @@ def propagate_outside_hull(field, Q: Polytope, query, r: float,
     direction = (query / nq if nq > 1e-12
                  else np.ones_like(query) / np.sqrt(query.size))
     # choose the radial ray (away from or through the origin) clear of B(Q,4r)
-    target_radius = (1 + lam) * R + r
+    target_radius = (1 + LAMBDA) * R + r
     for d in (direction, -direction):
         end = _ray_exit(query, d, target_radius)
         if end is None:
@@ -494,19 +488,16 @@ class CrossingResult:
     delta_ok: bool
 
 
-def cross_into_boundary(log_delta: float, alpha: float, T: float, A: float,
-                        cal: Calibration, R: float) -> CrossingResult:
+def cross_into_boundary(log_delta: float, T: float, cal: Calibration,
+                        R: float) -> CrossingResult:
     """Hoelder bridge onto the boundary collar from log_delta = ln(delta):
     with r(d) = A R |ln c2| / ((1-alpha) ln|ln d|), points within 4 r(d)
     of the hull boundary obey |w| <= ((8AR|ln c2|/(1-alpha))^alpha +
-    C/c2^2) (ln|ln d|)^(-alpha) T.  The annulus thickness is
-    LAMBDA_DEFAULT.  The double logarithm is positive only for delta < 1/e.
+    C/c2^2) (ln|ln d|)^(-alpha) T.  The Hoelder exponent alpha is ALPHA,
+    the escape length A is A_ESCAPE and the annulus thickness lam is
+    LAMBDA.  The double logarithm is positive only for delta < 1/e.
     """
-    lam = LAMBDA_DEFAULT
-    if not (0 < alpha < 1):
-        raise RellichError("Hoelder exponent must lie in (0, 1)")
-    if A < 2 + lam:
-        raise RellichError("A must be at least 2 + lambda")
+    alpha, A, lam = ALPHA, A_ESCAPE, LAMBDA
     if not log_delta < -1:
         raise RellichError("the double-log bridge needs delta < 1/e")
     log_c2 = abs(np.log(cal.c2))
@@ -549,8 +540,8 @@ def quantitative_rellich(epsilon: float | None, S: float, k: float, R: float,
 
     Returns the double-log boundary bound, applicable to both the
     difference field and (applied to difference quotients) its gradient.
-    The annulus scale is B0_DEFAULT, the Hoelder exponent ALPHA_DEFAULT
-    and the escape-segment length A_DEFAULT.  log_ratio = ln(S/epsilon)
+    The annulus scale is B0, the Hoelder exponent ALPHA and the
+    escape-segment length A_ESCAPE.  log_ratio = ln(S/epsilon)
     admits symbolically tiny far-field sizes.  Where the bridge does not
     apply (the saturated regime, or delta >= 1/e) the bound is T.
 
@@ -566,13 +557,12 @@ def quantitative_rellich(epsilon: float | None, S: float, k: float, R: float,
         if epsilon is None:
             raise RellichError("need epsilon or log_ratio")
         log_ratio = float(np.log(S / epsilon))
-    nf = ff2nf_bound(log_ratio, S, k, R, B0_DEFAULT)
+    nf = ff2nf_bound(log_ratio, S, k, R)
     if nf.regime == "saturated" or not nf.log_bound < -1:
         # smallness never reaches the propagation stage; only the trivial
         # a-priori bound survives
         return RellichBound(float(T), min(nf.bound, 1.0), "saturated", 0.0,
                             False, nf, float(T))
-    crossing = cross_into_boundary(nf.log_bound, ALPHA_DEFAULT, T, A_DEFAULT,
-                                   cal, R)
+    crossing = cross_into_boundary(nf.log_bound, T, cal, R)
     return RellichBound(crossing.bound, nf.bound, "decay",
                         crossing.r_delta, crossing.delta_ok, nf, float(T))

@@ -297,11 +297,15 @@ class FarFieldPattern:
 
     @property
     def quad_weight(self) -> float:
-        n = len(self.directions)
-        return (2 * np.pi / n) if self.dim == 2 else (4 * np.pi / n)
+        return _sphere_measure(self.dim) / len(self.directions)
 
     def l2_norm(self) -> float:
         return float(np.sqrt(np.sum(np.abs(self.values) ** 2) * self.quad_weight))
+
+
+def _sphere_measure(dim: int) -> float:
+    """|S^(dim-1)|: 2 pi in 2D, 4 pi in 3D."""
+    return 2 * np.pi if dim == 2 else 4 * np.pi
 
 
 def default_directions(dim: int, n: int) -> np.ndarray:
@@ -600,21 +604,17 @@ class SampledField:
     k: float
 
 
-def annulus_sampling(r1: float, r2: float, dim: int, n_radial: int = 24,
-                     n_angular: int = 128) -> tuple[np.ndarray, float]:
-    """Midpoint polar/spherical sampling of an origin-centred annulus;
-    returns (points, quadrature weight per point)."""
+def annulus_sampling(r1: float, r2: float, dim: int, n_radial: int,
+                     n_angular: int) -> tuple[np.ndarray, np.ndarray]:
+    """Midpoint radial sampling of an origin-centred annulus times the
+    `default_directions`: returns (points, quadrature weight per point),
+    the weights r^(dim-1) dr |S^(dim-1)| / n_angular."""
     radii = r1 + (r2 - r1) * (np.arange(n_radial) + 0.5) / n_radial
     dr = (r2 - r1) / n_radial
-    if dim == 2:
-        th = 2 * np.pi * np.arange(n_angular) / n_angular
-        circ = np.stack([np.cos(th), np.sin(th)], axis=1)
-        pts = (radii[:, None, None] * circ[None, :, :]).reshape(-1, 2)
-        w = np.repeat(radii, n_angular) * dr * (2 * np.pi / n_angular)
-    else:
-        sph = default_directions(3, n_angular)
-        pts = (radii[:, None, None] * sph[None, :, :]).reshape(-1, 3)
-        w = np.repeat(radii ** 2, n_angular) * dr * (4 * np.pi / n_angular)
+    dirs = default_directions(dim, n_angular)
+    pts = (radii[:, None, None] * dirs[None, :, :]).reshape(-1, dim)
+    w = (np.repeat(radii ** (dim - 1), n_angular) * dr
+         * (_sphere_measure(dim) / n_angular))
     return pts, w
 
 

@@ -333,7 +333,7 @@ class TauChoice:
 
 
 def optimize_tau(h: float, delta_eps: float, m: float, n: int,
-                 k: float = 1.0) -> TauChoice:
+                 k: float) -> TauChoice:
     """tau_e = (1/(h^(n+5) delta))^(1/(m+n+5)): the decay rate balancing
     the two terms delta tau^(n+5) and h^(-n-5) tau^(-m), floored at
     max(1, k)."""

@@ -170,18 +170,6 @@ def test_check_cone_geometry_guards():
         cgo.check_cone_geometry(p_in, q_moved)
 
 
-def test_check_cone_geometry_opening_angle_bounds():
-    # the quarter plane opens pi/2; each bound is strict
-    q = spherical_cone_2d(axis=(np.sqrt(0.5), np.sqrt(0.5)), half=0.8)
-    p = quarter_plane_cone()
-    cgo.check_cone_geometry(p, q, alpha_m=np.pi / 5)
-    cgo.check_cone_geometry(p, q, alpha_M=np.pi / 3)
-    with pytest.raises(geom.GeometryError, match="lower bound"):
-        cgo.check_cone_geometry(p, q, alpha_m=np.pi / 4)
-    with pytest.raises(geom.GeometryError, match="upper bound"):
-        cgo.check_cone_geometry(p, q, alpha_M=np.pi / 4)
-
-
 def test_lower_bound_curve_plateau():
     q = spherical_cone_2d(axis=(np.sqrt(0.5), np.sqrt(0.5)), half=0.8)
     p = quarter_plane_cone()
@@ -232,11 +220,6 @@ def test_decay_case_table():
     assert abs(c3.p - 3.0 / (0.75 - 0.49)) < 1e-9
     assert abs(c3.decay_exponent - 0.5) < 1e-12
     assert abs(c3.beta - (0.5 - 3.0 / c3.p)) < 1e-12
-    # equality branch with an exact rational r
-    cc = cgo.faddeev_decay_case(3, s=1.5, r=2.0)
-    assert cc.case == 2 and abs(cc.p - 3.0) < 1e-9
-    with pytest.raises(cgo.CgoError):
-        cgo.faddeev_decay_case(3, s=0.2)  # excluded regime
 
 
 # ---------------------------------------------------------------------------

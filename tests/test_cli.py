@@ -69,15 +69,20 @@ def test_build_scene_rejects_bad_direction(omega):
 @pytest.mark.parametrize("key, value", [
     ("k", 0.0), ("k", -2.0), ("k", float("nan")), ("k", float("inf")),
     ("n", 0), ("n", 2.5), ("half_width", 0.0), ("half_width", float("inf")),
-    ("center", [float("nan"), 0.0]), ("center", [0.0, 0.0, 0.0])],
+    ("center", [float("nan"), 0.0]), ("center", [0.0, 0.0, 0.0]),
+    ("k", "two"), ("k", [2.0]), ("omega", ["east", 0.0]),
+    ("center", ["x", 0.0]), ("half_width", "wide"), ("R", "big")],
     ids=["k-zero", "k-negative", "k-nan", "k-inf", "n-zero", "n-fraction",
-         "half_width-zero", "half_width-inf", "center-nan", "center-3d"])
+         "half_width-zero", "half_width-inf", "center-nan", "center-3d",
+         "k-text", "k-list", "omega-text", "center-text", "half_width-text",
+         "R-text"])
 def test_build_scene_rejects_bad_numbers(tmp_path, capsys, key, value):
     # k = 0 and n = 0 divided by zero, k < 0 spun GMRES on a NaN system,
     # half_width = inf reached the far field, a NaN centre solved to a
-    # zero far field and a 3-vector centre in 2D raised a FieldError
+    # zero far field and a 3-vector centre in 2D raised a FieldError;
+    # text where a number belongs raised float()'s ValueError
     d = scene_dict()
-    (d if key == "k" else d["grid"])[key] = value
+    (d if key in ("k", "omega", "R") else d["grid"])[key] = value
     with pytest.raises(cli.CliError, match=key):
         cli.build_scene(d)
     scene = tmp_path / "scene.json"

@@ -1,5 +1,6 @@
 """Every module-level name, every public class member and every dataclass
-field of the package has a reader.
+field of the package has a reader, and every defaulted parameter a caller
+that sets it.
 
 A public module-level function or class of `src/polyscat`, and a public
 method or property of one of its classes, must be referenced from the
@@ -134,3 +135,107 @@ def test_every_dataclass_field_is_read():
               for cls, name in _dataclass_fields(p)
               if cls not in WRITTEN_WHOLE and name not in read]
     assert unread == []
+
+
+# A defaulted parameter must be set by a call in the package, the benchmark
+# harness or the acceptance tests; unit tests and demos do not count.  The
+# exceptions are listed with what keeps them.
+CALLERS = (sorted(PACKAGE.glob("*.py"))
+           + sorted((ROOT / "perfbench").glob("*.py"))
+           + [ROOT / "tests" / "test_acceptance.py"])
+ALLOWED_DEFAULTS = {
+    "decompose_far_field.J": "ROADMAP item 2",
+    "propagate_chain.clearance": "switches on the domain-boundary check",
+}
+
+
+def _functions(path):
+    """(class or None, def) for each module-level function and each method
+    of a module-level class."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.FunctionDef):
+            yield None, node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield node.name, item
+
+
+def _signatures():
+    """{(class or None, name): (parameters a call may pass by position,
+    defaulted parameters)} for the functions and methods of the package;
+    a method's `self` is left out."""
+    sigs = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for owner, fn in _functions(path):
+            a = fn.args
+            positional = [p.arg for p in a.posonlyargs + a.args]
+            static = any(ast.unparse(d) == "staticmethod"
+                         for d in fn.decorator_list)
+            if owner is not None and not static:
+                positional = positional[1:]
+            defaulted = positional[len(positional) - len(a.defaults):]
+            defaulted += [p.arg for p, d in zip(a.kwonlyargs, a.kw_defaults)
+                          if d is not None]
+            sigs[(owner, fn.name)] = (positional, defaulted)
+    return sigs
+
+
+def _call_targets(call, bases, sigs):
+    """(signature key, index of the call's first positional argument among
+    the signature's positional parameters) for each function a call may
+    reach.  A call names a function, or a class for its `__init__`;
+    `super().name` reaches the method of the enclosing class's `bases`,
+    `Base.name(obj, ...)` the method of Base with `obj` as `self`, and
+    any other `obj.name` every method of that name."""
+    f = call.func
+    if isinstance(f, ast.Name):
+        return [(key, 0) for key in ((None, f.id), (f.id, "__init__"))
+                if key in sigs]
+    if not isinstance(f, ast.Attribute):
+        return []
+    value = f.value
+    if (isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
+            and value.func.id == "super"):
+        return [((base, f.attr), 0) for base in bases
+                if (base, f.attr) in sigs]
+    if isinstance(value, ast.Name) and (value.id, f.attr) in sigs:
+        return [((value.id, f.attr), -1)]
+    if f.attr == "__init__":
+        return []
+    return [(key, 0) for key in sigs if key[1] == f.attr]
+
+
+def _set_parameters(sigs):
+    """The (class or None, name, parameter) triples some caller sets, by
+    position or by keyword."""
+    found = set()
+    for path in CALLERS:
+        tree = ast.parse(path.read_text())
+        # each call once, with the bases of the class it sits in
+        scopes = [([], node) for node in tree.body
+                  if not isinstance(node, ast.ClassDef)]
+        scopes += [([ast.unparse(b) for b in node.bases], node)
+                   for node in tree.body if isinstance(node, ast.ClassDef)]
+        for bases, scope in scopes:
+            for call in ast.walk(scope):
+                if not isinstance(call, ast.Call):
+                    continue
+                # a starred argument may fill every remaining position
+                starred = any(isinstance(a, ast.Starred) for a in call.args)
+                for key, first in _call_targets(call, bases, sigs):
+                    positional = sigs[key][0]
+                    n_pos = (len(positional) if starred
+                             else max(len(call.args) + first, 0))
+                    names = positional[:n_pos] + [k.arg for k in call.keywords]
+                    found.update((*key, name) for name in names)
+    return found
+
+
+def test_every_defaulted_parameter_is_set_by_a_caller():
+    sigs = _signatures()
+    found = _set_parameters(sigs)
+    unset = {f"{name if cls is None else cls + '.' + name}.{p}"
+             for (cls, name), (_, defaulted) in sigs.items()
+             for p in defaulted if (cls, name, p) not in found}
+    assert sorted(unset) == sorted(ALLOWED_DEFAULTS)

@@ -199,7 +199,7 @@ def test_sphere_norm_refuses_rounding_level_degrees(triangle_solutions, r):
 def test_ff2nf_worked_example_saturated():
     # k = R = 1, B0 = 2, S = 1, eps = 1e-8: l ~ 10.007, nu0 = 5, and
     # 5 < e B0 k R ~ 5.44 keeps the bound in the saturated regime
-    nf = rellich.ff2nf_bound(np.log(1e8), 1.0, 1.0, 1.0, 2.0)
+    nf = rellich.ff2nf_bound(np.log(1e8), 1.0, 1.0, 1.0)
     assert abs(nf.ell - np.sqrt(2 * np.e * np.log(1e8))) < 1e-12
     assert abs(nf.ell - 10.007) < 5e-3
     assert nf.nu0 == 5.0
@@ -208,7 +208,7 @@ def test_ff2nf_worked_example_saturated():
 
 
 def test_ff2nf_decay_regime():
-    nf = rellich.ff2nf_bound(np.log(1e11), 1.0, 1.0, 1.0, 2.0)
+    nf = rellich.ff2nf_bound(np.log(1e11), 1.0, 1.0, 1.0)
     assert nf.regime == "decay"
     assert nf.nu0 >= np.e * 2.0
     # bound = const * S * B0^(-l/2), checked from the reported pieces
@@ -219,18 +219,14 @@ def test_ff2nf_decay_regime():
 
 def test_ff2nf_monotone_in_epsilon_and_B0():
     eps = 10.0 ** -np.arange(8, 30, 3)
-    bounds = [rellich.ff2nf_bound(-np.log(e), 1.0, 1.0, 1.0, 2.0).bound
+    bounds = [rellich.ff2nf_bound(-np.log(e), 1.0, 1.0, 1.0).bound
               for e in eps]
     assert np.all(np.diff(bounds) <= 1e-15)
-    b_small = rellich.ff2nf_bound(np.log(1e60), 1.0, 1.0, 1.0, 2.0)
-    b_large = rellich.ff2nf_bound(np.log(1e60), 1.0, 1.0, 1.0, 4.0)
-    assert b_large.regime == b_small.regime == "decay"
-    assert b_large.log_bound < b_small.log_bound
 
 
 def test_ff2nf_symbolic_log_ratio():
     # epsilon = S e^{-e^{100}} cannot be represented; log_ratio can
-    nf = rellich.ff2nf_bound(float(np.exp(100)), 1.0, 1.0, 1.0, 2.0)
+    nf = rellich.ff2nf_bound(float(np.exp(100)), 1.0, 1.0, 1.0)
     assert nf.regime == "decay"
     assert nf.bound == 0.0            # the float view underflows to 0
     assert nf.log_bound < -1e20       # but the log form stays exact
@@ -246,9 +242,7 @@ def test_ff2nf_zero_and_validation():
     with pytest.raises(rellich.RellichError):
         rellich.quantitative_rellich(-1e-3, 1.0, 1.0, 1.0, cal, 1.0)
     with pytest.raises(rellich.RellichError):
-        rellich.ff2nf_bound(np.log(1e3), 1.0, 1.0, 1.0, 0.5)
-    with pytest.raises(rellich.RellichError):
-        rellich.ff2nf_bound(np.log(1e3), 0.0, 1.0, 1.0, 2.0)
+        rellich.ff2nf_bound(np.log(1e3), 0.0, 1.0, 1.0)
 
 
 def test_ff2nf_saturated_constant_is_not_capped():
@@ -258,7 +252,7 @@ def test_ff2nf_saturated_constant_is_not_capped():
     expect = (1 + 2 * np.e * B0 * k * R) ** 2 / (2 * np.e * k * R)
     assert abs(expect - 873.85) < 5e-3
     for log_ratio in (10.0, 800.0):
-        nf = rellich.ff2nf_bound(log_ratio, 3.0, k, R, B0)
+        nf = rellich.ff2nf_bound(log_ratio, 3.0, k, R)
         assert nf.regime == "saturated"
         assert abs(nf.log_constant - expect) < 1e-12 * expect
         assert rellich.float_view(nf.log_constant) == np.inf
@@ -421,13 +415,13 @@ def test_propagate_outside_hull():
     Q = convex_polygon([[-0.2, -0.2], [0.2, -0.2], [0.2, 0.2], [-0.2, 0.2]])
     field = lambda pts: 1e-6 * np.ones(len(np.atleast_2d(pts)))
     res = rellich.propagate_outside_hull(field, Q, np.array([0.9, 0.0]),
-                                         r=0.1, lam=0.25, delta=1e-4,
+                                         r=0.1, delta=1e-4,
                                          T=1.0, cal=cal, R=1.0)
     assert res.bound > 0 and np.isfinite(res.bound)
     assert res.measured_end <= res.bound
     with pytest.raises(rellich.RellichError):
         rellich.propagate_outside_hull(field, Q, np.array([0.25, 0.0]),
-                                       r=0.1, lam=0.25, delta=1e-4,
+                                       r=0.1, delta=1e-4,
                                        T=1.0, cal=cal, R=1.0)
 
 
@@ -437,8 +431,8 @@ def test_propagate_outside_hull():
 
 def test_crossing_independent_recomputation():
     cal = small_cal()
-    alpha, A, R, T, delta = 0.5, 2.5, 1.0, 1.0, 1e-20
-    res = rellich.cross_into_boundary(np.log(delta), alpha, T, A, cal, R)
+    alpha, A, R, T, delta = 0.5, rellich.A_ESCAPE, 1.0, 1.0, 1e-20
+    res = rellich.cross_into_boundary(np.log(delta), T, cal, R)
     log_c2 = abs(np.log(cal.c2))
     lnln = np.log(abs(np.log(delta)))
     r_delta = A * R * log_c2 / ((1 - alpha) * lnln)
@@ -451,30 +445,25 @@ def test_crossing_independent_recomputation():
 def test_crossing_bound_decreases_in_smallness():
     cal = small_cal()
     deltas = [1e-10, 1e-40, 1e-160]
-    bounds = [rellich.cross_into_boundary(np.log(d), 0.5, 1.0, 2.5, cal,
-                                          1.0).bound
+    bounds = [rellich.cross_into_boundary(np.log(d), 1.0, cal, 1.0).bound
               for d in deltas]
     assert bounds[0] > bounds[1] > bounds[2]
 
 
 def test_crossing_symbolic_log_delta():
     cal = small_cal()
-    res = rellich.cross_into_boundary(-np.exp(200), 0.5, 1.0, 2.5, cal, 1.0)
+    res = rellich.cross_into_boundary(-np.exp(200), 1.0, cal, 1.0)
     assert res.delta_ok
     # bound scales like (ln|ln delta|)^(-alpha)
     assert abs(res.bound * 200 ** 0.5
-               - ((8 * 2.5 * abs(np.log(0.2)) / 0.5) ** 0.5
+               - ((8 * rellich.A_ESCAPE * abs(np.log(0.2)) / 0.5) ** 0.5
                   + cal.C / cal.c2 ** 2)) < 1e-9
 
 
 def test_crossing_validation():
     cal = small_cal()
     with pytest.raises(rellich.RellichError):
-        rellich.cross_into_boundary(np.log(1e-20), 1.5, 1.0, 2.5, cal, 1.0)
-    with pytest.raises(rellich.RellichError):
-        rellich.cross_into_boundary(np.log(1e-20), 0.5, 1.0, 1.0, cal, 1.0)
-    with pytest.raises(rellich.RellichError):
-        rellich.cross_into_boundary(np.log(0.999), 0.5, 1.0, 2.5, cal, 1.0)
+        rellich.cross_into_boundary(np.log(0.999), 1.0, cal, 1.0)
 
 
 # ---------------------------------------------------------------------------

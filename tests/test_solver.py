@@ -728,6 +728,33 @@ def test_annulus_near_field_guard():
     assert len(w) == len(sampled.points)
 
 
+@pytest.mark.parametrize("dim, n", [(2, 64), (3, 24)])
+def test_annulus_near_field_keeps_the_per_dimension_rules(dim, n):
+    # the one rule, radii times default_directions with weights
+    # r^(dim-1) dr |S^(dim-1)| / n_angular, gives bit for bit the former
+    # 2D rule (equispaced angles, r dr 2 pi / n_angular) and 3D rule
+    # (Fibonacci sphere, r^2 dr 4 pi / n_angular)
+    V, omega = support_box_scene(dim)
+    sol = solver.solve_forward(V, 2.0, omega, fields.centered_grid(1.0, n, dim))
+    r1, r2, n_radial, n_angular = 1.2, 1.6, 3, 10
+    radii = r1 + (r2 - r1) * (np.arange(n_radial) + 0.5) / n_radial
+    dr = (r2 - r1) / n_radial
+    if dim == 2:
+        th = 2 * np.pi * np.arange(n_angular) / n_angular
+        dirs = np.stack([np.cos(th), np.sin(th)], axis=1)
+        w = np.repeat(radii, n_angular) * dr * (2 * np.pi / n_angular)
+    else:
+        dirs = solver.default_directions(3, n_angular)
+        w = np.repeat(radii ** 2, n_angular) * dr * (4 * np.pi / n_angular)
+    pts = (radii[:, None, None] * dirs[None, :, :]).reshape(-1, dim)
+    sampled, got_w = solver.near_field_on_annulus(sol, r1, r2, n_radial,
+                                                  n_angular)
+    np.testing.assert_array_equal(sampled.points, pts)
+    np.testing.assert_array_equal(got_w, w)
+    np.testing.assert_array_equal(sampled.values,
+                                  solver.scattered_at_points(sol, pts))
+
+
 # ---------------------------------------------------------------------------
 # Graf expansion of the exterior 2D near field against the dense sum
 # ---------------------------------------------------------------------------

@@ -203,7 +203,7 @@ def test_cone_volume_quadrature(name):
     K, h = TRUNCATED_CONES[name], 0.4
     pts, wts = stability.cone_volume_quadrature(K, h, 64)
     if K.dim == 2:
-        size = K.opening_angle() * h ** 2 / 2
+        size = geom._angle_between(*K.generators) * h ** 2 / 2
     else:
         g0, g1, g2 = K.generators
         size = 2 * np.arctan2(abs(g0 @ np.cross(g1, g2)),
@@ -365,29 +365,29 @@ def test_cgo_orthogonality_mismatch_shrinks_under_refinement_3d():
 def test_optimize_tau_worked_example():
     # n = 2, m = 0.5, h = 0.1, delta = 1e-6:
     # tau_e = (1e7 * 1e6)^(1/7.5) ~ 54.1
-    t = stability.optimize_tau(0.1, 1e-6, 0.5, 2)
+    t = stability.optimize_tau(0.1, 1e-6, 0.5, 2, 1.0)
     assert abs(t.tau_e - (1e13) ** (1 / 7.5)) < 1e-9
     assert abs(t.tau_e - 54.1) < 0.1
     assert not t.clamped
 
 
 def test_optimize_tau_clamps_at_floor():
-    t = stability.optimize_tau(1.0, 2.0, 0.5, 2)
+    t = stability.optimize_tau(1.0, 2.0, 0.5, 2, 1.0)
     assert t.tau_e == 1.0 and t.clamped
-    assert stability.optimize_tau(1.0, 1.0, 0.5, 2).tau_e == 1.0
+    assert stability.optimize_tau(1.0, 1.0, 0.5, 2, 1.0).tau_e == 1.0
 
 
 def test_optimize_tau_monotone():
-    taus = [stability.optimize_tau(0.1, d, 0.5, 2).tau_e
+    taus = [stability.optimize_tau(0.1, d, 0.5, 2, 1.0).tau_e
             for d in (1e-2, 1e-4, 1e-8, 1e-16)]
     assert np.all(np.diff(taus) > 0)
-    taus_h = [stability.optimize_tau(h, 1e-6, 0.5, 2).tau_e
+    taus_h = [stability.optimize_tau(h, 1e-6, 0.5, 2, 1.0).tau_e
               for h in (0.5, 0.2, 0.05)]
     assert np.all(np.diff(taus_h) > 0)
     with pytest.raises(stability.StabilityError):
-        stability.optimize_tau(2.0, 1e-6, 0.5, 2)
+        stability.optimize_tau(2.0, 1e-6, 0.5, 2, 1.0)
     with pytest.raises(stability.StabilityError):
-        stability.optimize_tau(0.1, 0.0, 0.5, 2)
+        stability.optimize_tau(0.1, 0.0, 0.5, 2, 1.0)
 
 
 def test_gammas():
